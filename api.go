@@ -90,21 +90,6 @@ func BuildEstimator(ds Dataset, opts EstimatorOptions, rng *RNG) (*Estimator, er
 	return kde.Build(ds, opts, rng)
 }
 
-// Precision selects the floating-point width of the density kernel used
-// while sampling: PrecisionFloat64 (the default) keeps every bit-for-bit
-// determinism guarantee; PrecisionFloat32 evaluates the fused columnar
-// kernel in single precision — still deterministic at every parallelism,
-// but density values (and therefore which points are drawn) differ from
-// float64 runs within the documented error bound.
-type Precision = core.Precision
-
-const (
-	// PrecisionFloat64 is the double-precision default.
-	PrecisionFloat64 = core.Float64
-	// PrecisionFloat32 is the single-precision columnar evaluation path.
-	PrecisionFloat32 = core.Float32
-)
-
 // SampleOptions configure density-biased sampling.
 type SampleOptions struct {
 	// Alpha is the bias exponent a of the paper: 0 uniform, positive
@@ -122,9 +107,6 @@ type SampleOptions struct {
 	// 0 uses runtime.GOMAXPROCS(0), 1 is the serial reference path. The
 	// drawn sample is identical for every setting.
 	Parallelism int
-	// Precision selects the kernel's floating-point width; the zero value
-	// is PrecisionFloat64.
-	Precision Precision
 	// Ctx, when non-nil, cancels the draw at block granularity; a done
 	// context aborts with ErrCanceled.
 	Ctx context.Context
@@ -171,7 +153,6 @@ func BiasedSample(ds Dataset, est *Estimator, opts SampleOptions, rng *RNG) (*Sa
 		OnePass:      opts.OnePass,
 		FloorDensity: opts.FloorDensity,
 		Parallelism:  opts.Parallelism,
-		Precision:    opts.Precision,
 		Ctx:          opts.Ctx,
 		Obs:          opts.Obs,
 		Progress:     opts.Progress,

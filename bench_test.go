@@ -163,8 +163,8 @@ func BenchmarkDrawParallel(b *testing.B) {
 // paths) and enabled (atomic flushes per block/batch). The disabled
 // variant is the one the 2% budget applies to — it must stay within noise
 // of the pre-observability numbers in BENCH_parallel.json; BENCH_obs.json
-// records both. The enabled estimator recorder also swaps the kde
-// counting twins in, so this measures the full instrumented path.
+// records both. The enabled estimator recorder also receives the kde
+// traversal counters, so this measures the full instrumented path.
 func BenchmarkDrawObs(b *testing.B) {
 	rng := stats.NewRNG(99)
 	l := synth.EqualClusters(10, 4, 100000, 0.10, rng)

@@ -41,7 +41,6 @@ func main() {
 		kernels = flag.Int("kernels", kde.DefaultNumKernels, "number of kernels (biased)")
 		kernel  = flag.String("kernel", "epanechnikov", "kernel function (biased)")
 		onePass = flag.Bool("onepass", false, "use the integrated one-pass variant (biased)")
-		prec    = flag.String("precision", "float64", "density evaluation arithmetic: float64 (exact contract) | float32 (faster, approximate)")
 		par     = flag.Int("p", 0, "worker parallelism: 0 = all CPUs, 1 = serial (same sample either way)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		obsf    obs.Flags
@@ -61,10 +60,6 @@ func main() {
 	// leaving a long scan running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	precision, err := parsePrecision(*prec)
-	if err != nil {
-		fatal("%v", err)
-	}
 	// Open sniffs the format: DBS1 files decode block-by-block, DBS2
 	// segment files are memory-mapped and scanned zero-copy.
 	ds, err := dataset.Open(*in)
@@ -125,7 +120,6 @@ func main() {
 			TargetSize:  *size,
 			OnePass:     *onePass,
 			Parallelism: *par,
-			Precision:   precision,
 			Ctx:         ctx,
 			Obs:         run.Rec,
 			Progress:    run.ProgressFunc("sampling"),
@@ -165,16 +159,6 @@ func main() {
 	default:
 		fatal("unknown -method %q", *method)
 	}
-}
-
-func parsePrecision(s string) (core.Precision, error) {
-	switch s {
-	case "float64", "":
-		return core.Float64, nil
-	case "float32":
-		return core.Float32, nil
-	}
-	return core.Float64, fmt.Errorf("unknown -precision %q (want float64 or float32)", s)
 }
 
 func fatal(format string, args ...interface{}) {

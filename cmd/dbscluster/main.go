@@ -42,7 +42,6 @@ func main() {
 		kernels = flag.Int("kernels", kde.DefaultNumKernels, "number of kernels")
 		trim    = flag.Bool("trim", true, "enable CURE noise-trim phases")
 		assign  = flag.String("assign", "", "write full-dataset labels to this file (cure only)")
-		prec    = flag.String("precision", "float64", "density evaluation arithmetic: float64 (exact contract) | float32 (faster, approximate)")
 		par     = flag.Int("p", 0, "worker parallelism: 0 = all CPUs, 1 = serial (same clustering either way)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		obsf    obs.Flags
@@ -62,10 +61,6 @@ func main() {
 	// leaving a long scan running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	precision, err := parsePrecision(*prec)
-	if err != nil {
-		fatal("%v", err)
-	}
 	// Open sniffs the format: DBS1 files decode block-by-block, DBS2
 	// segment files are memory-mapped and scanned zero-copy.
 	ds, err := dataset.Open(*in)
@@ -94,7 +89,6 @@ func main() {
 			Alpha:       *alpha,
 			TargetSize:  *size,
 			Parallelism: *par,
-			Precision:   precision,
 			Ctx:         ctx,
 			Obs:         run.Rec,
 			Progress:    run.ProgressFunc("sampling"),
@@ -200,16 +194,6 @@ func writeAssignments(ds dataset.Dataset, clusters []cure.Cluster, path string) 
 		return err
 	}
 	return f.Close()
-}
-
-func parsePrecision(s string) (core.Precision, error) {
-	switch s {
-	case "float64", "":
-		return core.Float64, nil
-	case "float32":
-		return core.Float32, nil
-	}
-	return core.Float64, fmt.Errorf("unknown -precision %q (want float64 or float32)", s)
 }
 
 func fatal(format string, args ...interface{}) {

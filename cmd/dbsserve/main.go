@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -49,7 +48,6 @@ func main() {
 		stageWait  = flag.Duration("stage-timeout", 0, "per-attempt build stage timeout; blown stages retry under -retry (0 = request deadline only)")
 		staleOK    = flag.Bool("stale-ok", false, "serve stale cached artifacts (X-DBS-Cache: stale) when a rebuild fails")
 		driftTol   = flag.Float64("drift-tol", 0, "relative drift budget for incremental builds after appends (0 = always rebuild exactly)")
-		prec       = flag.String("precision", "float64", "server-wide density evaluation arithmetic: float64 (exact contract) | float32 (faster, approximate); cache keys are unaffected")
 		trSample   = flag.Float64("trace-sample", 0, "fraction of request traces retained in /debug/traces (0 = none, 1 = all); the decision is a pure function of the trace ID")
 		slowMs     = flag.Int("slow-ms", 0, "slow-trace keeper: requests at or over this many milliseconds are always retained in /debug/traces (0 disables)")
 		accessLog  = flag.String("access-log", "", "structured JSON access log destination: a file path (appended) or - for stderr (empty disables)")
@@ -71,16 +69,9 @@ func main() {
 		fatal("%v", err)
 	}
 
-	precision, err := parsePrecision(*prec)
-	if err != nil {
-		fatal("%v", err)
-	}
 	shardWorkers, shardPeers, err := parseShards(*shards)
 	if err != nil {
 		fatal("%v", err)
-	}
-	if (shardWorkers > 0 || len(shardPeers) > 0) && precision == core.Float32 {
-		fatal("-shards requires -precision float64: float32 arithmetic breaks the bit-identical shard merge")
 	}
 	cache := *cacheBytes
 	if cache == 0 {
@@ -103,7 +94,6 @@ func main() {
 	}
 	srv := server.New(server.Config{
 		Parallelism:   *par,
-		Precision:     precision,
 		CacheBytes:    cache,
 		MaxInFlight:   *maxInFl,
 		MaxQueue:      *maxQueue,
@@ -210,16 +200,6 @@ func parseWindow(s string) (points int, dur time.Duration, err error) {
 		return 0, 0, fmt.Errorf("-window %v: want a positive duration", d)
 	}
 	return 0, d, nil
-}
-
-func parsePrecision(s string) (core.Precision, error) {
-	switch s {
-	case "float64", "":
-		return core.Float64, nil
-	case "float32":
-		return core.Float32, nil
-	}
-	return core.Float64, fmt.Errorf("unknown -precision %q (want float64 or float32)", s)
 }
 
 func fatal(format string, args ...interface{}) {

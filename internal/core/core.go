@@ -61,22 +61,6 @@ type DensityBatcher interface {
 	DensityBatch(pts []geom.Point, out []float64)
 }
 
-// ColumnarDensityBatcher is optionally implemented by estimators that can
-// consume a block's column view directly (kde.Estimator does). At float64
-// the results must be bit-identical to DensityBatch over the same points —
-// the parity contract Options.Layout relies on.
-type ColumnarDensityBatcher interface {
-	DensityBatchCols(cols [][]float64, out []float64)
-}
-
-// ColumnarDensityBatcher32 is the float32 evaluation path behind
-// Options.Precision: column input, single-precision kernel arithmetic,
-// widened results. Implementations may fall back to float64 when they have
-// no single-precision engine for their kernel.
-type ColumnarDensityBatcher32 interface {
-	DensityBatchCols32(cols [][]float64, out []float64)
-}
-
 // evalDensities fills out[:len(pts)] with est's density at each point,
 // through the batch interface when available.
 func evalDensities(est DensityEstimator, pts []geom.Point, out []float64) {
@@ -87,41 +71,6 @@ func evalDensities(est DensityEstimator, pts []geom.Point, out []float64) {
 	for i, p := range pts {
 		out[i] = est.Density(p)
 	}
-}
-
-// evalDensitiesLayout routes one block's density evaluation: the column
-// view (when the scan produced one and the estimator consumes it) with the
-// requested precision, the row batch otherwise. Estimators without any
-// batch interface fall back to per-point Density in index order.
-func evalDensitiesLayout(est DensityEstimator, pts []geom.Point, cols [][]float64, prec Precision, out []float64) {
-	if cols != nil {
-		if prec == Float32 {
-			if b, ok := est.(ColumnarDensityBatcher32); ok {
-				b.DensityBatchCols32(cols, out)
-				return
-			}
-		}
-		if b, ok := est.(ColumnarDensityBatcher); ok {
-			b.DensityBatchCols(cols, out)
-			return
-		}
-	}
-	evalDensities(est, pts, out)
-}
-
-// scanBlocksLayout runs one pass over ds delivering blocks in the
-// requested layout: the columnar scan hands fn the transposed column slab
-// next to the row view, the row scan hands cols == nil. Block boundaries,
-// ordering, and pass accounting are identical either way.
-func scanBlocksLayout(ds dataset.Dataset, cfg dataset.ScanConfig, layout Layout, fn func(block, start int, pts []geom.Point, cols [][]float64) error) error {
-	if layout == LayoutRow {
-		return dataset.ScanBlocksCfg(ds, cfg, func(block, start int, pts []geom.Point) error {
-			return fn(block, start, pts, nil)
-		})
-	}
-	return dataset.ScanBlocksCols(ds, cfg, func(b dataset.Block) error {
-		return fn(b.Index, b.Start, b.Points, b.Cols)
-	})
 }
 
 // coinScratch is the pooled per-block working set of the fused
@@ -241,37 +190,6 @@ type NormRescaler interface {
 	NormRescale(priorN, priorKernels int) float64
 }
 
-// Layout selects which view of each scan block the density evaluation
-// consumes.
-type Layout int
-
-const (
-	// LayoutColumnar (the default) evaluates densities over the block's
-	// column view: D contiguous coordinate slices per block, the layout
-	// the fused kernel in internal/kde is built around. At Float64 the
-	// results are bit-identical to LayoutRow — proven by parity tests —
-	// so the choice is a performance knob, not part of a run's identity.
-	LayoutColumnar Layout = iota
-	// LayoutRow evaluates densities over the row view, the reference path.
-	LayoutRow
-)
-
-// Precision selects the floating-point width of the density kernel.
-type Precision int
-
-const (
-	// Float64 (the default) evaluates densities in double precision; the
-	// deterministic bit-for-bit contracts hold at this setting.
-	Float64 Precision = iota
-	// Float32 evaluates the density kernel in single precision over the
-	// columnar layout, trading a bounded relative density error (see
-	// DESIGN.md, "Memory layout & zero-copy scans") for halved memory
-	// bandwidth. Results remain deterministic — identical at every
-	// Parallelism and across repeated runs — but are not bit-equal to
-	// Float64 runs. Requires LayoutColumnar.
-	Float32
-)
-
 // Options configure one biased-sampling run.
 type Options struct {
 	// Alpha is the bias exponent a.
@@ -314,17 +232,6 @@ type Options struct {
 	// changes which points are drawn, while changing Parallelism never
 	// does.
 	BlockSize int
-
-	// Layout selects the row or columnar density-evaluation path. Like
-	// Parallelism — and unlike BlockSize — it is NOT part of the run's
-	// identity: at Float64 both layouts draw byte-identical samples.
-	Layout Layout
-
-	// Precision selects the kernel's floating-point width. Float32 needs
-	// the columnar layout and changes density values within the documented
-	// error bound (and therefore which points are drawn); Float64 keeps
-	// every bit-for-bit guarantee.
-	Precision Precision
 
 	// Obs, when non-nil, records the run: span timings for the
 	// normalization and coin-flip passes, the counter catalogue (points
@@ -426,9 +333,6 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	if floor < 0 {
 		return nil, errors.New("core: negative FloorDensity")
 	}
-	if opts.Precision == Float32 && opts.Layout == LayoutRow {
-		return nil, errors.New("core: Float32 requires the columnar layout")
-	}
 	if floor == 0 {
 		floor = defaultFloor(est)
 	}
@@ -505,13 +409,13 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	sspan := rec.StartSpan("draw/sample")
 	cCoins := rec.Counter(obs.CtrCoinFlips)
 	cSat := rec.Counter(obs.CtrSaturated)
-	err := scanBlocksLayout(ds, dataset.ScanConfig{
+	err := dataset.ScanBlocksCfg(ds, dataset.ScanConfig{
 		BlockSize:   blockSize,
 		Parallelism: opts.Parallelism,
 		Ctx:         opts.Ctx,
 		Rec:         rec,
 		Progress:    opts.Progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
+	}, func(block, start int, pts []geom.Point) error {
 		// The fused pass: evaluate (or fetch) the biased weights, flip the
 		// block's coins recording (index, prob) pairs in pooled scratch,
 		// then carve exactly-sized storage for the selections from the
@@ -523,7 +427,7 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 			weights = weightCache[start : start+len(pts)]
 		} else {
 			weights = sc.dens
-			evalDensitiesLayout(est, pts, cols, opts.Precision, weights)
+			evalDensities(est, pts, weights)
 			for i, f := range weights {
 				weights[i] = biasedWeight(f, opts.Alpha, floor)
 			}
@@ -606,10 +510,9 @@ func ExactNormParallel(ds dataset.Dataset, est DensityEstimator, alpha, floor fl
 // is non-nil (length ds.Len()), each block stores its biased weights
 // f'(x)^a at the block's global offset so the coin pass can reuse them
 // without re-evaluating densities or powers. Blocks write disjoint ranges,
-// so the cache needs no synchronization. Evaluation routes through the
-// layout and precision in opts; rec and progress, when non-nil, observe
-// the scan (see Options.Obs/Progress) and never influence the sum. ctx,
-// when non-nil, cancels per block.
+// so the cache needs no synchronization. rec and progress, when non-nil,
+// observe the scan (see Options.Obs/Progress) and never influence the
+// sum. ctx, when non-nil, cancels per block.
 func exactNorm(ctx context.Context, ds dataset.Dataset, est DensityEstimator, opts Options, floor float64, cache []float64, rec *obs.Recorder, progress func(done, total int)) (float64, error) {
 	if est == nil {
 		return 0, errors.New("core: nil density estimator")
@@ -617,13 +520,13 @@ func exactNorm(ctx context.Context, ds dataset.Dataset, est DensityEstimator, op
 	n := ds.Len()
 	blockSize := parallel.BlockSize(opts.BlockSize)
 	partials := make([]float64, parallel.NumBlocks(n, blockSize))
-	err := scanBlocksLayout(ds, dataset.ScanConfig{
+	err := dataset.ScanBlocksCfg(ds, dataset.ScanConfig{
 		BlockSize:   blockSize,
 		Parallelism: opts.Parallelism,
 		Ctx:         ctx,
 		Rec:         rec,
 		Progress:    progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
+	}, func(block, start int, pts []geom.Point) error {
 		var dens []float64
 		var sc *coinScratch
 		if cache != nil {
@@ -633,7 +536,7 @@ func exactNorm(ctx context.Context, ds dataset.Dataset, est DensityEstimator, op
 			defer coinScratchPool.Put(sc)
 			dens = sc.dens
 		}
-		evalDensitiesLayout(est, pts, cols, opts.Precision, dens)
+		evalDensities(est, pts, dens)
 		var k float64
 		for i, f := range dens {
 			w := biasedWeight(f, opts.Alpha, floor)

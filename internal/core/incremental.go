@@ -127,9 +127,6 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if floor < 0 {
 		return nil, zero, errors.New("core: negative FloorDensity")
 	}
-	if opts.Precision == Float32 && opts.Layout == LayoutRow {
-		return nil, zero, errors.New("core: Float32 requires the columnar layout")
-	}
 	if floor == 0 {
 		floor = defaultFloor(est)
 	}
@@ -216,13 +213,13 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	b := float64(opts.TargetSize)
 	cSat := rec.Counter(obs.CtrSaturated)
 	sspan := rec.StartSpan("extend_draw/sample")
-	err = scanBlocksLayout(w, dataset.ScanConfig{
+	err = dataset.ScanBlocksCfg(w, dataset.ScanConfig{
 		BlockSize:   blockSize,
 		Parallelism: opts.Parallelism,
 		Ctx:         opts.Ctx,
 		Rec:         rec,
 		Progress:    opts.Progress,
-	}, opts.Layout, func(block, start int, pts []geom.Point, cols [][]float64) error {
+	}, func(block, start int, pts []geom.Point) error {
 		// Same fused pass as Draw: cached (or freshly fused) biased
 		// weights, coin flips into pooled scratch, arena-carved storage.
 		sc := getCoinScratch(len(pts))
@@ -232,25 +229,12 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 			weights = weightCache[start : start+len(pts)]
 		} else {
 			weights = sc.dens
-			evalDensitiesLayout(est, pts, cols, opts.Precision, weights)
+			evalDensities(est, pts, weights)
 			for i, f := range weights {
 				weights[i] = biasedWeight(f, opts.Alpha, floor)
 			}
 		}
-		brng := &streams[1+block]
-		count, sat := 0, 0
-		for i := range pts {
-			prob := b * weights[i] / kNew
-			if prob >= 1 {
-				prob = 1
-				sat++
-			}
-			if brng.Bernoulli(prob) {
-				sc.idx[count] = int32(i)
-				sc.probs[count] = prob
-				count++
-			}
-		}
+		count, sat := flipCoins(weights, b, kNew, &streams[1+block], sc)
 		// Block starts are window-relative; the global dataset index of a
 		// delta selection is DeltaStart + start + in-block offset.
 		wps, idxs := fillBlockSample(arena, pts, sc, count, opts.DeltaStart+start)

@@ -11,7 +11,7 @@ import (
 // sample is byte-identical with observability off (nil Recorder) and on,
 // at the serial and the parallel worker counts — the acceptance criterion
 // of the observability layer. The estimator recorder is attached too, so
-// the kde counting twins are in the loop for the enabled runs.
+// the kde traversal counters flush into it for the enabled runs.
 func TestDrawDeterministicWithRecorder(t *testing.T) {
 	setup := stats.NewRNG(100)
 	ds, _ := twoBlobs(4000, 4000, setup)

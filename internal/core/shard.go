@@ -47,15 +47,11 @@ type BlockSample struct {
 func DrawStreamBase(rng *stats.RNG) uint64 { return rng.Uint64() }
 
 // validateShardOpts checks the option combinations the sharded path
-// supports. OnePass is meaningless here (its single pass is not blocked
-// against an exact normalizer), and Float32 breaks the row/column parity
-// the cross-mode bit-identity contract rests on.
+// supports. OnePass is meaningless here: its single pass is not blocked
+// against an exact normalizer.
 func validateShardOpts(opts Options) error {
 	if opts.OnePass {
 		return errors.New("core: sharded draw does not support OnePass")
-	}
-	if opts.Precision == Float32 {
-		return errors.New("core: sharded draw requires Float64 precision")
 	}
 	if opts.FloorDensity < 0 {
 		return errors.New("core: negative FloorDensity")

@@ -186,7 +186,7 @@ func TestDrawBlocksMatchesDraw(t *testing.T) {
 }
 
 // TestShardDrawValidation pins the option combinations the sharded path
-// refuses: OnePass, Float32, bad norms, out-of-range blocks.
+// refuses: OnePass, a negative floor, bad norms, out-of-range blocks.
 func TestShardDrawValidation(t *testing.T) {
 	rng := stats.NewRNG(5)
 	ds, _ := twoBlobs(200, 200, rng)
@@ -196,8 +196,8 @@ func TestShardDrawValidation(t *testing.T) {
 	if _, err := NormPartials(ds, est, Options{OnePass: true}, []int{0}); err == nil {
 		t.Error("OnePass accepted by NormPartials")
 	}
-	if _, err := NormPartials(ds, est, Options{Precision: Float32}, []int{0}); err == nil {
-		t.Error("Float32 accepted by NormPartials")
+	if _, err := NormPartials(ds, est, Options{FloorDensity: -1}, []int{0}); err == nil {
+		t.Error("negative FloorDensity accepted by NormPartials")
 	}
 	if _, err := NormPartials(ds, est, good, []int{99}); err == nil {
 		t.Error("out-of-range block accepted")

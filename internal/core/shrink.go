@@ -36,7 +36,7 @@ import (
 
 // ShrinkOptions configure one eviction step. The embedded Options are
 // interpreted as for Draw (Alpha, FloorDensity, Parallelism, BlockSize,
-// Layout, Obs, Progress, Ctx apply to the single pass over the evicted
+// Obs, Progress, Ctx apply to the single pass over the evicted
 // rows); TargetSize and OnePass are ignored — a shrink draws nothing.
 type ShrinkOptions struct {
 	Options
@@ -103,9 +103,6 @@ func ShrinkDraw(evicted dataset.Dataset, est DensityEstimator, opts ShrinkOption
 	floor := opts.FloorDensity
 	if floor < 0 {
 		return nil, zero, errors.New("core: negative FloorDensity")
-	}
-	if opts.Precision == Float32 && opts.Layout == LayoutRow {
-		return nil, zero, errors.New("core: Float32 requires the columnar layout")
 	}
 	if floor == 0 {
 		floor = defaultFloor(est)

@@ -9,11 +9,8 @@ import (
 // Block is one block of a columnar scan: the same points ScanBlocks would
 // deliver, exposed both as the familiar row view and as D contiguous
 // column slices backed by a single slab (Cols[j][i] == Points[i][j]).
-// Kernels that stream one coordinate at a time — the fused density
-// pipeline in internal/kde — read the columns; everything else keeps the
-// row view, so callers migrate incrementally. Both views (and the points
-// inside them) are valid only during the callback; retain with Clone or
-// by copying the columns.
+// Both views (and the points inside them) are valid only during the
+// callback; retain with Clone or by copying the columns.
 type Block struct {
 	// Index is the block's position in the fixed block layout.
 	Index int
@@ -61,6 +58,10 @@ func (c *colBuf) fit(n, dims int) [][]float64 {
 //
 // Under parallelism each in-flight block owns a private slab, so fn may
 // run concurrently with the same safety rules as ScanBlocks.
+//
+// No pipeline path calls it: the sampler and the sharded draw evaluate
+// densities over the row view from ScanBlocksCfg. It remains for the
+// repository benchmark, whose dataset.scan_ms replay times it.
 func ScanBlocksCols(ds Dataset, cfg ScanConfig, fn func(b Block) error) error {
 	dims := ds.Dims()
 	return ScanBlocksCfg(ds, cfg, func(block, start int, pts []geom.Point) error {

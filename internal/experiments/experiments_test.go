@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 func quickCfg() Config { return Config{Seed: 7, Quick: true} }
@@ -34,6 +38,19 @@ func TestIDsRegistered(t *testing.T) {
 		if !have[id] {
 			t.Errorf("experiment %q not registered", id)
 		}
+	}
+}
+
+// A draw that diverges from its experiment's reference must fail the run,
+// not become a "NO" cell in a table that still exits 0.
+func TestDrawParityFailsOnDivergence(t *testing.T) {
+	ref := &core.Sample{Norm: 2, Points: []dataset.WeightedPoint{{P: geom.Point{0.5}, W: 4}}}
+	if cell, err := drawParity("parallel", "workers=2", ref, ref); err != nil || cell != "yes" {
+		t.Fatalf("identical draw: cell %q, err %v", cell, err)
+	}
+	moved := &core.Sample{Norm: 2, Points: []dataset.WeightedPoint{{P: geom.Point{0.6}, W: 4}}}
+	if _, err := drawParity("parallel", "workers=2", ref, moved); err == nil || !strings.Contains(err.Error(), "workers=2") {
+		t.Fatalf("divergent draw: err %v, want an error naming the configuration", err)
 	}
 }
 
@@ -227,7 +244,7 @@ func TestExpStreamShape(t *testing.T) {
 func TestExpRemainingQuickProfiles(t *testing.T) {
 	// Smoke-run every other experiment in quick mode: they must complete
 	// and produce non-empty tables.
-	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "columnar"} {
+	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "parallel"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tb, err := Run(id, quickCfg())

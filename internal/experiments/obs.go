@@ -15,12 +15,11 @@ func init() {
 }
 
 // obsExp measures what attaching a Recorder costs the exact two-pass
-// biased draw. Three configurations run over the same workload from the
+// biased draw. Two configurations run over the same workload from the
 // same seed: the disabled state (nil Recorder — the hot paths' no-op
-// handles), an enabled Recorder, and an enabled Recorder on a fresh
-// estimator (so the kde counting twins are exercised from a cold cache).
-// The draws are checked bit-identical across configurations — the layer's
-// non-perturbation guarantee — and the table reports the relative cost of
+// handles) and an enabled Recorder. The draws must be bit-identical
+// across configurations — the layer's non-perturbation guarantee; a
+// divergent draw fails the experiment — and the table reports the relative cost of
 // each enabled configuration against the disabled reference. The BENCH
 // entries back BENCH_obs.json and the verify.sh overhead guard.
 func obsExp(cfg Config) (*Table, error) {
@@ -61,8 +60,8 @@ func obsExp(cfg Config) (*Table, error) {
 		var best int64
 		for it := 0; it < iters; it++ {
 			rec := c.rec()
-			// SetRecorder swaps the estimator's counting twins in and
-			// out, so one estimator serves both configurations.
+			// SetRecorder attaches or detaches the estimator's counter
+			// handles, so one estimator serves both configurations.
 			est.SetRecorder(rec)
 			var cur *core.Sample
 			d, err := timed(func() error {
@@ -83,11 +82,8 @@ func obsExp(cfg Config) (*Table, error) {
 		identical := "ref"
 		if ref == nil {
 			ref, refNs = s, best
-		} else {
-			identical = "yes"
-			if !sameDraw(ref, s) {
-				identical = "NO"
-			}
+		} else if identical, err = drawParity("obs", c.name, ref, s); err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			c.name,

@@ -95,11 +95,8 @@ func traceExp(cfg Config) (*Table, error) {
 		identical := "ref"
 		if ref == nil {
 			ref, refNs = s, best
-		} else {
-			identical = "yes"
-			if !sameDraw(ref, s) {
-				identical = "NO"
-			}
+		} else if identical, err = drawParity("trace", c.name, ref, s); err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			c.name,

@@ -1,23 +1,21 @@
 package kde
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/kdtree"
 )
 
-// evalScratch is the reusable per-batch evaluation state: the pre-scaled
-// query, the query box corners, a gather buffer for columnar input, and
-// the kd-tree traversal slices. Batches borrow one from a package pool,
-// so steady-state density evaluation performs no per-block allocations.
+// evalScratch is the reusable per-batch evaluation state: the staged
+// batch coordinates, the pre-scaled query, the query box corners, and the
+// kd-tree traversal slices. Batches borrow one from a package pool, so
+// steady-state density evaluation performs no per-block allocations.
 type evalScratch struct {
-	qs     []float64  // query pre-scaled by invH
-	qs32   []float32  // float32 twin of qs
-	qlo    []float64  // query box corner q - boxReach
-	qhi    []float64  // query box corner q + boxReach
-	pt     geom.Point // gather buffer for columnar input
+	rows   []float64 // the batch's points, row-major and contiguous
+	qs     []float64 // query pre-scaled by invH
+	qlo    []float64 // query box corner q - boxReach
+	qhi    []float64 // query box corner q + boxReach
 	leaves []int32
 	stack  []int32
 }
@@ -28,13 +26,10 @@ func getEvalScratch(d int) *evalScratch {
 	sc := evalScratchPool.Get().(*evalScratch)
 	if cap(sc.qs) < d {
 		sc.qs = make([]float64, d)
-		sc.qs32 = make([]float32, d)
 		sc.qlo = make([]float64, d)
 		sc.qhi = make([]float64, d)
-		sc.pt = make(geom.Point, d)
 	}
-	sc.qs, sc.qs32 = sc.qs[:d], sc.qs32[:d]
-	sc.qlo, sc.qhi, sc.pt = sc.qlo[:d], sc.qhi[:d], sc.pt[:d]
+	sc.qs, sc.qlo, sc.qhi = sc.qs[:d], sc.qlo[:d], sc.qhi[:d]
 	return sc
 }
 
@@ -48,130 +43,55 @@ func getEvalScratch(d int) *evalScratch {
 // kernels keep the per-center path (box-pruned for compact supports, the
 // truncation ball for Gaussian).
 //
+// Traversal work (candidate kernel evaluations, kd-tree nodes visited and
+// pruned) is always tallied into batch-local counts and flushed once per
+// batch through the Recorder's counter handles, which are no-ops when no
+// Recorder is attached. Counting never touches density values.
+//
 // All scratch is pooled, so concurrent calls on the same Estimator (one
 // per scan block) are safe and allocation-free in steady state. Results
 // are a pure function of the inputs — identical for any batching or
-// concurrency, and bit-identical to DensityBatchCols over the same points.
-// Floating-point visit order differs from Density's recursive traversal,
-// so the per-point and batch paths agree to rounding, not bit-for-bit.
+// concurrency. Floating-point visit order differs from Density's recursive
+// traversal, so the per-point and batch paths agree to rounding, not
+// bit-for-bit.
 func (e *Estimator) DensityBatch(pts []geom.Point, out []float64) {
 	if len(out) < len(pts) {
 		panic("kde: DensityBatch output shorter than input")
 	}
-	sc := getEvalScratch(e.dims)
+	d := e.dims
+	sc := getEvalScratch(d)
 	defer evalScratchPool.Put(sc)
-	// With a Recorder attached the counting twins run instead; they share
-	// the evaluation arithmetic and produce identical densities, differing
-	// only in traversal accounting. The dispatch keeps the disabled hot
-	// path free of even per-leaf counting.
-	if e.cKernelEvals != nil {
-		var st kdtree.Stats
-		var evals int64
-		for i, p := range pts {
-			if p.Dims() != e.dims {
-				panic("kde: query dimension mismatch")
-			}
-			out[i] = e.evalPointObs(p, sc, &st, &evals)
-		}
-		e.flushBatchStats(evals, st)
-		return
+	// Stage the batch into one contiguous slab first. The copies are
+	// independent loads that overlap in flight; reading each point inside
+	// the traversal loop instead stalls on a cache miss per point when a
+	// dataset's points are scattered in memory (a shuffled one, say).
+	if cap(sc.rows) < len(pts)*d {
+		sc.rows = make([]float64, len(pts)*d)
 	}
+	rows := sc.rows[:len(pts)*d]
 	for i, p := range pts {
-		if p.Dims() != e.dims {
+		if p.Dims() != d {
 			panic("kde: query dimension mismatch")
 		}
-		out[i] = e.evalPoint(p, sc)
+		r := rows[i*d : (i+1)*d : (i+1)*d]
+		for j := range r {
+			r[j] = p[j]
+		}
 	}
+	var st kdtree.Stats
+	var evals int64
+	for i := range pts {
+		out[i] = e.evalPoint(geom.Point(rows[i*d:(i+1)*d:(i+1)*d]), sc, &st, &evals)
+	}
+	e.cKernelEvals.Add(evals)
+	e.cKDVisited.Add(st.Visited)
+	e.cKDPruned.Add(st.Pruned)
 }
 
-// DensityBatchCols is DensityBatch over a columnar block: cols[j][i] is
-// coordinate j of point i. Each point is gathered into a pooled row
-// buffer and evaluated by exactly the code path DensityBatch uses, so the
-// row and columnar results are bit-identical at float64 precision — the
-// parity contract the sampler's layout option rests on.
-func (e *Estimator) DensityBatchCols(cols [][]float64, out []float64) {
-	n := e.checkCols(cols, out)
-	sc := getEvalScratch(e.dims)
-	defer evalScratchPool.Put(sc)
-	p := sc.pt
-	if e.cKernelEvals != nil {
-		var st kdtree.Stats
-		var evals int64
-		for i := 0; i < n; i++ {
-			for j := range p {
-				p[j] = cols[j][i]
-			}
-			out[i] = e.evalPointObs(p, sc, &st, &evals)
-		}
-		e.flushBatchStats(evals, st)
-		return
-	}
-	for i := 0; i < n; i++ {
-		for j := range p {
-			p[j] = cols[j][i]
-		}
-		out[i] = e.evalPoint(p, sc)
-	}
-}
-
-// DensityBatchCols32 is DensityBatchCols evaluated in float32: the center
-// slab, the pre-scaled query, and the kernel products are all single
-// precision, halving the evaluation bandwidth; the widened results land in
-// out. The kd-tree traversal (an exact box test) stays in float64, so the
-// same centers are considered — only the kernel arithmetic is rounded.
-// Results are deterministic at every worker count but are NOT bit-equal to
-// the float64 path; the relative error is bounded by the float32 epsilon
-// times the summation depth (see DESIGN.md, "Memory layout & zero-copy
-// scans"). Estimators without a fused engine (non-Epanechnikov kernels)
-// fall back to the float64 columnar path.
-func (e *Estimator) DensityBatchCols32(cols [][]float64, out []float64) {
-	if e.flat == nil {
-		e.DensityBatchCols(cols, out)
-		return
-	}
-	n := e.checkCols(cols, out)
-	e.f32Once.Do(e.buildFlat32)
-	sc := getEvalScratch(e.dims)
-	defer evalScratchPool.Put(sc)
-	p := sc.pt
-	if e.cKernelEvals != nil {
-		var st kdtree.Stats
-		var evals int64
-		for i := 0; i < n; i++ {
-			for j := range p {
-				p[j] = cols[j][i]
-			}
-			out[i] = e.flatEval32Obs(p, sc, &st, &evals)
-		}
-		e.flushBatchStats(evals, st)
-		return
-	}
-	for i := 0; i < n; i++ {
-		for j := range p {
-			p[j] = cols[j][i]
-		}
-		out[i] = e.flatEval32(p, sc)
-	}
-}
-
-func (e *Estimator) checkCols(cols [][]float64, out []float64) int {
-	if len(cols) != e.dims {
-		panic(fmt.Sprintf("kde: %d columns for %d dims", len(cols), e.dims))
-	}
-	n := len(cols[0])
-	for j, col := range cols {
-		if len(col) != n {
-			panic(fmt.Sprintf("kde: column %d has %d rows, want %d", j, len(col), n))
-		}
-	}
-	if len(out) < n {
-		panic("kde: DensityBatchCols output shorter than input")
-	}
-	return n
-}
-
-// evalPoint returns the density at p using the batch evaluation layout.
-func (e *Estimator) evalPoint(p geom.Point, sc *evalScratch) float64 {
+// evalPoint returns the density at p using the batch evaluation layout,
+// adding its traversal work to st and its candidate kernel evaluations to
+// evals.
+func (e *Estimator) evalPoint(p geom.Point, sc *evalScratch, st *kdtree.Stats, evals *int64) float64 {
 	if e.flat != nil {
 		d := e.dims
 		for j := 0; j < d; j++ {
@@ -179,47 +99,16 @@ func (e *Estimator) evalPoint(p geom.Point, sc *evalScratch) float64 {
 			sc.qlo[j] = p[j] - e.boxReach[j]
 			sc.qhi[j] = p[j] + e.boxReach[j]
 		}
-		sc.leaves, sc.stack = e.tree.BoxLeaves(sc.qlo, sc.qhi, sc.leaves[:0], sc.stack)
+		sc.leaves, sc.stack = e.tree.BoxLeaves(sc.qlo, sc.qhi, sc.leaves[:0], sc.stack, st)
+		var n int32
+		for l := 0; l < len(sc.leaves); l += 2 {
+			n += sc.leaves[l+1] - sc.leaves[l]
+		}
+		*evals += int64(n)
 		return e.weight * e.flatSum(sc.leaves, sc.qs)
 	}
 	if isCompact(e.kernel) {
-		sc.leaves, sc.stack = e.tree.AppendBoxLeaves(p, e.boxReach, sc.leaves[:0], sc.stack)
-		var sum float64
-		for l := 0; l < len(sc.leaves); l += 2 {
-			for _, ci := range e.tree.Indices(sc.leaves[l], sc.leaves[l+1]) {
-				sum += e.kernelAt(int(ci), p)
-			}
-		}
-		return e.weight * sum
-	}
-	// Unbounded support (Gaussian): the Euclidean cutoff at e.reach is part
-	// of the estimate's definition, so it must filter exactly as Density does.
-	sc.leaves, sc.stack = e.tree.WithinAppend(p, e.reach, sc.leaves[:0], sc.stack)
-	var sum float64
-	for _, ci := range sc.leaves {
-		sum += e.kernelAt(int(ci), p)
-	}
-	return e.weight * sum
-}
-
-// evalPointObs is evalPoint with traversal and evaluation accounting.
-// Densities are identical — the arithmetic is shared.
-func (e *Estimator) evalPointObs(p geom.Point, sc *evalScratch, st *kdtree.Stats, evals *int64) float64 {
-	if e.flat != nil {
-		d := e.dims
-		for j := 0; j < d; j++ {
-			sc.qs[j] = p[j] * e.invH[j]
-			sc.qlo[j] = p[j] - e.boxReach[j]
-			sc.qhi[j] = p[j] + e.boxReach[j]
-		}
-		sc.leaves, sc.stack = e.tree.BoxLeavesStats(sc.qlo, sc.qhi, sc.leaves[:0], sc.stack, st)
-		for l := 0; l < len(sc.leaves); l += 2 {
-			*evals += int64(sc.leaves[l+1] - sc.leaves[l])
-		}
-		return e.weight * e.flatSum(sc.leaves, sc.qs)
-	}
-	if isCompact(e.kernel) {
-		sc.leaves, sc.stack = e.tree.AppendBoxLeavesStats(p, e.boxReach, sc.leaves[:0], sc.stack, st)
+		sc.leaves, sc.stack = e.tree.AppendBoxLeaves(p, e.boxReach, sc.leaves[:0], sc.stack, st)
 		var sum float64
 		for l := 0; l < len(sc.leaves); l += 2 {
 			idx := e.tree.Indices(sc.leaves[l], sc.leaves[l+1])
@@ -230,7 +119,9 @@ func (e *Estimator) evalPointObs(p geom.Point, sc *evalScratch, st *kdtree.Stats
 		}
 		return e.weight * sum
 	}
-	sc.leaves, sc.stack = e.tree.WithinAppendStats(p, e.reach, sc.leaves[:0], sc.stack, st)
+	// Unbounded support (Gaussian): the Euclidean cutoff at e.reach is part
+	// of the estimate's definition, so it must filter exactly as Density does.
+	sc.leaves, sc.stack = e.tree.WithinAppend(p, e.reach, sc.leaves[:0], sc.stack, st)
 	*evals += int64(len(sc.leaves))
 	var sum float64
 	for _, ci := range sc.leaves {
@@ -246,12 +137,6 @@ func isCompact(k Kernel) bool {
 		return true
 	}
 	return false
-}
-
-func (e *Estimator) flushBatchStats(evals int64, st kdtree.Stats) {
-	e.cKernelEvals.Add(evals)
-	e.cKDVisited.Add(st.Visited)
-	e.cKDPruned.Add(st.Pruned)
 }
 
 // flatSum accumulates the unnormalized Epanechnikov product-kernel values
@@ -322,111 +207,6 @@ func (e *Estimator) flatSum(leaves []int32, qs []float64) float64 {
 			}
 			if ok {
 				sum += v * e.coeff[k]
-			}
-		}
-	}
-	return sum
-}
-
-// flatSlabs32 is the float32 twin of the flat evaluation slabs.
-type flatSlabs32 struct {
-	flat     []float32
-	coeff    []float32
-	isFlat   []float32
-	coeffAll float32
-	weight   float32
-}
-
-func (e *Estimator) buildFlat32() {
-	s := &flatSlabs32{
-		flat:     make([]float32, len(e.flat)),
-		coeffAll: float32(e.coeffAll),
-		weight:   float32(e.weight),
-	}
-	for i, v := range e.flat {
-		s.flat[i] = float32(v)
-	}
-	if e.coeff != nil {
-		s.coeff = make([]float32, len(e.coeff))
-		for i, v := range e.coeff {
-			s.coeff[i] = float32(v)
-		}
-		s.isFlat = make([]float32, len(e.isFlat))
-		for i, v := range e.isFlat {
-			s.isFlat[i] = float32(v)
-		}
-	}
-	e.f32 = s
-}
-
-func (e *Estimator) flatEval32(p geom.Point, sc *evalScratch) float64 {
-	d := e.dims
-	for j := 0; j < d; j++ {
-		sc.qs32[j] = float32(p[j] * e.invH[j])
-		sc.qlo[j] = p[j] - e.boxReach[j]
-		sc.qhi[j] = p[j] + e.boxReach[j]
-	}
-	sc.leaves, sc.stack = e.tree.BoxLeaves(sc.qlo, sc.qhi, sc.leaves[:0], sc.stack)
-	return float64(e.f32.weight * e.flatSum32(sc.leaves, sc.qs32))
-}
-
-func (e *Estimator) flatEval32Obs(p geom.Point, sc *evalScratch, st *kdtree.Stats, evals *int64) float64 {
-	d := e.dims
-	for j := 0; j < d; j++ {
-		sc.qs32[j] = float32(p[j] * e.invH[j])
-		sc.qlo[j] = p[j] - e.boxReach[j]
-		sc.qhi[j] = p[j] + e.boxReach[j]
-	}
-	sc.leaves, sc.stack = e.tree.BoxLeavesStats(sc.qlo, sc.qhi, sc.leaves[:0], sc.stack, st)
-	for l := 0; l < len(sc.leaves); l += 2 {
-		*evals += int64(sc.leaves[l+1] - sc.leaves[l])
-	}
-	return float64(e.f32.weight * e.flatSum32(sc.leaves, sc.qs32))
-}
-
-// flatSum32 is flatSum in float32 over the float32 slabs.
-func (e *Estimator) flatSum32(leaves []int32, qs []float32) float32 {
-	d := e.dims
-	s := e.f32
-	flat := s.flat
-	var sum float32
-	if s.isFlat == nil {
-		for l := 0; l < len(leaves); l += 2 {
-			for k := int(leaves[l]); k < int(leaves[l+1]); k++ {
-				c := flat[k*d : k*d+d]
-				v := float32(1)
-				ok := true
-				for j, cv := range c {
-					u := qs[j] - cv
-					if u < -1 || u > 1 {
-						ok = false
-						break
-					}
-					v *= 1 - u*u
-				}
-				if ok {
-					sum += v
-				}
-			}
-		}
-		return sum * s.coeffAll
-	}
-	for l := 0; l < len(leaves); l += 2 {
-		for k := int(leaves[l]); k < int(leaves[l+1]); k++ {
-			is := s.isFlat[k]
-			c := flat[k*d : k*d+d]
-			v := float32(1)
-			ok := true
-			for j, cv := range c {
-				u := qs[j]*is - cv
-				if u < -1 || u > 1 {
-					ok = false
-					break
-				}
-				v *= 1 - u*u
-			}
-			if ok {
-				sum += v * s.coeff[k]
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -114,13 +113,9 @@ type Estimator struct {
 	coeff    []float64 // per-center Π 0.75·invH·invScale; nil when uniform
 	isFlat   []float64 // per-center invScale in leaf order; nil when uniform
 	coeffAll float64   // shared Π 0.75·invH when bandwidths are uniform
-	// f32 holds the float32 twins of the flat slabs for the reduced-
-	// precision evaluation path, built lazily on first use.
-	f32     *flatSlabs32
-	f32Once sync.Once
-	// Observability counter handles (nil when no Recorder is attached —
-	// the batch evaluation paths test cKernelEvals to pick the counting
-	// variant, so the disabled hot path is unchanged).
+	// Observability counter handles (nil when no Recorder is attached;
+	// DensityBatch flushes its per-batch tallies through them, and a nil
+	// handle's Add is a no-op).
 	cKernelEvals *obs.Counter
 	cKDVisited   *obs.Counter
 	cKDPruned    *obs.Counter

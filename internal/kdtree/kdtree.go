@@ -300,262 +300,17 @@ func (t *Tree) withinFunc(ni int32, q geom.Point, r2 float64, fn func(i int)) {
 // needs when it evaluates a whole block of points against the kernel
 // centers. Visit order differs from Within's recursion; callers reducing
 // floating-point contributions must not rely on a particular order being
-// shared between the two APIs.
-func (t *Tree) WithinAppend(q geom.Point, r float64, buf []int32, stack []int32) ([]int32, []int32) {
+// shared between the two APIs. The traversal is counted into st (which
+// must be non-nil): every node popped is visited, and every far child the
+// ball test skips is pruned.
+func (t *Tree) WithinAppend(q geom.Point, r float64, buf []int32, stack []int32, st *Stats) ([]int32, []int32) {
 	r2 := r * r
+	var visited, pruned int64
 	stack = append(stack[:0], 0)
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &t.nodes[ni]
-		if n.split < 0 {
-			for _, i := range t.idx[n.start:n.end] {
-				if geom.SquaredDistance(q, t.pts[i]) <= r2 {
-					buf = append(buf, i)
-				}
-			}
-			continue
-		}
-		diff := q[n.split] - n.splitVal
-		near, far := n.left, n.right
-		if diff > 0 {
-			near, far = n.right, n.left
-		}
-		if diff*diff <= r2 {
-			stack = append(stack, far)
-		}
-		stack = append(stack, near)
-	}
-	return buf, stack
-}
-
-// AppendBoxLeaves appends the [start, end) index ranges (two int32 per
-// leaf) of every leaf whose bounding box intersects the axis-aligned box
-// q ± radii. Points inside a reported leaf are NOT filtered — callers
-// that need exact membership must test each point — which is exactly
-// right for product kernels with compact support: the kernel itself
-// vanishes outside the box, so evaluating a whole leaf is both correct
-// and branch-free. Pruning tests each subtree's own bounding box (the
-// points it actually holds), which is strictly tighter than both the
-// circumscribed-ball pruning of WithinAppend and a split-plane test: a
-// subtree far from the box along any dimension is skipped whole, and
-// every leaf it would have reported contributes an exact zero to a
-// compact-kernel sum — so tightening the prune never changes the sum.
-// Both slices are reused across calls; pass the previous returns.
-// Resolve a reported range to center indices with Indices.
-func (t *Tree) AppendBoxLeaves(q geom.Point, radii []float64, leaves, stack []int32) ([]int32, []int32) {
-	stack = append(stack[:0], 0)
-	d := t.dims
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		bb := int(ni) * d
-		outside := false
-		for j := 0; j < d; j++ {
-			c, r := q[j], radii[j]
-			if t.lo[bb+j] > c+r || t.hi[bb+j] < c-r {
-				outside = true
-				break
-			}
-		}
-		if outside {
-			continue
-		}
-		n := &t.nodes[ni]
-		if n.split < 0 {
-			leaves = append(leaves, n.start, n.end)
-			continue
-		}
-		near, far := n.left, n.right
-		if q[n.split]-n.splitVal > 0 {
-			near, far = n.right, n.left
-		}
-		stack = append(stack, far, near)
-	}
-	return leaves, stack
-}
-
-// BoxLeaves is AppendBoxLeaves with the query box given by its corners
-// (qlo[j] = q[j]-radii[j], qhi[j] = q[j]+radii[j]), precomputed once by
-// the caller instead of re-derived per node — the shape the batch density
-// evaluator wants, where one query box is tested against many node boxes.
-// Leaf order is deterministic (depth-first, left child first); it differs
-// from AppendBoxLeaves' near-first order, so the two enumerate the same
-// leaves but not necessarily in the same sequence.
-func (t *Tree) BoxLeaves(qlo, qhi []float64, leaves, stack []int32) ([]int32, []int32) {
-	d := t.dims
-	if d == 4 {
-		// Keep the query corners in registers: the overlap test dominates
-		// traversal cost and the specialization drops the inner loop and
-		// its per-element bounds checks. Same test, same visit order.
-		lo, hi := t.lo, t.hi
-		l0, l1, l2, l3 := qlo[0], qlo[1], qlo[2], qlo[3]
-		h0, h1, h2, h3 := qhi[0], qhi[1], qhi[2], qhi[3]
-		stack = append(stack[:0], 0)
-		for len(stack) > 0 {
-			ni := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			bb := int(ni) * 4
-			b := lo[bb : bb+4 : bb+4]
-			c := hi[bb : bb+4 : bb+4]
-			if b[0] > h0 || c[0] < l0 || b[1] > h1 || c[1] < l1 ||
-				b[2] > h2 || c[2] < l2 || b[3] > h3 || c[3] < l3 {
-				continue
-			}
-			n := &t.nodes[ni]
-			if n.split < 0 {
-				leaves = append(leaves, n.start, n.end)
-				continue
-			}
-			stack = append(stack, n.right, n.left)
-		}
-		return leaves, stack
-	}
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		bb := int(ni) * d
-		outside := false
-		for j := 0; j < d; j++ {
-			if t.lo[bb+j] > qhi[j] || t.hi[bb+j] < qlo[j] {
-				outside = true
-				break
-			}
-		}
-		if outside {
-			continue
-		}
-		n := &t.nodes[ni]
-		if n.split < 0 {
-			leaves = append(leaves, n.start, n.end)
-			continue
-		}
-		stack = append(stack, n.right, n.left)
-	}
-	return leaves, stack
-}
-
-// BoxLeavesStats is BoxLeaves with traversal accounting into st. Results
-// are identical to BoxLeaves.
-func (t *Tree) BoxLeavesStats(qlo, qhi []float64, leaves, stack []int32, st *Stats) ([]int32, []int32) {
-	d := t.dims
-	if d == 4 {
-		// Mirror of BoxLeaves' d==4 specialization, with counting: the
-		// instrumented path must not lose the register-resident overlap
-		// test or the relative overhead of observability balloons.
-		lo, hi := t.lo, t.hi
-		l0, l1, l2, l3 := qlo[0], qlo[1], qlo[2], qlo[3]
-		h0, h1, h2, h3 := qhi[0], qhi[1], qhi[2], qhi[3]
-		stack = append(stack[:0], 0)
-		for len(stack) > 0 {
-			ni := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			st.Visited++
-			bb := int(ni) * 4
-			b := lo[bb : bb+4 : bb+4]
-			c := hi[bb : bb+4 : bb+4]
-			if b[0] > h0 || c[0] < l0 || b[1] > h1 || c[1] < l1 ||
-				b[2] > h2 || c[2] < l2 || b[3] > h3 || c[3] < l3 {
-				st.Pruned++
-				continue
-			}
-			n := &t.nodes[ni]
-			if n.split < 0 {
-				leaves = append(leaves, n.start, n.end)
-				continue
-			}
-			stack = append(stack, n.right, n.left)
-		}
-		return leaves, stack
-	}
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.Visited++
-		bb := int(ni) * d
-		outside := false
-		for j := 0; j < d; j++ {
-			if t.lo[bb+j] > qhi[j] || t.hi[bb+j] < qlo[j] {
-				outside = true
-				break
-			}
-		}
-		if outside {
-			st.Pruned++
-			continue
-		}
-		n := &t.nodes[ni]
-		if n.split < 0 {
-			leaves = append(leaves, n.start, n.end)
-			continue
-		}
-		stack = append(stack, n.right, n.left)
-	}
-	return leaves, stack
-}
-
-// Indices returns the point indices of a leaf range reported by
-// AppendBoxLeaves. The slice aliases internal storage; callers must not
-// mutate it.
-func (t *Tree) Indices(start, end int32) []int32 { return t.idx[start:end] }
-
-// Stats accumulates traversal work counts for the observability layer:
-// Visited is the number of tree nodes examined, Pruned the number of far
-// subtrees the prune test skipped entirely. The counting variants below
-// duplicate their plain counterparts instead of branching inside them, so
-// the un-instrumented hot paths stay byte-identical to before.
-type Stats struct {
-	Visited int64
-	Pruned  int64
-}
-
-// AppendBoxLeavesStats is AppendBoxLeaves with traversal accounting into
-// st. Results are identical to AppendBoxLeaves.
-func (t *Tree) AppendBoxLeavesStats(q geom.Point, radii []float64, leaves, stack []int32, st *Stats) ([]int32, []int32) {
-	stack = append(stack[:0], 0)
-	d := t.dims
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.Visited++
-		bb := int(ni) * d
-		outside := false
-		for j := 0; j < d; j++ {
-			c, r := q[j], radii[j]
-			if t.lo[bb+j] > c+r || t.hi[bb+j] < c-r {
-				outside = true
-				break
-			}
-		}
-		if outside {
-			st.Pruned++
-			continue
-		}
-		n := &t.nodes[ni]
-		if n.split < 0 {
-			leaves = append(leaves, n.start, n.end)
-			continue
-		}
-		near, far := n.left, n.right
-		if q[n.split]-n.splitVal > 0 {
-			near, far = n.right, n.left
-		}
-		stack = append(stack, far, near)
-	}
-	return leaves, stack
-}
-
-// WithinAppendStats is WithinAppend with traversal accounting into st.
-// Results are identical to WithinAppend.
-func (t *Tree) WithinAppendStats(q geom.Point, r float64, buf []int32, stack []int32, st *Stats) ([]int32, []int32) {
-	r2 := r * r
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.Visited++
+		visited++
 		n := &t.nodes[ni]
 		if n.split < 0 {
 			for _, i := range t.idx[n.start:n.end] {
@@ -573,11 +328,158 @@ func (t *Tree) WithinAppendStats(q geom.Point, r float64, buf []int32, stack []i
 		if diff*diff <= r2 {
 			stack = append(stack, far)
 		} else {
-			st.Pruned++
+			pruned++
 		}
 		stack = append(stack, near)
 	}
+	st.Visited += visited
+	st.Pruned += pruned
 	return buf, stack
+}
+
+// AppendBoxLeaves appends the [start, end) index ranges (two int32 per
+// leaf) of every leaf whose bounding box intersects the axis-aligned box
+// q ± radii. Points inside a reported leaf are NOT filtered — callers
+// that need exact membership must test each point — which is exactly
+// right for product kernels with compact support: the kernel itself
+// vanishes outside the box, so evaluating a whole leaf is both correct
+// and branch-free. Pruning tests each subtree's own bounding box (the
+// points it actually holds), which is strictly tighter than both the
+// circumscribed-ball pruning of WithinAppend and a split-plane test: a
+// subtree far from the box along any dimension is skipped whole, and
+// every leaf it would have reported contributes an exact zero to a
+// compact-kernel sum — so tightening the prune never changes the sum.
+// Both slices are reused across calls; pass the previous returns.
+// Resolve a reported range to center indices with Indices. The traversal
+// is counted into st (which must be non-nil): every node popped is
+// visited, and every node whose box misses the query box is pruned.
+// Every expanded node pushes both children, so only expansions are
+// counted in the loop and the totals are derived from them (see add).
+func (t *Tree) AppendBoxLeaves(q geom.Point, radii []float64, leaves, stack []int32, st *Stats) ([]int32, []int32) {
+	var expanded int64
+	leaves0 := len(leaves)
+	stack = append(stack[:0], 0)
+	d := t.dims
+	for len(stack) > 0 {
+		ni := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		bb := int(ni) * d
+		outside := false
+		for j := 0; j < d; j++ {
+			c, r := q[j], radii[j]
+			if t.lo[bb+j] > c+r || t.hi[bb+j] < c-r {
+				outside = true
+				break
+			}
+		}
+		if outside {
+			continue
+		}
+		n := &t.nodes[ni]
+		if n.split < 0 {
+			leaves = append(leaves, n.start, n.end)
+			continue
+		}
+		expanded++
+		near, far := n.left, n.right
+		if q[n.split]-n.splitVal > 0 {
+			near, far = n.right, n.left
+		}
+		stack = append(stack, far, near)
+	}
+	st.add(expanded, len(leaves)-leaves0)
+	return leaves, stack
+}
+
+// BoxLeaves is AppendBoxLeaves with the query box given by its corners
+// (qlo[j] = q[j]-radii[j], qhi[j] = q[j]+radii[j]), precomputed once by
+// the caller instead of re-derived per node — the shape the batch density
+// evaluator wants, where one query box is tested against many node boxes.
+// Leaf order is deterministic (depth-first, left child first); it differs
+// from AppendBoxLeaves' near-first order, so the two enumerate the same
+// leaves but not necessarily in the same sequence. Counting into st is as
+// for AppendBoxLeaves, and the two report the same totals.
+func (t *Tree) BoxLeaves(qlo, qhi []float64, leaves, stack []int32, st *Stats) ([]int32, []int32) {
+	var expanded int64
+	leaves0 := len(leaves)
+	d := t.dims
+	lo, hi := t.lo, t.hi
+	stack = append(stack[:0], 0)
+	if d == 4 {
+		// Keep the query corners in registers: the overlap test dominates
+		// traversal cost and the specialization drops the inner loop and
+		// its per-element bounds checks. Same test, same visit order.
+		l0, l1, l2, l3 := qlo[0], qlo[1], qlo[2], qlo[3]
+		h0, h1, h2, h3 := qhi[0], qhi[1], qhi[2], qhi[3]
+		for len(stack) > 0 {
+			ni := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			bb := int(ni) * 4
+			b := lo[bb : bb+4 : bb+4]
+			c := hi[bb : bb+4 : bb+4]
+			if b[0] > h0 || c[0] < l0 || b[1] > h1 || c[1] < l1 ||
+				b[2] > h2 || c[2] < l2 || b[3] > h3 || c[3] < l3 {
+				continue
+			}
+			n := &t.nodes[ni]
+			if n.split < 0 {
+				leaves = append(leaves, n.start, n.end)
+				continue
+			}
+			expanded++
+			stack = append(stack, n.right, n.left)
+		}
+	} else {
+		for len(stack) > 0 {
+			ni := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			bb := int(ni) * d
+			outside := false
+			for j := 0; j < d; j++ {
+				if lo[bb+j] > qhi[j] || hi[bb+j] < qlo[j] {
+					outside = true
+					break
+				}
+			}
+			if outside {
+				continue
+			}
+			n := &t.nodes[ni]
+			if n.split < 0 {
+				leaves = append(leaves, n.start, n.end)
+				continue
+			}
+			expanded++
+			stack = append(stack, n.right, n.left)
+		}
+	}
+	st.add(expanded, len(leaves)-leaves0)
+	return leaves, stack
+}
+
+// Indices returns the point indices of a leaf range reported by
+// AppendBoxLeaves. The slice aliases internal storage; callers must not
+// mutate it.
+func (t *Tree) Indices(start, end int32) []int32 { return t.idx[start:end] }
+
+// Stats accumulates traversal work counts for the observability layer:
+// Visited is the number of tree nodes examined, Pruned the number of
+// subtrees the prune test skipped entirely. The traversals tally into
+// locals and add to a Stats once per query.
+type Stats struct {
+	Visited int64
+	Pruned  int64
+}
+
+// add records one box traversal from its expansion count and the number
+// of int32s it appended to the leaf list (two per reported leaf). The box
+// traversals push both children of every node they expand, so they visit
+// the root plus two nodes per expansion, and every visited node that was
+// neither expanded nor reported as a leaf was pruned.
+func (st *Stats) add(expanded int64, leafInts int) {
+	visited := 1 + 2*expanded
+	st.Visited += visited
+	st.Pruned += visited - expanded - int64(leafInts/2)
 }
 
 func (t *Tree) within(ni int32, q geom.Point, r2 float64, out *[]int) {

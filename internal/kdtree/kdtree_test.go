@@ -151,7 +151,8 @@ func TestWithinAppendMatchesBrute(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
 		r := rng.Float64() * 0.5
-		buf, stack = tr.WithinAppend(q, r, buf[:0], stack)
+		var st Stats
+		buf, stack = tr.WithinAppend(q, r, buf[:0], stack, &st)
 		want := bruteWithin(pts, q, r)
 		got := make([]int, len(buf))
 		for i, v := range buf {
@@ -257,5 +258,135 @@ func TestPropNearestIsExact(t *testing.T) {
 	_ = rng
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// boxOracle classifies every node against the query box [qlo, qhi] by
+// brute force. A child's bounding box lies inside its parent's, so a box
+// traversal reaches exactly the nodes whose own box meets the query box:
+// it reports those leaves (L of them), expands those internal nodes (E),
+// and visits the root plus both children of each expanded node.
+func boxOracle(t *Tree, qlo, qhi []float64) (leaves map[[2]int32]bool, expanded int) {
+	leaves = map[[2]int32]bool{}
+	for ni, n := range t.nodes {
+		meets := true
+		for j := 0; j < t.dims; j++ {
+			if t.lo[ni*t.dims+j] > qhi[j] || t.hi[ni*t.dims+j] < qlo[j] {
+				meets = false
+			}
+		}
+		switch {
+		case !meets:
+		case n.split < 0:
+			leaves[[2]int32{n.start, n.end}] = true
+		default:
+			expanded++
+		}
+	}
+	return leaves, expanded
+}
+
+// TestBoxTraversalStats checks BoxLeaves (the d=4 specialization and the
+// generic loop) and AppendBoxLeaves against the brute-force oracle: the
+// reported leaves are exactly the leaves whose box meets the query box,
+// every point inside the query box lies in a reported leaf, and the
+// counters obey Visited = 1 + 2E and Pruned = Visited - L - E.
+func TestBoxTraversalStats(t *testing.T) {
+	for _, d := range []int{4, 3} {
+		pts := randomPoints(1500, d, uint64(20+d))
+		tr := Build(pts)
+		rng := stats.NewRNG(uint64(30 + d))
+		var leaves, stack []int32
+		for trial := 0; trial < 100; trial++ {
+			q, radii := make(geom.Point, d), make([]float64, d)
+			qlo, qhi := make([]float64, d), make([]float64, d)
+			for j := range q {
+				q[j] = rng.Float64()
+				radii[j] = 0.3 * rng.Float64()
+				qlo[j], qhi[j] = q[j]-radii[j], q[j]+radii[j]
+			}
+			want, expanded := boxOracle(tr, qlo, qhi)
+			for _, box := range []bool{true, false} {
+				var st Stats
+				if box {
+					leaves, stack = tr.BoxLeaves(qlo, qhi, leaves[:0], stack, &st)
+				} else {
+					leaves, stack = tr.AppendBoxLeaves(q, radii, leaves[:0], stack, &st)
+				}
+				if len(leaves) != 2*len(want) {
+					t.Fatalf("d=%d box=%v: %d leaves, oracle %d", d, box, len(leaves)/2, len(want))
+				}
+				inLeaf := map[int32]bool{}
+				for l := 0; l < len(leaves); l += 2 {
+					if !want[[2]int32{leaves[l], leaves[l+1]}] {
+						t.Fatalf("d=%d box=%v: leaf %v not in oracle", d, box, leaves[l:l+2])
+					}
+					for _, i := range tr.Indices(leaves[l], leaves[l+1]) {
+						inLeaf[i] = true
+					}
+				}
+				for i, p := range pts {
+					inside := true
+					for j := range p {
+						if p[j] < qlo[j] || p[j] > qhi[j] {
+							inside = false
+						}
+					}
+					if inside && !inLeaf[int32(i)] {
+						t.Fatalf("d=%d box=%v: point %d inside the box but in no reported leaf", d, box, i)
+					}
+				}
+				if st.Visited != 1+2*int64(expanded) || st.Pruned != st.Visited-int64(len(want)+expanded) {
+					t.Fatalf("d=%d box=%v: visited %d pruned %d, want %d and %d", d, box,
+						st.Visited, st.Pruned, 1+2*expanded, 1+expanded-len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestWithinAppendCounts checks WithinAppend's counters against a recursive
+// walk applying the same split-plane rule: every internal node pushes its
+// near child and, unless the far side is pruned, its far child, so
+// Visited = 1 + 2I - Pruned for the I internal nodes reached, and the
+// leaves reached account for the rest of Visited.
+func TestWithinAppendCounts(t *testing.T) {
+	pts := randomPoints(1500, 3, 40)
+	tr := Build(pts)
+	rng := stats.NewRNG(41)
+	var buf, stack []int32
+	for trial := 0; trial < 100; trial++ {
+		q := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		r := 0.3 * rng.Float64()
+		var st Stats
+		buf, stack = tr.WithinAppend(q, r, buf[:0], stack, &st)
+		if len(buf) != len(bruteWithin(pts, q, r)) {
+			t.Fatalf("WithinAppend: %d points, brute %d", len(buf), len(bruteWithin(pts, q, r)))
+		}
+		var internal, leafs, pruned int64
+		var walk func(ni int32)
+		walk = func(ni int32) {
+			n := &tr.nodes[ni]
+			if n.split < 0 {
+				leafs++
+				return
+			}
+			internal++
+			diff := q[n.split] - n.splitVal
+			near, far := n.left, n.right
+			if diff > 0 {
+				near, far = n.right, n.left
+			}
+			walk(near)
+			if diff*diff <= r*r {
+				walk(far)
+			} else {
+				pruned++
+			}
+		}
+		walk(0)
+		if st.Pruned != pruned || st.Visited != internal+leafs || st.Visited != 1+2*internal-st.Pruned {
+			t.Fatalf("visited %d pruned %d; walk: internal %d leaves %d pruned %d", st.Visited, st.Pruned, internal, leafs, pruned)
+		}
 	}
 }

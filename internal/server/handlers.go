@@ -796,7 +796,6 @@ func (s *Server) buildSample(ctx context.Context, rec *obs.Recorder, h *Handle, 
 			TargetSize:  q.Size,
 			OnePass:     q.OnePass,
 			Parallelism: s.cfg.Parallelism,
-			Precision:   s.cfg.Precision,
 			Ctx:         sctx,
 			Obs:         rec,
 		}, drawRNG)
@@ -842,7 +841,6 @@ func (s *Server) extendSample(ctx context.Context, rec *obs.Recorder, h *Handle,
 				Alpha:       q.Alpha,
 				TargetSize:  q.Size,
 				Parallelism: s.cfg.Parallelism,
-				Precision:   s.cfg.Precision,
 				Ctx:         sctx,
 				Obs:         rec,
 			},

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -89,13 +88,6 @@ type Config struct {
 	// Parallelism bounds the scan workers each admitted request may use
 	// (0 = all CPUs). Results never depend on it.
 	Parallelism int
-	// Precision selects the density-evaluation arithmetic for every draw
-	// the server runs (core.Float64 or core.Float32). It is server-wide
-	// rather than per-request so cache keys are unaffected: the whole
-	// in-process cache is built at one precision and the serving
-	// guarantee (bit-identical responses for identical requests) holds
-	// within it.
-	Precision core.Precision
 	// CacheBytes is the artifact cache budget (default 256 MiB; negative
 	// disables caching).
 	CacheBytes int64
@@ -189,8 +181,7 @@ type Config struct {
 	// in-process shard workers (goroutine-backed, all sharing this
 	// server's registry and cache). Sharded builds run the exact
 	// algorithm only and are bit-identical to the single-node build at
-	// every worker count; they require Float64 precision. Mutually
-	// exclusive with ShardPeers.
+	// every worker count. Mutually exclusive with ShardPeers.
 	ShardWorkers int
 	// ShardPeers turns HTTP shard mode on: shard name → base URL of a
 	// dbsserve worker started with -shard-of <name>, holding the same

@@ -86,7 +86,6 @@ func (e *shardExecutor) resolve(ctx context.Context, rec *obs.Recorder, p shard.
 		TargetSize:  p.Size,
 		Parallelism: s.cfg.Parallelism,
 		BlockSize:   p.BlockSize,
-		Precision:   s.cfg.Precision,
 		Obs:         rec,
 		Ctx:         ctx,
 	}
@@ -260,9 +259,6 @@ func (s *Server) handleShardDraw(ctx context.Context, r *http.Request) (any, err
 // every replica surfaces as a transient error (503 upstream), and a
 // degenerate or short response can never merge silently.
 func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (any, int64, error) {
-	if s.cfg.Precision == core.Float32 {
-		return nil, 0, fmt.Errorf("sharded serving requires float64 precision")
-	}
 	view, err := h.ViewAt(g)
 	if err != nil {
 		return nil, 0, err

@@ -53,7 +53,7 @@ OBS_GUARD=1 go test -run TestObsOverheadGuard .
 # timing assertion; see trace_guard_test.go and BENCH_trace.json).
 TRACE_GUARD=1 go test -run TestTraceOverheadGuard .
 # Allocation-regression guard: steady-state Draw must perform zero
-# per-block heap allocations on the columnar path (testing.AllocsPerRun
-# over 512 blocks; see layout_test.go and DESIGN.md, "Memory layout &
-# zero-copy scans").
+# per-block heap allocations (testing.AllocsPerRun over 512 blocks; see
+# internal/core/allocs_test.go and DESIGN.md, "Memory layout & zero-copy
+# scans").
 go test -run TestDrawSteadyStateAllocs ./internal/core/
