@@ -46,7 +46,6 @@ func main() {
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		retry      = flag.Int("retry", 2, "retries per build stage on transient dataset I/O failures (0 disables)")
 		stageWait  = flag.Duration("stage-timeout", 0, "per-attempt build stage timeout; blown stages retry under -retry (0 = request deadline only)")
-		staleOK    = flag.Bool("stale-ok", false, "serve stale cached artifacts (X-DBS-Cache: stale) when a rebuild fails")
 		driftTol   = flag.Float64("drift-tol", 0, "relative drift budget for incremental builds after appends (0 = always rebuild exactly)")
 		trSample   = flag.Float64("trace-sample", 0, "fraction of request traces retained in /debug/traces (0 = none, 1 = all); the decision is a pure function of the trace ID")
 		slowMs     = flag.Int("slow-ms", 0, "slow-trace keeper: requests at or over this many milliseconds are always retained in /debug/traces (0 disables)")
@@ -54,7 +53,7 @@ func main() {
 		trRing     = flag.Int("trace-ring", 64, "capacity of each /debug/traces ring (recent and slow)")
 		trSeed     = flag.Uint64("trace-seed", 0, "deterministic trace-ID stream seed (0 = random); set for reproducible trace IDs in tests")
 		tenants    = flag.String("tenants", "", `per-tenant admission policies keyed by the X-DBS-Tenant header, as name:key=value,...;... (keys: weight, inflight, queue, priority=low|normal|high; "*" is the wildcard tenant; bare "gold:4" is weight shorthand); empty = one shared policy`)
-		diskDir    = flag.String("disk-cache", "", "disk artifact tier directory: built estimators and samples persist here and survive restarts (empty disables)")
+		diskDir    = flag.String("disk-cache", "", "disk artifact tier directory: built estimators and samples persist here and survive eviction and restarts (empty disables); must be writable")
 		diskBytes  = flag.Int64("disk-cache-bytes", 0, "disk artifact tier budget in bytes (0 = 4 GiB, negative = unbounded)")
 		degradeOK  = flag.Bool("degrade-ok", false, "degrade ladder: answer shed or transiently failing /v1/sample requests from the cached a=0 artifact (X-DBS-Degraded: a0) when one is resident")
 		shards     = flag.String("shards", "", "shard the sampling pipeline: an integer N for N in-process workers, or a comma-separated name=url list of dbsserve peers running -shard-of name (empty = single-node)")
@@ -92,6 +91,16 @@ func main() {
 		defer f.Close()
 		accessW = f
 	}
+	var disk *server.DiskTier
+	if *diskDir != "" {
+		budget := *diskBytes
+		if budget == 0 {
+			budget = 4 << 30
+		}
+		if disk, err = server.NewDiskTier(*diskDir, budget); err != nil {
+			fatal("-disk-cache: %v", err)
+		}
+	}
 	srv := server.New(server.Config{
 		Parallelism:   *par,
 		CacheBytes:    cache,
@@ -100,7 +109,6 @@ func main() {
 		Deadline:      *deadline,
 		Retry:         *retry,
 		StageTimeout:  *stageWait,
-		StaleOK:       *staleOK,
 		DriftTol:      *driftTol,
 		Rec:           obs.New(),
 		TraceSample:   *trSample,
@@ -110,8 +118,7 @@ func main() {
 		AccessLog:     accessW,
 		Tenants:       policies,
 		DegradeOK:     *degradeOK,
-		DiskDir:       *diskDir,
-		DiskBytes:     *diskBytes,
+		Disk:          disk,
 		ShardWorkers:  shardWorkers,
 		ShardPeers:    shardPeers,
 		ShardReplicas: *replicas,

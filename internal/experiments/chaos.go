@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/faults"
@@ -21,13 +23,14 @@ func init() {
 
 // chaosExp replays one request mix against three fault profiles — none,
 // light, heavy — injected into the dataset scans and both build stages of
-// an httptest server, with retry/backoff and stale fallback enabled. The
-// fault-free profile provides the reference bytes; for the faulted
-// profiles the table reports how many requests still succeeded (and how
-// many of those rode the stale ring), how many were shed or failed, how
-// many retries and injected faults it took, and — the core serving
-// guarantee — whether every successful response stayed bit-identical to
-// the fault-free run.
+// an httptest server, with retry/backoff and a disk artifact tier (a
+// fresh temporary directory per profile). The fault-free profile provides
+// the reference bytes; for the faulted profiles the table reports how
+// many requests still succeeded (and how many of those the disk tier
+// served), how many were shed or failed, and how many retries and
+// injected faults it took. The core serving guarantee — every successful
+// response bit-identical to the fault-free run — is enforced: a
+// mismatch fails the experiment, naming the profile and the seed.
 func chaosExp(cfg Config) (*Table, error) {
 	n := 40000
 	rounds := 48
@@ -40,14 +43,20 @@ func chaosExp(cfg Config) (*Table, error) {
 	ds := l.Dataset()
 
 	// Four request identities, repeated round-robin: repeats exercise the
-	// cache, and the budget below only fits two of them, so identities
-	// evict each other through the stale ring all run long.
+	// cache, and the memory budget below only fits two of them, so
+	// identities evict each other and come back from the disk tier all
+	// run long.
 	seedOf := func(i int) uint64 { return 101 + uint64(i%4) }
+	diskRoot, err := os.MkdirTemp("", "dbschaos-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(diskRoot)
 
 	type tally struct {
-		ok, stale, shed, failed int
-		mismatch                int
-		retries, injected       int64
+		ok, disk, shed, failed int
+		mismatch               int
+		retries, injected      int64
 	}
 	profiles := []struct {
 		name string
@@ -67,11 +76,15 @@ func chaosExp(cfg Config) (*Table, error) {
 			fc.Seed = cfg.Seed + uint64(pi)
 			inj = faults.New(fc)
 		}
+		disk, err := server.NewDiskTier(filepath.Join(diskRoot, prof.name), 0)
+		if err != nil {
+			return nil, err
+		}
 		rec := obs.New()
 		srv := server.New(server.Config{
 			Parallelism:  cfg.Parallelism,
 			CacheBytes:   96 << 10,
-			StaleOK:      true,
+			Disk:         disk,
 			Retry:        2,
 			RetryBackoff: time.Millisecond,
 			Deadline:     30 * time.Second,
@@ -101,8 +114,8 @@ func chaosExp(cfg Config) (*Table, error) {
 			switch resp.StatusCode {
 			case http.StatusOK:
 				tl.ok++
-				if resp.Header.Get("X-DBS-Cache") == "stale" {
-					tl.stale++
+				if resp.Header.Get("X-DBS-Cache") == "disk" {
+					tl.disk++
 				}
 				if prof.fc == nil {
 					ref[seed] = data
@@ -121,31 +134,30 @@ func chaosExp(cfg Config) (*Table, error) {
 		if prof.fc == nil && tl.ok != rounds {
 			return nil, fmt.Errorf("chaos: fault-free profile had %d/%d successes", tl.ok, rounds)
 		}
+		if tl.mismatch > 0 {
+			return nil, fmt.Errorf("chaos: profile %s, seed %d: %d of %d successful responses differ from the fault-free bytes",
+				prof.name, cfg.Seed, tl.mismatch, tl.ok)
+		}
 	}
 
 	t := &Table{
-		Columns: []string{"profile", "requests", "ok", "stale", "shed/failed", "faults", "retries", "bit-identical"},
+		Columns: []string{"profile", "requests", "ok", "disk", "shed/failed", "faults", "retries"},
 		Notes: []string{
 			fmt.Sprintf("POST /v1/sample, n = %d, d = 3, b = 400, 128 kernels, %d requests over 4 identities per profile", n, rounds),
-			"faults injected into dataset scans and both build stages; retry = 2, stale fallback on",
-			"bit-identical: every 200 response matches the fault-free profile's bytes for the same request",
+			"faults injected into dataset scans and both build stages; retry = 2, disk artifact tier on (fresh per profile)",
+			"every 200 response matched the fault-free profile's bytes for the same request (a mismatch fails the run)",
 		},
 	}
 	for pi, prof := range profiles {
 		tl := &tallies[pi]
-		ident := "yes"
-		if tl.mismatch > 0 {
-			ident = fmt.Sprintf("NO (%d)", tl.mismatch)
-		}
 		t.Rows = append(t.Rows, []string{
 			prof.name,
 			fmt.Sprintf("%d", rounds),
 			fmt.Sprintf("%d", tl.ok),
-			fmt.Sprintf("%d", tl.stale),
+			fmt.Sprintf("%d", tl.disk),
 			fmt.Sprintf("%d", tl.shed+tl.failed),
 			fmt.Sprintf("%d", tl.injected),
 			fmt.Sprintf("%d", tl.retries),
-			ident,
 		})
 		t.Benchmarks = append(t.Benchmarks, BenchResult{
 			Name:  "Chaos_" + prof.name + "_ok",

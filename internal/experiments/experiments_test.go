@@ -244,7 +244,7 @@ func TestExpStreamShape(t *testing.T) {
 func TestExpRemainingQuickProfiles(t *testing.T) {
 	// Smoke-run every other experiment in quick mode: they must complete
 	// and produce non-empty tables.
-	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "parallel"} {
+	for _, id := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6", "fig7", "samplesize", "ablation-kernel", "ablation-onepass", "ablation-alpha", "ablation-estimator", "ablation-partitions", "ext-dtree", "parallel", "chaos"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tb, err := Run(id, quickCfg())

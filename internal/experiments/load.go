@@ -51,6 +51,10 @@ func loadExp(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(diskDir)
+	disk, err := server.NewDiskTier(diskDir, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	warmSeeds := []uint64{101, 102}
 	// Bronze gets one fresh seed per expected arrival, offset per profile
@@ -100,11 +104,10 @@ func loadExp(cfg Config) (*Table, error) {
 			MaxInFlight:  2,
 			MaxQueue:     8,
 			Deadline:     5 * time.Second,
-			StaleOK:      true,
 			Retry:        2,
 			RetryBackoff: time.Millisecond,
 			DegradeOK:    true,
-			DiskDir:      diskDir,
+			Disk:         disk,
 			Faults:       inj,
 			Rec:          rec,
 			Tenants: map[string]server.TenantPolicy{

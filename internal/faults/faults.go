@@ -8,7 +8,7 @@
 //
 // The layer is wiring, not policy: it wraps dataset.Dataset sources
 // (Wrap) and guards build stages (Point.Check), and the serving layer's
-// retry/stale-serve machinery is what turns injected faults into
+// retry machinery and artifact tiers are what turn injected faults into
 // bounded, observable behavior.
 package faults
 

@@ -5,29 +5,23 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
-// Outcome classifies how a GetOrBuild lookup was served. Exactly one
-// outcome is counted per lookup, so at quiescence
-// lookups == hits + misses + stale-served — the conservation law the
-// counter tests assert.
+// Outcome classifies how a lookup was served. Exactly one outcome is
+// counted per GetOrBuild, so at quiescence
+// lookups == hits + misses + disk — the conservation law the counter
+// tests assert.
 type Outcome int
 
 const (
-	// OutcomeMiss: the artifact was built (or the build failed with no
-	// stale copy to fall back on).
+	// OutcomeMiss: the artifact was built (or the build failed).
 	OutcomeMiss Outcome = iota
-	// OutcomeHit: served from the cache, including joining an in-flight
-	// build that succeeded — no dataset passes either way.
+	// OutcomeHit: served from memory, including joining an in-flight
+	// lookup that succeeded — no dataset passes either way.
 	OutcomeHit
-	// OutcomeStale: the build failed but a previously evicted copy was
-	// served instead (graceful degradation).
-	OutcomeStale
-	// OutcomeDisk: the build closure loaded the artifact from the disk
-	// tier instead of recomputing it. The Cache itself counts these as
-	// misses (the memory tier did miss); the server's handlers remap the
-	// outcome after checking the disk-load flag, so the conservation law
-	// lookups == hits + misses + stale is unchanged.
+	// OutcomeDisk: loaded from the disk tier instead of rebuilt.
 	OutcomeDisk
 )
 
@@ -35,8 +29,6 @@ func (o Outcome) String() string {
 	switch o {
 	case OutcomeHit:
 		return "hit"
-	case OutcomeStale:
-		return "stale"
 	case OutcomeDisk:
 		return "disk"
 	default:
@@ -44,79 +36,64 @@ func (o Outcome) String() string {
 	}
 }
 
-// Cache is the pipeline artifact cache: an LRU over expensive intermediate
-// results (built KDE estimators, drawn samples) with byte-size accounting.
-// Keys canonicalize (dataset fingerprint, parameters, seed) — see
-// cacheKey in handlers.go — so a repeat query finds the artifact a previous
-// request built and skips its dataset passes entirely.
+// Cache is the pipeline artifact cache and the one place that knows the
+// artifact-tier policy: a lookup tries the memory LRU, then the optional
+// disk tier, then builds — and every built artifact is stored in both
+// tiers. Keys canonicalize (dataset fingerprint, parameters, seed) — see
+// estParams.key in handlers.go — so an artifact is a pure function of its
+// key: a copy evicted from memory and reloaded from disk is the fresh
+// artifact, byte for byte.
 //
 // Concurrent requests for the same missing key are single-flighted: the
-// first runs the build, the rest block on its completion and share the
-// result. Failed builds are not cached; every waiter receives the error
-// (or the stale fallback) and the next request retries the build.
-//
-// Evicted artifacts optionally move to a stale side-ring (its own LRU,
-// bounded by staleBytes). When a rebuild fails, the stale copy is served
-// instead of the error — deterministically the same bytes the fresh
-// artifact had, just older — and the key stays rebuildable.
+// first runs the disk load or build, the rest block on its completion and
+// share the result. Failed builds are not cached; every waiter receives
+// the error and the next request retries the build.
 type Cache struct {
-	maxBytes   int64
-	staleBytes int64
+	maxBytes int64
+	disk     *DiskTier     // nil: memory only
+	rec      *obs.Recorder // attached to estimators loaded from disk
 
 	mu    sync.Mutex
 	used  int64
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	staleUsed int64
-	sll       *list.List // stale ring, front = most recently used
-	stale     map[string]*list.Element
-
-	lookups     atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	staleServed atomic.Int64
-	evictions   atomic.Int64
-	peeks       atomic.Int64
-	peekHits    atomic.Int64
+	lookups   atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	diskHits  atomic.Int64
+	evictions atomic.Int64
+	peeks     atomic.Int64
+	peekHits  atomic.Int64
 }
 
 type centry struct {
 	key   string
 	val   any
 	size  int64
-	done  bool // build finished (guarded by Cache.mu)
-	stale bool // val came from the stale ring after a failed build
+	done  bool // lookup finished (guarded by Cache.mu)
 	err   error
 	ready chan struct{} // closed when done; fields are immutable after
 }
 
-type sentry struct {
-	key  string
-	val  any
-	size int64
-}
-
 // NewCache returns a cache bounded to maxBytes of accounted artifact
-// size, keeping up to staleBytes of evicted artifacts around as rebuild
-// fallbacks. maxBytes ≤ 0 disables storage: every lookup builds (still
-// single-flighted for concurrent identical requests). staleBytes ≤ 0
-// disables stale fallback.
-func NewCache(maxBytes, staleBytes int64) *Cache {
+// size over the optional disk tier; rec is attached to estimators the
+// tier loads, as builds attach it to the ones they create. maxBytes ≤ 0
+// disables memory storage: every lookup goes to the disk tier or builds
+// (still single-flighted for concurrent identical requests).
+func NewCache(maxBytes int64, disk *DiskTier, rec *obs.Recorder) *Cache {
 	return &Cache{
-		maxBytes:   maxBytes,
-		staleBytes: staleBytes,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-		sll:        list.New(),
-		stale:      make(map[string]*list.Element),
+		maxBytes: maxBytes,
+		disk:     disk,
+		rec:      rec,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
 	}
 }
 
-// GetOrBuild returns the artifact cached under key, or runs build to
-// create it. build returns the artifact and its accounted byte size. The
-// Outcome reports how the lookup was served; on OutcomeStale the value is
-// a previously evicted copy and err is nil.
+// GetOrBuild returns the artifact cached under key in memory or on disk,
+// or runs build to create it. build returns the artifact and its
+// accounted byte size; a built artifact is also written to the disk tier.
 func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, Outcome, error) {
 	c.lookups.Add(1)
 	c.mu.Lock()
@@ -125,44 +102,35 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
 		<-e.ready
-		switch {
-		case e.err != nil:
+		if e.err != nil {
 			c.misses.Add(1)
 			return nil, OutcomeMiss, e.err
-		case e.stale:
-			c.staleServed.Add(1)
-			return e.val, OutcomeStale, nil
-		default:
-			c.hits.Add(1)
-			return e.val, OutcomeHit, nil
 		}
+		c.hits.Add(1)
+		return e.val, OutcomeHit, nil
 	}
 	e := &centry{key: key, ready: make(chan struct{})}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
 	c.mu.Unlock()
 
-	v, size, err := build()
+	out := OutcomeDisk
+	v, size, ok := c.disk.load(key, c.rec)
+	var err error
+	if !ok {
+		out = OutcomeMiss
+		if v, size, err = build(); err == nil {
+			c.disk.store(key, v)
+		}
+	}
 
 	c.mu.Lock()
 	e.done = true
 	if err != nil {
-		if sl, ok := c.stale[key]; ok {
-			// Failed rebuild with a stale copy on hand: serve it, and
-			// leave the key out of the primary map so the next lookup
-			// retries the build.
-			sv := sl.Value.(*sentry)
-			c.sll.MoveToFront(sl)
-			e.val, e.size, e.stale = sv.val, sv.size, true
-			v, err = sv.val, nil
-		} else {
-			e.err = err
-		}
+		e.err, v = err, nil
 		c.removeLocked(el, e)
 	} else {
 		e.val, e.size = v, size
-		// A fresh artifact supersedes its stale copy.
-		c.dropStaleLocked(key)
 		if c.maxBytes <= 0 || size > c.maxBytes {
 			// Larger than the whole budget (or storage disabled): the
 			// artifact could never be reused, so it is not admitted —
@@ -176,43 +144,38 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 	c.mu.Unlock()
 	close(e.ready)
 
-	switch {
-	case err != nil:
+	if out == OutcomeDisk {
+		c.diskHits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return nil, OutcomeMiss, err
-	case e.stale:
-		c.staleServed.Add(1)
-		return v, OutcomeStale, nil
-	default:
-		c.misses.Add(1)
-		return v, OutcomeMiss, nil
 	}
+	return v, out, err
 }
 
-// Peek returns the artifact cached under key without building, waiting
-// on an in-flight build, or counting toward the lookup conservation law
-// (peeks have their own counters). The degrade path uses it to check
-// for a servable fallback artifact while the server is shedding — a
-// peek must never trigger the expensive work admission just refused.
-func (c *Cache) Peek(key string) (any, bool) {
+// Peek returns the artifact under key from memory or the disk tier
+// without building, waiting on an in-flight lookup, or counting toward
+// the lookup conservation law (peeks have their own counters). The
+// degrade path uses it to check for a servable fallback artifact while
+// the server is shedding — a peek must never trigger the expensive work
+// admission just refused.
+func (c *Cache) Peek(key string) (any, Outcome, bool) {
 	c.peeks.Add(1)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*centry)
-		if e.done && e.err == nil {
+		if e := el.Value.(*centry); e.done && e.err == nil {
 			c.ll.MoveToFront(el)
+			c.mu.Unlock()
 			c.peekHits.Add(1)
-			return e.val, true
+			return e.val, OutcomeHit, true
 		}
-		return nil, false
 	}
-	if sl, ok := c.stale[key]; ok {
-		c.sll.MoveToFront(sl)
-		c.peekHits.Add(1)
-		return sl.Value.(*sentry).val, true
+	c.mu.Unlock()
+	v, _, ok := c.disk.load(key, c.rec)
+	if !ok {
+		return nil, OutcomeMiss, false
 	}
-	return nil, false
+	c.peekHits.Add(1)
+	return v, OutcomeDisk, true
 }
 
 // removeLocked takes el out of the primary index without touching byte
@@ -226,8 +189,10 @@ func (c *Cache) removeLocked(el *list.Element, e *centry) {
 }
 
 // evictLocked drops least-recently-used completed entries until the byte
-// budget holds, moving each into the stale ring. In-flight builds are
-// never evicted (their size is unknown and waiters hold their entry).
+// budget holds. In-flight lookups are never evicted (their size is
+// unknown and waiters hold their entry). Evicted artifacts need no side
+// copy: every built artifact is already in the disk tier, when there is
+// one, and a rebuild reproduces it exactly when there is not.
 func (c *Cache) evictLocked() {
 	el := c.ll.Back()
 	for c.used > c.maxBytes && el != nil {
@@ -238,73 +203,39 @@ func (c *Cache) evictLocked() {
 			c.ll.Remove(el)
 			c.used -= e.size
 			c.evictions.Add(1)
-			c.keepStaleLocked(e.key, e.val, e.size)
 		}
 		el = prev
 	}
 }
 
-// keepStaleLocked files an evicted artifact into the stale ring,
-// evicting stale-LRU entries to hold the staleBytes budget. Artifacts
-// larger than the whole stale budget are dropped.
-func (c *Cache) keepStaleLocked(key string, val any, size int64) {
-	if size > c.staleBytes {
-		return
-	}
-	c.dropStaleLocked(key)
-	c.stale[key] = c.sll.PushFront(&sentry{key: key, val: val, size: size})
-	c.staleUsed += size
-	for c.staleUsed > c.staleBytes {
-		back := c.sll.Back()
-		sv := back.Value.(*sentry)
-		c.sll.Remove(back)
-		delete(c.stale, sv.key)
-		c.staleUsed -= sv.size
-	}
-}
-
-// dropStaleLocked removes key's stale copy, if any.
-func (c *Cache) dropStaleLocked(key string) {
-	if sl, ok := c.stale[key]; ok {
-		c.staleUsed -= sl.Value.(*sentry).size
-		c.sll.Remove(sl)
-		delete(c.stale, key)
-	}
-}
-
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Bytes       int64 `json:"bytes"`
-	Items       int   `json:"items"`
-	StaleBytes  int64 `json:"stale_bytes"`
-	StaleItems  int   `json:"stale_items"`
-	Lookups     int64 `json:"lookups"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	StaleServed int64 `json:"stale_served"`
-	Evictions   int64 `json:"evictions"`
-	Peeks       int64 `json:"peeks,omitempty"`
-	PeekHits    int64 `json:"peek_hits,omitempty"`
+	Bytes     int64 `json:"bytes"`
+	Items     int   `json:"items"`
+	Lookups   int64 `json:"lookups"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	DiskHits  int64 `json:"disk_hits"`
+	Evictions int64 `json:"evictions"`
+	Peeks     int64 `json:"peeks,omitempty"`
+	PeekHits  int64 `json:"peek_hits,omitempty"`
 }
 
 // Stats returns the current counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	bytes, items := c.used, len(c.items)
-	sbytes, sitems := c.staleUsed, len(c.stale)
 	c.mu.Unlock()
 	return CacheStats{
-		Bytes:       bytes,
-		Items:       items,
-		StaleBytes:  sbytes,
-		StaleItems:  sitems,
-		Lookups:     c.lookups.Load(),
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		StaleServed: c.staleServed.Load(),
-		Evictions:   c.evictions.Load(),
-		Peeks:       c.peeks.Load(),
-		PeekHits:    c.peekHits.Load(),
+		Bytes:     bytes,
+		Items:     items,
+		Lookups:   c.lookups.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		DiskHits:  c.diskHits.Load(),
+		Evictions: c.evictions.Load(),
+		Peeks:     c.peeks.Load(),
+		PeekHits:  c.peekHits.Load(),
 	}
 }
 
@@ -329,22 +260,9 @@ func (c *Cache) invariants() error {
 	if c.maxBytes > 0 && c.used > c.maxBytes {
 		return fmt.Errorf("cache: %d bytes used over budget %d", c.used, c.maxBytes)
 	}
-	var ssum int64
-	for el := c.sll.Front(); el != nil; el = el.Next() {
-		ssum += el.Value.(*sentry).size
-	}
-	if c.sll.Len() != len(c.stale) {
-		return fmt.Errorf("cache: stale ring has %d entries, index %d", c.sll.Len(), len(c.stale))
-	}
-	if ssum != c.staleUsed {
-		return fmt.Errorf("cache: stale accounted %d bytes, entries sum to %d", c.staleUsed, ssum)
-	}
-	if c.staleUsed > c.staleBytes {
-		return fmt.Errorf("cache: stale %d bytes over budget %d", c.staleUsed, c.staleBytes)
-	}
-	lk, h, m, st := c.lookups.Load(), c.hits.Load(), c.misses.Load(), c.staleServed.Load()
-	if lk != h+m+st {
-		return fmt.Errorf("cache: %d lookups != %d hits + %d misses + %d stale", lk, h, m, st)
+	lk, h, m, d := c.lookups.Load(), c.hits.Load(), c.misses.Load(), c.diskHits.Load()
+	if lk != h+m+d {
+		return fmt.Errorf("cache: %d lookups != %d hits + %d misses + %d disk", lk, h, m, d)
 	}
 	return nil
 }

@@ -3,13 +3,18 @@ package server
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 func TestCacheHitMissAccounting(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1<<20, nil, nil)
 	builds := 0
 	build := func() (any, int64, error) { builds++; return "artifact", 100, nil }
 
@@ -34,7 +39,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(250, 0)
+	c := NewCache(250, nil, nil)
 	mk := func(key string) {
 		t.Helper()
 		if _, _, err := c.GetOrBuild(key, func() (any, int64, error) { return key, 100, nil }); err != nil {
@@ -64,7 +69,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1<<20, nil, nil)
 	var builds atomic.Int32
 	gate := make(chan struct{})
 	const waiters = 16
@@ -105,7 +110,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheBuildErrorNotCached(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1<<20, nil, nil)
 	boom := errors.New("boom")
 	if _, _, err := c.GetOrBuild("k", func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -125,10 +130,10 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 
 // TestCacheCounterConservation is the regression test for the counter
 // drift bug: every lookup must land in exactly one of hits, misses, or
-// stale-served — including waiters that join an in-flight build whose
+// disk hits — including waiters that join an in-flight build whose
 // build fails, which the original implementation counted as nothing.
 func TestCacheCounterConservation(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1<<20, nil, nil)
 	boom := errors.New("boom")
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -173,9 +178,9 @@ func TestCacheCounterConservation(t *testing.T) {
 	if st.Lookups != waiters+1 {
 		t.Fatalf("lookups = %d, want %d", st.Lookups, waiters+1)
 	}
-	if got := st.Hits + st.Misses + st.StaleServed; got != st.Lookups {
-		t.Errorf("hits(%d) + misses(%d) + stale(%d) = %d, want %d lookups",
-			st.Hits, st.Misses, st.StaleServed, got, st.Lookups)
+	if got := st.Hits + st.Misses + st.DiskHits; got != st.Lookups {
+		t.Errorf("hits(%d) + misses(%d) + disk(%d) = %d, want %d lookups",
+			st.Hits, st.Misses, st.DiskHits, got, st.Lookups)
 	}
 	if err := c.invariants(); err != nil {
 		t.Error(err)
@@ -187,7 +192,7 @@ func TestCacheCounterConservation(t *testing.T) {
 // budget was admitted, drained every other entry via the eviction loop,
 // and counted a bogus eviction for itself.
 func TestCacheOversizeBuildNotAdmitted(t *testing.T) {
-	c := NewCache(250, 0)
+	c := NewCache(250, nil, nil)
 	if _, _, err := c.GetOrBuild("small", func() (any, int64, error) { return "s", 100, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -210,52 +215,80 @@ func TestCacheOversizeBuildNotAdmitted(t *testing.T) {
 	}
 }
 
-// TestCacheStaleServeAfterEviction covers graceful degradation: an
-// evicted artifact moves to the stale ring and is served — flagged
-// stale, byte-identical — when its rebuild fails; a successful rebuild
-// replaces it and drops the stale copy.
-func TestCacheStaleServeAfterEviction(t *testing.T) {
-	c := NewCache(150, 150)
-	boom := errors.New("boom")
-	if _, _, err := c.GetOrBuild("a", func() (any, int64, error) { return "a1", 100, nil }); err != nil {
+// testArtifact is a small sample artifact the disk tier can persist
+// (the tier stores only estimators and samples, not arbitrary values).
+func testArtifact(v float64) *sampleArtifact {
+	sm := &core.Sample{
+		Points:     []dataset.WeightedPoint{{P: geom.Point{v, 2 * v}, W: 1.5}},
+		Norm:       v,
+		DataPasses: 2,
+	}
+	return &sampleArtifact{s: sm, ns: core.NormState{K: v, N: 10, Kernels: 4}}
+}
+
+// TestCacheDiskServeAfterEviction covers the one artifact tier: an
+// artifact evicted from memory comes back from the disk tier — reported
+// as OutcomeDisk, equal to the original, without calling build — and is
+// promoted so the next lookup hits memory; Peek finds a disk copy the
+// same way, never building. Counters keep lookups == hits + misses + disk.
+func TestCacheDiskServeAfterEviction(t *testing.T) {
+	disk, err := NewDiskTier(t.TempDir(), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Evict "a" by inserting "b".
-	if _, _, err := c.GetOrBuild("b", func() (any, int64, error) { return "b1", 100, nil }); err != nil {
+	a, b := testArtifact(1), testArtifact(2)
+	// Sized as the tier sizes a loaded sample, with room for one.
+	size := sampleBytes(a.s)
+	c := NewCache(size+size/2, disk, nil)
+	if _, _, err := c.GetOrBuild("a", func() (any, int64, error) { return a, size, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.StaleItems != 1 || st.StaleBytes != 100 {
+	// Evict "a" from memory by inserting "b".
+	if _, _, err := c.GetOrBuild("b", func() (any, int64, error) { return b, size, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Items != 1 {
 		t.Fatalf("stats after eviction = %+v", st)
 	}
-	// Rebuild of "a" fails: the stale copy is served, err suppressed.
-	v, out, err := c.GetOrBuild("a", func() (any, int64, error) { return nil, 0, boom })
-	if err != nil || out != OutcomeStale || v != "a1" {
-		t.Fatalf("stale serve: v=%v out=%v err=%v", v, out, err)
+	mustNotBuild := func() (any, int64, error) {
+		t.Error("build called for an artifact on disk")
+		return nil, 0, errors.New("unexpected build")
 	}
-	// The key stays rebuildable: a later successful build wins and
-	// drops the stale copy.
-	v, out, err = c.GetOrBuild("a", func() (any, int64, error) { return "a2", 100, nil })
-	if err != nil || out != OutcomeMiss || v != "a2" {
-		t.Fatalf("rebuild: v=%v out=%v err=%v", v, out, err)
+	v, out, err := c.GetOrBuild("a", mustNotBuild)
+	if err != nil || out != OutcomeDisk {
+		t.Fatalf("evicted a: out=%v err=%v, want disk", out, err)
+	}
+	if !reflect.DeepEqual(v, a) {
+		t.Errorf("disk copy of a = %+v, want %+v", v, a)
+	}
+	// Promoted (evicting "b"): the next lookup is a memory hit.
+	if _, out, _ := c.GetOrBuild("a", mustNotBuild); out != OutcomeHit {
+		t.Errorf("second lookup of a = %v, want hit", out)
+	}
+	v, out, ok := c.Peek("b")
+	if !ok || out != OutcomeDisk || !reflect.DeepEqual(v, b) {
+		t.Errorf("peek of evicted b: ok=%v out=%v v=%+v, want the disk copy", ok, out, v)
+	}
+	if _, _, ok := c.Peek("never-built"); ok {
+		t.Error("peek found an artifact that was never built")
 	}
 	st := c.Stats()
-	if st.StaleServed != 1 {
-		t.Errorf("stale served = %d, want 1", st.StaleServed)
+	if st.DiskHits != 1 || st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 disk hit, 2 misses, 1 hit", st)
 	}
-	// "a2" displaced "b"; b's copy now sits in the stale ring, a's is gone.
-	if _, out, _ := c.GetOrBuild("a", nil); out != OutcomeHit {
-		t.Error("fresh rebuild of a not cached")
-	}
-	if got := st.Hits + st.Misses + st.StaleServed; got != st.Lookups {
-		t.Errorf("conservation: %d + %d + %d != %d", st.Hits, st.Misses, st.StaleServed, st.Lookups)
+	if got := st.Hits + st.Misses + st.DiskHits; got != st.Lookups {
+		t.Errorf("conservation: %d + %d + %d != %d", st.Hits, st.Misses, st.DiskHits, st.Lookups)
 	}
 	if err := c.invariants(); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestCacheStaleDisabledFailsThrough(t *testing.T) {
-	c := NewCache(150, 0)
+// TestCacheEvictedRebuildFailsThrough: with no disk tier, an evicted
+// key's failed rebuild returns the build error — there is no side copy
+// to fall back on.
+func TestCacheEvictedRebuildFailsThrough(t *testing.T) {
+	c := NewCache(150, nil, nil)
 	boom := errors.New("boom")
 	if _, _, err := c.GetOrBuild("a", func() (any, int64, error) { return "a1", 100, nil }); err != nil {
 		t.Fatal(err)
@@ -263,11 +296,11 @@ func TestCacheStaleDisabledFailsThrough(t *testing.T) {
 	if _, _, err := c.GetOrBuild("b", func() (any, int64, error) { return "b1", 100, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrBuild("a", func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom (stale fallback disabled)", err)
+	if _, out, err := c.GetOrBuild("a", func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) || out != OutcomeMiss {
+		t.Fatalf("out=%v err=%v, want miss/boom", out, err)
 	}
-	if st := c.Stats(); st.StaleServed != 0 || st.StaleItems != 0 {
-		t.Errorf("stats = %+v, want no stale activity", st)
+	if st := c.Stats(); st.DiskHits != 0 || st.Misses != 3 {
+		t.Errorf("stats = %+v, want 3 misses and no disk hits", st)
 	}
 	if err := c.invariants(); err != nil {
 		t.Error(err)
@@ -275,7 +308,7 @@ func TestCacheStaleDisabledFailsThrough(t *testing.T) {
 }
 
 func TestCacheZeroBudgetStoresNothing(t *testing.T) {
-	c := NewCache(0, 0)
+	c := NewCache(0, nil, nil)
 	builds := 0
 	for i := 0; i < 3; i++ {
 		v, out, err := c.GetOrBuild("k", func() (any, int64, error) { builds++; return "v", 100, nil })
@@ -295,7 +328,7 @@ func TestCacheZeroBudgetStoresNothing(t *testing.T) {
 }
 
 func TestCacheConcurrentDistinctKeys(t *testing.T) {
-	c := NewCache(1<<10, 0)
+	c := NewCache(1<<10, nil, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)

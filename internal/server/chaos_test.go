@@ -20,7 +20,7 @@ import (
 
 // chaosReqs is the fixed request mix every chaos run replays: two
 // distinct sample identities (with repeats, so cache interplay and
-// stale serving are exercised), a cluster request sharing sample A's
+// disk-tier serving are exercised), a cluster request sharing sample A's
 // artifact, and an estimator-only outlier request.
 var chaosReqs = []struct {
 	name string
@@ -35,13 +35,15 @@ var chaosReqs = []struct {
 	{"sampleB2", "/v1/sample", map[string]any{"dataset": "pts", "alpha": 1.0, "size": 60, "kernels": 32, "seed": 202}},
 }
 
-func chaosConfig(inj *faults.Injector) Config {
+// chaosConfig gives every server its own disk tier over a fresh
+// temporary directory, so the suite covers the tier under faults.
+func chaosConfig(t *testing.T, inj *faults.Injector) Config {
 	return Config{
 		Parallelism: 2,
 		// Small enough that the two sample identities evict each other,
-		// so the stale ring and re-build paths stay hot.
+		// so the disk-tier and re-build paths stay hot.
 		CacheBytes:   10 << 10,
-		StaleOK:      true,
+		Disk:         mustDiskTier(t, t.TempDir()),
 		Retry:        2,
 		RetryBackoff: 200 * time.Microsecond,
 		StageTimeout: 2 * time.Second,
@@ -88,7 +90,7 @@ func TestChaosServingInvariants(t *testing.T) {
 	// Reference run: same requests, no faults.
 	ref := make([][]byte, len(chaosReqs))
 	func() {
-		srv := New(chaosConfig(nil))
+		srv := New(chaosConfig(t, nil))
 		if err := srv.Registry().RegisterDataset("pts", mem); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestChaosServingInvariants(t *testing.T) {
 			PCancel:  0.05,
 			MaxDelay: 500 * time.Microsecond,
 		})
-		srv := New(chaosConfig(inj))
+		srv := New(chaosConfig(t, inj))
 		if err := srv.Registry().RegisterDataset("pts", faults.Wrap(mem, inj.Point("dataset"))); err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +162,7 @@ func TestChaosServingInvariants(t *testing.T) {
 		t.Error("no faults fired across any seed — the chaos run tested nothing")
 	}
 	if okTotal == 0 {
-		t.Error("no request ever succeeded under faults — retry/stale machinery is dead")
+		t.Error("no request ever succeeded under faults — retry/disk-tier machinery is dead")
 	}
 	t.Logf("chaos: %d seeds, %d faults injected, %d ok, %d shed/failed",
 		seeds, injectedTotal, okTotal, failTotal)
@@ -203,7 +205,7 @@ func TestChaosTraceAttribution(t *testing.T) {
 	if testing.Short() {
 		seeds = 12
 	}
-	var injectedTotal, attributedTotal int64
+	var injectedTotal, attributedTotal, stageFired int64
 	for seed := 1; seed <= seeds; seed++ {
 		inj := faults.New(faults.Config{
 			Seed:     uint64(seed),
@@ -213,7 +215,7 @@ func TestChaosTraceAttribution(t *testing.T) {
 			PCancel:  0.05,
 			MaxDelay: 500 * time.Microsecond,
 		})
-		cfg := chaosConfig(inj)
+		cfg := chaosConfig(t, inj)
 		cfg.TraceSample = 1
 		cfg.TraceSeed = uint64(seed)
 		cfg.TraceRing = 2 * len(chaosReqs)
@@ -255,11 +257,13 @@ func TestChaosTraceAttribution(t *testing.T) {
 			}
 		}
 		events := faultEventsBySite(snaps)
-		for _, p := range []*faults.Point{srv.pEst, srv.pSample} {
+		for _, site := range []string{"server/build/est", "server/build/sample"} {
+			p := srv.cfg.Faults.Point(site)
 			if got, want := events[p.Site()], p.Fired(); got != want {
 				t.Errorf("seed %d: site %s fired %d faults but traces record %d events",
 					seed, p.Site(), want, got)
 			}
+			stageFired += p.Fired()
 		}
 		if got := events[dsPoint.Site()]; got > dsPoint.FiredErrors() {
 			t.Errorf("seed %d: dataset site recorded %d events for %d surfaced errors",
@@ -276,6 +280,9 @@ func TestChaosTraceAttribution(t *testing.T) {
 	if attributedTotal == 0 {
 		t.Error("no fault was ever attributed to a trace — attribution machinery is dead")
 	}
+	if stageFired == 0 {
+		t.Error("no build-stage fault point ever fired — runStage is not checking them")
+	}
 	t.Logf("chaos traces: %d seeds, %d faults injected, %d attributed in traces",
 		seeds, injectedTotal, attributedTotal)
 	checkLeaks()
@@ -287,7 +294,7 @@ func TestChaosTraceAttribution(t *testing.T) {
 // counting, so long-lived servers cannot leak trace memory.
 func TestChaosTraceRingBounded(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	cfg := chaosConfig(nil)
+	cfg := chaosConfig(t, nil)
 	cfg.TraceSample = 1
 	cfg.TraceSeed = 1
 	cfg.TraceRing = 8
@@ -355,19 +362,20 @@ func (f *flakyDataset) ScanRange(start, end int, fn func(p geom.Point) error) er
 // zero-copy slice fast path.
 func (f *flakyDataset) Points(struct{}) {}
 
-// TestChaosStaleServe pins graceful degradation end to end: an artifact
-// evicted from the primary cache is served from the stale ring — flagged
-// in X-DBS-Cache, byte-identical to the original — when its rebuild
-// fails, and a later successful rebuild takes over seamlessly.
-func TestChaosStaleServe(t *testing.T) {
+// TestChaosDiskServe pins the one artifact tier end to end: an artifact
+// evicted from memory is served from the disk tier — flagged in
+// X-DBS-Cache, byte-identical to the original, with zero KDE builds —
+// even while every dataset scan fails, because the tier answers before
+// any rebuild is attempted.
+func TestChaosDiskServe(t *testing.T) {
 	checkLeaks := leakCheck(t)
 	flaky := &flakyDataset{InMemory: dataset.MustInMemory(testPoints(600, 2, 11))}
 	srv := New(Config{
 		Parallelism: 2,
 		// Fits one request's artifacts (estimator + sample ~7 KiB), so
-		// the second identity evicts the first into the stale ring.
+		// the second identity evicts the first from memory.
 		CacheBytes:   8 << 10,
-		StaleOK:      true,
+		Disk:         mustDiskTier(t, t.TempDir()),
 		Retry:        1,
 		RetryBackoff: 100 * time.Microsecond,
 		Deadline:     5 * time.Second,
@@ -388,36 +396,38 @@ func TestChaosStaleServe(t *testing.T) {
 	if status, _, body := postRaw(t, ts.URL+"/v1/sample", reqB); status != http.StatusOK {
 		t.Fatalf("B: %d: %s", status, body)
 	}
-	if st := srv.cache.Stats(); st.StaleItems == 0 {
-		t.Fatalf("B did not evict A into the stale ring: %+v", st)
+	if st := srv.cache.Stats(); st.Evictions == 0 {
+		t.Fatalf("B did not evict A from memory: %+v", st)
 	}
 
-	// Every scan now fails: the rebuild of A exhausts its retries and the
-	// stale copy is served — same bytes the fresh artifact had.
+	// Every scan now fails, yet A is served from disk without a rebuild:
+	// same bytes, no KDE build.
 	flaky.armed.Store(true)
+	builds := srv.rec.Counter(CtrKDEBuilds).Value()
 	status, hdr, body := postRaw(t, ts.URL+"/v1/sample", reqA)
 	if status != http.StatusOK {
-		t.Fatalf("stale serve: %d: %s", status, body)
+		t.Fatalf("disk serve: %d: %s", status, body)
 	}
-	if got := hdr.Get("X-DBS-Cache"); got != "stale" {
-		t.Errorf("X-DBS-Cache = %q, want stale", got)
+	if got := hdr.Get("X-DBS-Cache"); got != "disk" {
+		t.Errorf("X-DBS-Cache = %q, want disk", got)
 	}
 	if !bytes.Equal(body, bodyA) {
-		t.Error("stale response differs from the original artifact's bytes")
+		t.Error("disk-served response differs from the original artifact's bytes")
 	}
-	if st := srv.cache.Stats(); st.StaleServed == 0 {
-		t.Errorf("stale served not counted: %+v", st)
+	if got := srv.rec.Counter(CtrKDEBuilds).Value(); got != builds {
+		t.Errorf("disk serve ran %d KDE builds, want 0", got-builds)
+	}
+	if st := srv.cache.Stats(); st.DiskHits == 0 {
+		t.Errorf("disk hit not counted: %+v", st)
 	}
 
-	// Recovery: scans work again, the key rebuilds fresh and the result
-	// is still the same bytes.
-	flaky.armed.Store(false)
+	// The disk load promoted A into memory: still no scan needed.
 	status, hdr, body = postRaw(t, ts.URL+"/v1/sample", reqA)
-	if status != http.StatusOK || hdr.Get("X-DBS-Cache") != "miss" {
-		t.Fatalf("rebuild: %d cache=%q: %s", status, hdr.Get("X-DBS-Cache"), body)
+	if status != http.StatusOK || hdr.Get("X-DBS-Cache") != "hit" {
+		t.Fatalf("repeat: %d cache=%q: %s", status, hdr.Get("X-DBS-Cache"), body)
 	}
 	if !bytes.Equal(body, bodyA) {
-		t.Error("rebuilt response differs from the original bytes")
+		t.Error("promoted response differs from the original bytes")
 	}
 	if err := srv.cache.invariants(); err != nil {
 		t.Error(err)

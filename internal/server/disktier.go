@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,9 +11,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kde"
+	"repro/internal/obs"
 )
 
 // DiskTier is the persistent artifact tier under the in-memory LRU:
@@ -20,7 +23,8 @@ import (
 // to content-addressed files keyed on the same fingerprint|params|seed
 // cache key the memory tier uses. A restarted server — or a fresh
 // replica pointed at a shared directory — finds the artifact on disk
-// and skips the dataset passes entirely (`X-DBS-Cache: disk`).
+// and skips the dataset passes entirely (`X-DBS-Cache: disk`). The tier
+// is the only code that knows the artifact file format.
 //
 // Each artifact is one file named sha256(key) + ".dbsa":
 //
@@ -31,9 +35,11 @@ import (
 //
 // Writes go through a temp file + rename, so readers never observe a
 // partial artifact and a crash mid-write leaves only a stray .tmp that
-// the next prune sweeps. The tier is best-effort by design: every
-// failure path (unreadable file, corrupt header, full disk) degrades to
-// a cache miss, never to a request error.
+// the next prune sweeps. A load refreshes the file's modification time,
+// so pruning drops the least recently used artifacts. The tier is
+// best-effort by design: every failure path (unreadable file, corrupt
+// header or payload, full disk) degrades to a cache miss, never to a
+// request error.
 type DiskTier struct {
 	dir      string
 	maxBytes int64
@@ -49,14 +55,23 @@ type DiskTier struct {
 const diskMagic = "DBSA1"
 
 // NewDiskTier opens (creating if needed) the artifact directory,
-// bounded to maxBytes of stored artifacts (≤ 0 means unbounded).
+// bounded to maxBytes of stored artifacts (≤ 0 means unbounded). It
+// fails, naming the directory, when the directory cannot be created or
+// cannot take a file — a tier that silently failed every store would
+// look enabled and never serve.
 func NewDiskTier(dir string, maxBytes int64) (*DiskTier, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: disk tier needs a directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: disk tier: %w", err)
+		return nil, fmt.Errorf("server: disk tier %s: %w", dir, err)
 	}
+	probe, err := os.CreateTemp(dir, "probe-*.tmp")
+	if err != nil {
+		return nil, fmt.Errorf("server: disk tier %s is not writable: %w", dir, err)
+	}
+	probe.Close()
+	os.Remove(probe.Name())
 	return &DiskTier{dir: dir, maxBytes: maxBytes}, nil
 }
 
@@ -68,12 +83,13 @@ func (d *DiskTier) path(key string) string {
 	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".dbsa")
 }
 
-// Load returns the payload stored under key, or ok=false on any miss
-// or failure. A corrupt or mismatched file is deleted so the slot heals
-// on the next Store.
-func (d *DiskTier) Load(key string) (payload []byte, ok bool) {
+// load returns the artifact stored under key, decoded by the codec its
+// payload names, with its accounted size; loaded estimators get rec
+// attached. Any miss or failure returns ok=false, and a corrupt or
+// undecodable file is deleted so the slot heals on the next store.
+func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bool) {
 	if d == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	path := d.path(key)
 	data, err := os.ReadFile(path)
@@ -82,25 +98,52 @@ func (d *DiskTier) Load(key string) (payload []byte, ok bool) {
 			d.errs.Add(1)
 		}
 		d.misses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
 	hdr := len(diskMagic) + 4
 	if len(data) < hdr || string(data[:len(diskMagic)]) != diskMagic {
 		d.dropCorrupt(path)
-		return nil, false
+		return nil, 0, false
 	}
 	keyLen := int(binary.LittleEndian.Uint32(data[len(diskMagic):hdr]))
 	if keyLen < 0 || len(data)-hdr < keyLen {
 		d.dropCorrupt(path)
-		return nil, false
+		return nil, 0, false
 	}
 	if string(data[hdr:hdr+keyLen]) != key {
 		// sha256 collision or a foreign file: not ours.
 		d.misses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
+	if v, size, err = decodeArtifact(data[hdr+keyLen:], rec); err != nil {
+		d.dropCorrupt(path)
+		return nil, 0, false
+	}
+	// Refreshing the modification time is what makes pruning
+	// least-recently-used; a failed refresh only makes the file an
+	// earlier prune victim.
+	now := time.Now()
+	os.Chtimes(path, now, now)
 	d.hits.Add(1)
-	return data[hdr+keyLen:], true
+	return v, size, true
+}
+
+// decodeArtifact picks the codec by the payload's magic: DBSK1 is an
+// estimator, anything else must be a DBSS1 sample.
+func decodeArtifact(payload []byte, rec *obs.Recorder) (any, int64, error) {
+	if bytes.HasPrefix(payload, []byte("DBSK1")) {
+		est, err := kde.UnmarshalEstimator(payload)
+		if err != nil {
+			return nil, 0, err
+		}
+		est.SetRecorder(rec)
+		return est, estimatorBytes(est), nil
+	}
+	sm, ns, err := core.UnmarshalSample(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &sampleArtifact{s: sm, ns: ns}, sampleBytes(sm), nil
 }
 
 func (d *DiskTier) dropCorrupt(path string) {
@@ -109,13 +152,37 @@ func (d *DiskTier) dropCorrupt(path string) {
 	os.Remove(path)
 }
 
-// Store writes the payload under key (atomically, via temp + rename)
-// and prunes the directory back under budget. Errors are counted and
-// swallowed by the caller: a failed store only costs a future rebuild.
-func (d *DiskTier) Store(key string, payload []byte) error {
+// store persists a built artifact under key (atomically, via temp +
+// rename) and prunes the directory back under budget. Best-effort:
+// encoding and I/O failures are counted and cost only a future rebuild.
+// Values of other types (the cache is generic) are not persisted.
+func (d *DiskTier) store(key string, v any) {
 	if d == nil {
-		return nil
+		return
 	}
+	var payload []byte
+	var err error
+	switch art := v.(type) {
+	case *kde.Estimator:
+		payload, err = art.MarshalBinary()
+	case *sampleArtifact:
+		payload, err = core.MarshalSample(art.s, art.ns)
+	default:
+		return
+	}
+	if err == nil {
+		err = d.write(key, payload)
+	}
+	if err != nil {
+		d.errs.Add(1)
+		return
+	}
+	d.stores.Add(1)
+	d.prune()
+}
+
+// write files the payload under key's DBSA1 header via temp + rename.
+func (d *DiskTier) write(key string, payload []byte) error {
 	buf := make([]byte, 0, len(diskMagic)+4+len(key)+len(payload))
 	buf = append(buf, diskMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
@@ -124,31 +191,24 @@ func (d *DiskTier) Store(key string, payload []byte) error {
 
 	tmp, err := os.CreateTemp(d.dir, "artifact-*.tmp")
 	if err != nil {
-		d.errs.Add(1)
 		return err
 	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
+	_, err = tmp.Write(buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if werr != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), d.path(key))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		d.errs.Add(1)
-		return werr
 	}
-	if err := os.Rename(tmp.Name(), d.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		d.errs.Add(1)
-		return err
-	}
-	d.stores.Add(1)
-	d.prune()
-	return nil
+	return err
 }
 
-// prune deletes oldest-first (by modification time) until the directory
-// fits the byte budget, and sweeps abandoned temp files as it goes.
+// prune deletes least-recently-used artifacts first (by modification
+// time, which load refreshes) until the directory fits the byte budget,
+// and sweeps abandoned temp files as it goes.
 func (d *DiskTier) prune() {
 	if d.maxBytes <= 0 {
 		return
@@ -199,70 +259,6 @@ func (d *DiskTier) prune() {
 			total -= f.size
 		}
 	}
-}
-
-// ---- server glue: typed load/store on the shared cache keys ----
-
-// diskEstimator loads and reconstructs the estimator stored under the
-// memory-cache key, re-attaching the server recorder. Any failure is a
-// miss.
-func (s *Server) diskEstimator(key string) (any, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	payload, ok := s.disk.Load(key)
-	if !ok {
-		return nil, false
-	}
-	est, err := kde.UnmarshalEstimator(payload)
-	if err != nil {
-		s.disk.errs.Add(1)
-		return nil, false
-	}
-	est.SetRecorder(s.rec)
-	return est, true
-}
-
-// diskSample loads the sample artifact stored under the memory-cache
-// key. Any failure is a miss.
-func (s *Server) diskSample(key string) (any, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	payload, ok := s.disk.Load(key)
-	if !ok {
-		return nil, false
-	}
-	sm, ns, err := core.UnmarshalSample(payload)
-	if err != nil {
-		s.disk.errs.Add(1)
-		return nil, false
-	}
-	return &sampleArtifact{s: sm, ns: ns}, true
-}
-
-// diskStore persists a freshly built artifact under its cache key,
-// best-effort: serialization or I/O failures cost a future rebuild,
-// never the request.
-func (s *Server) diskStore(key string, v any) {
-	if s.disk == nil {
-		return
-	}
-	var payload []byte
-	var err error
-	switch art := v.(type) {
-	case *kde.Estimator:
-		payload, err = art.MarshalBinary()
-	case *sampleArtifact:
-		payload, err = core.MarshalSample(art.s, art.ns)
-	default:
-		return
-	}
-	if err != nil {
-		s.disk.errs.Add(1)
-		return
-	}
-	s.disk.Store(key, payload)
 }
 
 // DiskTierStats is the /healthz snapshot of the disk tier.

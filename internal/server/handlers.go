@@ -166,9 +166,9 @@ func decodeJSON(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// markCache reports hit/miss/stale in a header, never in the body:
-// response bytes stay a pure function of (dataset, params, seed), and a
-// stale artifact has exactly the bytes the fresh one had.
+// markCache reports hit/miss/disk in a header, never in the body:
+// response bytes stay a pure function of (dataset, params, seed), and an
+// artifact loaded from disk has exactly the bytes a fresh build has.
 func markCache(w http.ResponseWriter, out Outcome) {
 	w.Header().Set("X-DBS-Cache", out.String())
 }
@@ -385,10 +385,7 @@ func (s *Server) handleAppend(ctx context.Context, rec *obs.Recorder, w http.Res
 		s.fail(w, http.StatusBadRequest, "parsing append body: %v", err)
 		return
 	}
-	aerr := s.runStage(ctx, rec, "server/append", faults.SiteHash(name), func(sctx context.Context) error {
-		if ferr := s.pAppend.Check(sctx); ferr != nil {
-			return ferr
-		}
+	aerr := s.runStage(ctx, rec, "server/append", faults.SiteHash(name), func(context.Context) error {
 		// Append either fully applies or fully rolls back (both backing
 		// types guarantee it), so a retry after an injected fault never
 		// double-appends: the fault fires before the append runs.
@@ -502,62 +499,58 @@ func genSeed(seed, g uint64, stage string) uint64 {
 	return seed ^ faults.SiteHash(fmt.Sprintf("gen/%d/%s", g, stage))
 }
 
-// estimator returns the cached KDE estimator for the handle's pinned
-// generation, building (or delta-extending) it on miss.
-func (s *Server) estimator(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams) (*kde.Estimator, Outcome, error) {
-	return s.estimatorAt(ctx, rec, h, p, h.Generation())
+// artifact runs one artifact lookup through the cache tiers — memory,
+// then disk, then build — or, with a nil build, the degrade ladder's peek
+// (memory or disk, never a build; nothing found returns a nil value). It
+// records the lookup as one trace event, spanning any singleflight wait
+// or the build itself and noting the outcome — a hit's trace shows this
+// event and no scan spans at all — and mirrors the cache counters into
+// the recorder.
+func (s *Server) artifact(ctx context.Context, event, key string, g uint64, build func() (any, int64, error)) (any, Outcome, error) {
+	tr := trace.FromContext(ctx)
+	t0 := tr.Now()
+	var v any
+	var out Outcome
+	var err error
+	if build == nil {
+		v, out, _ = s.cache.Peek(key)
+	} else {
+		v, out, err = s.cache.GetOrBuild(key, build)
+	}
+	s.syncCacheCounters()
+	if tr != nil {
+		tr.Add(event, t0, tr.Now(), 0, fmt.Sprintf("%s gen=%d", out, g))
+	}
+	return v, out, err
 }
 
-// estimatorAt returns the cached KDE estimator for (generation g of the
-// dataset, params, seed), building it on miss. The cache key is the
-// generation's content fingerprint, so artifacts of superseded
-// generations age out of the LRU naturally while requests that pinned
-// them still hit. On an incremental miss (exactAt false) the estimator is
-// built from the prior generation's — recursively, so a cold chain
-// rebuilds from the last exact generation — with work proportional to the
-// delta, not the dataset. Cached estimators hold the server-level
-// recorder (attached once at build — a shared artifact must not point at
-// any single request's recorder), so their kernel-evaluation counters
-// aggregate across requests.
-func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64) (*kde.Estimator, Outcome, error) {
+// estimatorAt returns the KDE estimator for (generation g of the dataset,
+// params, seed), keyed by the generation's content fingerprint, so
+// superseded generations age out of the LRU while requests that pinned
+// them still hit. A miss builds exactly or, where the drift schedule
+// allows, extends the prior generation's estimator — recursively, with
+// work proportional to the delta. exactOnly (the shard worker, which
+// must derive the estimator from the generation's content alone, not
+// from the coordinator's append lineage) never extends: an exact build
+// the schedule would have extended gets its own "|exact" key. Cached
+// estimators hold the server-level recorder (attached once — a shared
+// artifact must not point at one request's recorder), so their
+// kernel-evaluation counters aggregate across requests.
+func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64, exactOnly bool) (*kde.Estimator, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	tr := trace.FromContext(ctx)
-	t0 := tr.Now()
 	key := p.key(fp)
-	// fromDisk is written only by the singleflight winner's closure,
-	// which runs on this goroutine; joiners report a plain memory hit.
-	fromDisk := false
-	v, out, err := s.cache.GetOrBuild(key, func() (any, int64, error) {
-		if est, ok := s.diskEstimator(key); ok {
-			fromDisk = true
-			return est, estimatorBytes(est.(*kde.Estimator)), nil
+	if exactOnly && !s.exactAt(h, g) {
+		key += "|exact"
+	}
+	v, out, err := s.artifact(ctx, "cache/est", key, g, func() (any, int64, error) {
+		if exactOnly || s.exactAt(h, g) {
+			return s.buildEstimator(ctx, rec, h, p, g)
 		}
-		var built any
-		var size int64
-		var berr error
-		if s.exactAt(h, g) {
-			built, size, berr = s.buildEstimator(ctx, rec, h, p, g)
-		} else {
-			built, size, berr = s.extendEstimator(ctx, rec, h, p, g)
-		}
-		if berr == nil {
-			s.diskStore(key, built)
-		}
-		return built, size, berr
+		return s.extendEstimator(ctx, rec, h, p, g)
 	})
-	if out == OutcomeMiss && fromDisk && err == nil {
-		out = OutcomeDisk
-	}
-	s.syncCacheCounters()
-	// The cache event spans the whole lookup (including a singleflight
-	// wait or the build itself) and notes the outcome: a hit's trace
-	// shows this event and no scan spans at all.
-	if tr != nil {
-		tr.Add("cache/est", t0, tr.Now(), 0, fmt.Sprintf("%s gen=%d", out, g))
-	}
 	if err != nil {
 		return nil, out, err
 	}
@@ -575,9 +568,6 @@ func (s *Server) buildEstimator(ctx context.Context, rec *obs.Recorder, h *Handl
 	}
 	var est *kde.Estimator
 	berr := s.runStage(ctx, rec, "server/build/est", p.Seed, func(sctx context.Context) error {
-		if ferr := s.pEst.Check(sctx); ferr != nil {
-			return ferr
-		}
 		s.rec.Counter(CtrKDEBuilds).Inc()
 		// The RNG stream is re-derived per attempt, so a retried
 		// build produces the identical estimator.
@@ -607,7 +597,7 @@ func (s *Server) buildEstimator(ctx context.Context, rec *obs.Recorder, h *Handl
 // centers-per-point rate) and extend the prior estimator with them. One
 // pass over the delta; no pass over the prior prefix.
 func (s *Server) extendEstimator(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64) (any, int64, error) {
-	prior, _, err := s.estimatorAt(ctx, rec, h, p, g-1)
+	prior, _, err := s.estimatorAt(ctx, rec, h, p, g-1, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -617,9 +607,6 @@ func (s *Server) extendEstimator(ctx context.Context, rec *obs.Recorder, h *Hand
 	}
 	var est *kde.Estimator
 	berr := s.runStage(ctx, rec, "server/build/est_delta", p.Seed, func(sctx context.Context) error {
-		if ferr := s.pEstDelta.Check(sctx); ferr != nil {
-			return ferr
-		}
 		s.rec.Counter(CtrKDEBuilds).Inc()
 		dk := int(math.Round(float64(prior.NumKernels()) * float64(delta.Len()) / float64(h.GenLen(g-1))))
 		if dk < 1 {
@@ -704,67 +691,30 @@ type sampleArtifact struct {
 	ns core.NormState
 }
 
-// drawSample returns the cached sample for the handle's pinned
-// generation, running the pipeline (estimator + pass 1/2) on miss. On a
-// hit no dataset pass runs at all.
-func (s *Server) drawSample(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams) (*core.Sample, Outcome, error) {
-	art, out, err := s.sampleAt(ctx, rec, h, q, p, h.Generation())
-	if err != nil {
-		return nil, out, err
-	}
-	return art.s, out, nil
-}
-
-// sampleAt returns the cached sample artifact for generation g, keyed by
-// the generation's content fingerprint. An incremental miss (exactAt
-// false) extends the prior generation's artifact with passes over the
-// delta only, so an append-then-sample on a warm cache costs O(|delta|)
-// regardless of the dataset size. OnePass requests are always built
-// exactly — they already integrate everything into a single pass and the
-// incremental math needs the exact normalizer lineage.
+// sampleAt returns the sample artifact for generation g, keyed by the
+// generation's content fingerprint; a hit runs no dataset pass at all. A
+// miss picks one build: sharded scatter-gather (bit-identical to the
+// local build, so it shares the key; OnePass stays local, having no exact
+// normalizer to merge, and so do windowed handles, whose rows the shard
+// executor would not see), an exact two-pass build, or — where the drift
+// schedule allows and the request is not OnePass — an extension of the
+// prior generation's artifact with passes over the delta only, O(|delta|)
+// regardless of the dataset size.
 func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (*sampleArtifact, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	tr := trace.FromContext(ctx)
-	t0 := tr.Now()
-	key := q.key(fp, p)
-	fromDisk := false
-	v, out, err := s.cache.GetOrBuild(key, func() (any, int64, error) {
-		if art, ok := s.diskSample(key); ok {
-			fromDisk = true
-			return art, sampleBytes(art.(*sampleArtifact).s), nil
-		}
-		// Sharded builds reuse the single-node cache key: the scatter-
-		// gather result is bit-identical to the local build, so hit/miss
-		// and shard mode compose freely. OnePass stays local (its single
-		// pass has no exact normalizer to merge against).
-		var built any
-		var size int64
-		var berr error
+	v, out, err := s.artifact(ctx, "cache/sample", q.key(fp, p), g, func() (any, int64, error) {
 		switch {
-		// Windowed handles stay local: the shard executor resolves views
-		// by generation and would scan the unwindowed rows.
 		case s.coord != nil && !q.OnePass && !h.Windowed():
-			built, size, berr = s.buildSampleSharded(ctx, rec, h, q, p, g)
+			return s.buildSampleSharded(ctx, rec, h, q, p, g)
 		case q.OnePass || s.exactAt(h, g):
-			built, size, berr = s.buildSample(ctx, rec, h, q, p, g)
+			return s.buildSample(ctx, rec, h, q, p, g)
 		default:
-			built, size, berr = s.extendSample(ctx, rec, h, q, p, g)
+			return s.extendSample(ctx, rec, h, q, p, g)
 		}
-		if berr == nil {
-			s.diskStore(key, built)
-		}
-		return built, size, berr
 	})
-	if out == OutcomeMiss && fromDisk && err == nil {
-		out = OutcomeDisk
-	}
-	s.syncCacheCounters()
-	if tr != nil {
-		tr.Add("cache/sample", t0, tr.Now(), 0, fmt.Sprintf("%s gen=%d", out, g))
-	}
 	if err != nil {
 		return nil, out, err
 	}
@@ -781,15 +731,12 @@ func (s *Server) buildSample(ctx context.Context, rec *obs.Recorder, h *Handle, 
 	}
 	// The estimator stage retries internally, so only the draw runs
 	// under this stage's retry budget — no multiplicative retries.
-	est, _, eerr := s.estimatorAt(ctx, rec, h, p, g)
+	est, _, eerr := s.estimatorAt(ctx, rec, h, p, g, false)
 	if eerr != nil {
 		return nil, 0, eerr
 	}
 	var sm *core.Sample
 	derr := s.runStage(ctx, rec, "server/build/sample", p.Seed, func(sctx context.Context) error {
-		if ferr := s.pSample.Check(sctx); ferr != nil {
-			return ferr
-		}
 		_, drawRNG := seedStreams(p.Seed)
 		m, derr := core.Draw(view, est, core.Options{
 			Alpha:       q.Alpha,
@@ -821,7 +768,7 @@ func (s *Server) extendSample(ctx context.Context, rec *obs.Recorder, h *Handle,
 	if err != nil {
 		return nil, 0, err
 	}
-	est, _, eerr := s.estimatorAt(ctx, rec, h, p, g)
+	est, _, eerr := s.estimatorAt(ctx, rec, h, p, g, false)
 	if eerr != nil {
 		return nil, 0, eerr
 	}
@@ -832,9 +779,6 @@ func (s *Server) extendSample(ctx context.Context, rec *obs.Recorder, h *Handle,
 	var sm *core.Sample
 	var ns core.NormState
 	derr := s.runStage(ctx, rec, "server/build/sample_delta", p.Seed, func(sctx context.Context) error {
-		if ferr := s.pSampleDelta.Check(sctx); ferr != nil {
-			return ferr
-		}
 		drawRNG := stats.NewRNG(genSeed(p.Seed, g, "draw"))
 		m, nss, derr := core.ExtendDraw(view, est, core.ExtendOptions{
 			Options: core.Options{
@@ -894,14 +838,14 @@ func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.Res
 	}
 	defer h.Release()
 
-	sm, out, err := s.drawSample(ctx, rec, h, req, p)
+	art, out, err := s.sampleAt(ctx, rec, h, req, p, h.Generation())
 	if err != nil {
 		// Second rung of the degrade ladder: a transient pipeline
 		// failure (injected fault, flaky scan) on a request whose a=0
 		// artifact is resident answers degraded instead of 503 — the
 		// cached rung needs no dataset pass, so serving it cannot
 		// retrigger the fault that broke the build.
-		if s.cfg.DegradeOK && isTransient(err) && s.degradeSample(w, req, p, h) {
+		if s.cfg.DegradeOK && isTransient(err) && s.degradeSample(ctx, w, req, p, h) {
 			return
 		}
 		s.pipelineFail(w, err)
@@ -909,7 +853,7 @@ func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.Res
 	}
 	fp, _ := h.Fingerprint()
 	markCache(w, out)
-	writeSampleResponse(w, req.Dataset, req.Alpha, fp, sm)
+	writeSampleResponse(w, req.Dataset, req.Alpha, fp, art.s)
 }
 
 // writeSampleResponse writes the /v1/sample success body: a pure
@@ -961,35 +905,30 @@ func (s *Server) tryDegradeSample(ctx context.Context, w http.ResponseWriter, r 
 		return false
 	}
 	defer h.Release()
-	return s.degradeSample(w, req, p, h)
+	return s.degradeSample(ctx, w, req, p, h)
 }
 
 // degradeSample serves the cached a=0 rung for req's identity through an
 // already-held dataset handle; it reports false (nothing written) when
 // no rung is resident in memory or on disk.
-func (s *Server) degradeSample(w http.ResponseWriter, req sampleRequest, p estParams, h *Handle) bool {
-	fp, err := h.FingerprintAt(h.Generation())
+func (s *Server) degradeSample(ctx context.Context, w http.ResponseWriter, req sampleRequest, p estParams, h *Handle) bool {
+	g := h.Generation()
+	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return false
 	}
 	a0 := req
 	a0.Alpha = 0
-	key := a0.key(fp, p)
-	out := OutcomeHit
-	v, ok := s.cache.Peek(key)
-	if !ok {
-		if v, ok = s.diskSample(key); !ok {
-			return false
-		}
-		out = OutcomeDisk
+	v, out, _ := s.artifact(ctx, "cache/sample", a0.key(fp, p), g, nil)
+	if v == nil {
+		return false
 	}
-	art := v.(*sampleArtifact)
 	s.rec.Counter(CtrDegraded).Inc()
 	if req.Alpha != 0 {
 		w.Header().Set(DegradedHeader, "a0")
 	}
 	markCache(w, out)
-	writeSampleResponse(w, req.Dataset, 0, fp, art.s)
+	writeSampleResponse(w, req.Dataset, 0, fp, v.(*sampleArtifact).s)
 	return true
 }
 
@@ -1083,12 +1022,12 @@ func (s *Server) handleCluster(ctx context.Context, rec *obs.Recorder, w http.Re
 
 	// The sample artifact is shared with /v1/sample: a prior sample
 	// request (same params, seed) warms this endpoint and vice versa.
-	sm, out, err := s.drawSample(ctx, rec, h, sq, p)
+	art, out, err := s.sampleAt(ctx, rec, h, sq, p, h.Generation())
 	if err != nil {
 		s.pipelineFail(w, err)
 		return
 	}
-	pts := sm.PlainPoints()
+	pts := art.s.PlainPoints()
 	opts := cure.Options{
 		K: req.K, NumReps: req.NumReps, Shrink: req.Shrink,
 		Parallelism: s.cfg.Parallelism, Ctx: ctx, Obs: rec,
@@ -1178,7 +1117,7 @@ func (s *Server) handleOutliers(ctx context.Context, rec *obs.Recorder, w http.R
 	prm.Ctx = ctx
 	prm.Obs = rec
 
-	est, out, err := s.estimator(ctx, rec, h, p)
+	est, out, err := s.estimatorAt(ctx, rec, h, p, h.Generation(), false)
 	if err != nil {
 		s.pipelineFail(w, err)
 		return

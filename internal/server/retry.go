@@ -42,13 +42,15 @@ func isTransient(err error) bool {
 
 // runStage runs one pipeline stage under the configured per-stage
 // timeout and bounded retry policy. Each attempt gets a fresh stage
-// context; transient failures (and cancellations while the request
-// itself is still live — a stage timeout or an injected cancel) back
-// off exponentially with deterministic jitter derived from (seed,
-// stage), so a replayed request replays its backoff schedule too. The
-// stage callback must be restartable: it re-derives its RNG streams per
-// attempt, which is what keeps a response built on attempt three
-// bit-identical to one built on attempt one.
+// context and first passes the fault-injection point named after the
+// stage (inert unless Config.Faults is set); transient failures (and
+// cancellations while the request itself is still live — a stage
+// timeout or an injected cancel) back off exponentially with
+// deterministic jitter derived from (seed, stage), so a replayed
+// request replays its backoff schedule too. The stage callback must be
+// restartable: it re-derives its RNG streams per attempt, which is what
+// keeps a response built on attempt three bit-identical to one built on
+// attempt one.
 func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, seed uint64, f func(ctx context.Context) error) error {
 	attempts := s.cfg.Retry + 1
 	if attempts < 1 {
@@ -70,7 +72,9 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 		// observation on the server recorder.
 		t0 := time.Now()
 		span := rec.StartSpan(stage)
-		err = f(sctx)
+		if err = s.cfg.Faults.Point(stage).Check(sctx); err == nil {
+			err = f(sctx)
+		}
 		span.End()
 		hist.Observe(time.Since(t0).Seconds())
 		if cancel != nil {

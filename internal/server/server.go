@@ -30,7 +30,6 @@ const (
 	CtrCacheHit      = "server_cache_hits_total"
 	CtrCacheMiss     = "server_cache_misses_total"
 	CtrCacheEvict    = "server_cache_evictions_total"
-	CtrCacheStale    = "server_cache_stale_served_total"
 	CtrCacheDisk     = "server_cache_disk_hits_total"
 	CtrKDEBuilds     = "server_kde_builds_total"
 
@@ -115,10 +114,6 @@ type Config struct {
 	// it is retried under the Retry budget while the request deadline
 	// holds (0 = stages bounded only by the request deadline).
 	StageTimeout time.Duration
-	// StaleOK keeps evicted cache artifacts in a stale side-ring (same
-	// byte budget as the cache) and serves one — flagged via
-	// X-DBS-Cache: stale — when its rebuild fails.
-	StaleOK bool
 	// DriftTol is the relative drift budget for incremental builds after
 	// appends. 0 (the default) means every generation is sampled exactly
 	// — append-then-sample rebuilds from scratch and responses are
@@ -168,14 +163,12 @@ type Config struct {
 	// the cached a=0 artifact for the same (dataset, size, seed) when
 	// one exists — response 200 with DegradedHeader — instead of a 429.
 	DegradeOK bool
-	// DiskDir, when set, enables the disk artifact tier: estimator and
-	// sample artifacts are persisted there (content-keyed DBSA1 files)
-	// and reloaded on cache miss, so the cache survives restarts and a
-	// shared directory prewarms replicas.
-	DiskDir string
-	// DiskBytes bounds the disk tier (default 4 GiB; ≤ 0 with DiskDir
-	// set means unbounded).
-	DiskBytes int64
+	// Disk, when set, is the disk artifact tier under the memory cache
+	// (open one with NewDiskTier): every built estimator and sample is
+	// persisted there (content-keyed DBSA1 files) and a memory miss
+	// loads it back before rebuilding, so artifacts survive eviction and
+	// restarts and a shared directory prewarms replicas.
+	Disk *DiskTier
 
 	// ShardWorkers > 0 turns sharded sample builds on with that many
 	// in-process shard workers (goroutine-backed, all sharing this
@@ -259,9 +252,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardReplicas == 0 {
 		c.ShardReplicas = 2
 	}
-	if c.DiskDir != "" && c.DiskBytes == 0 {
-		c.DiskBytes = 4 << 30
-	}
 	return c
 }
 
@@ -272,17 +262,9 @@ type Server struct {
 	reg   *Registry
 	cache *Cache
 	adm   *Admission
-	disk  *DiskTier // nil unless Config.DiskDir is set
+	disk  *DiskTier // Config.Disk; nil means memory only
 	rec   *obs.Recorder
 	mux   *http.ServeMux
-
-	// Fault-injection points guarding the build stages and the append
-	// path; nil (the usual case) injects nothing.
-	pEst         *faults.Point
-	pSample      *faults.Point
-	pEstDelta    *faults.Point
-	pSampleDelta *faults.Point
-	pAppend      *faults.Point
 
 	// Request tracing: the ID stream (every compute response gets an
 	// ID), the sampled recent ring and the always-kept slow ring served
@@ -311,38 +293,23 @@ type Server struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	staleBytes := int64(0)
-	if cfg.StaleOK {
-		staleBytes = cfg.CacheBytes
-	}
 	s := &Server{
-		cfg:          cfg,
-		reg:          NewRegistry(cfg.Parallelism),
-		cache:        NewCache(cfg.CacheBytes, staleBytes),
-		adm:          NewTenantAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
-		rec:          cfg.Rec,
-		mux:          http.NewServeMux(),
-		pEst:         cfg.Faults.Point("server/build/est"),
-		pSample:      cfg.Faults.Point("server/build/sample"),
-		pEstDelta:    cfg.Faults.Point("server/build/est_delta"),
-		pSampleDelta: cfg.Faults.Point("server/build/sample_delta"),
-		pAppend:      cfg.Faults.Point("server/append"),
-		ids:          trace.NewIDSource(cfg.TraceSeed),
-		traces:       trace.NewRing(cfg.TraceRing),
-		slowTrace:    trace.NewRing(cfg.TraceRing),
-		traceOn:      cfg.tracingEnabled(),
-		streams:      make(map[string]*streamState),
-		nowFn:        time.Now,
+		cfg:       cfg,
+		reg:       NewRegistry(cfg.Parallelism),
+		cache:     NewCache(cfg.CacheBytes, cfg.Disk, cfg.Rec),
+		adm:       NewTenantAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
+		disk:      cfg.Disk,
+		rec:       cfg.Rec,
+		mux:       http.NewServeMux(),
+		ids:       trace.NewIDSource(cfg.TraceSeed),
+		traces:    trace.NewRing(cfg.TraceRing),
+		slowTrace: trace.NewRing(cfg.TraceRing),
+		traceOn:   cfg.tracingEnabled(),
+		streams:   make(map[string]*streamState),
+		nowFn:     time.Now,
 	}
 	if cfg.AccessLog != nil {
 		s.accessLog = &accessLogger{w: cfg.AccessLog}
-	}
-	if cfg.DiskDir != "" {
-		// Best-effort: an unusable directory leaves the tier off rather
-		// than failing the server (dbsserve validates the flag up front).
-		if d, err := NewDiskTier(cfg.DiskDir, cfg.DiskBytes); err == nil {
-			s.disk = d
-		}
 	}
 	s.shardEx = &shardExecutor{s: s}
 	if shards := s.buildShards(); len(shards) > 0 {
@@ -474,9 +441,8 @@ func (s *Server) syncCacheCounters() {
 	setCounter(s.rec.Counter(CtrCacheHit), st.Hits)
 	setCounter(s.rec.Counter(CtrCacheMiss), st.Misses)
 	setCounter(s.rec.Counter(CtrCacheEvict), st.Evictions)
-	setCounter(s.rec.Counter(CtrCacheStale), st.StaleServed)
 	if s.disk != nil {
-		setCounter(s.rec.Counter(CtrCacheDisk), s.disk.hits.Load())
+		setCounter(s.rec.Counter(CtrCacheDisk), st.DiskHits)
 	}
 	s.rec.Gauge(GaugeCacheBytes).Set(float64(st.Bytes))
 }

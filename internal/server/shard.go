@@ -76,7 +76,7 @@ func (e *shardExecutor) resolve(ctx context.Context, rec *obs.Recorder, p shard.
 		h.Release()
 		return fail(err)
 	}
-	est, err := s.shardEstimatorAt(ctx, rec, h, ep, p.Generation)
+	est, _, err := s.estimatorAt(ctx, rec, h, ep, p.Generation, true)
 	if err != nil {
 		h.Release()
 		return fail(err)
@@ -165,32 +165,6 @@ func (e *shardExecutor) checkIdentity(want string) error {
 		return fmt.Errorf("shard worker: request addressed to %q, serving as %q", want, of)
 	}
 	return nil
-}
-
-// shardEstimatorAt returns the exactly-built estimator for generation g
-// — never a drift-extended one, whatever DriftTol says, because an
-// extended artifact depends on the coordinator's append lineage and a
-// worker must derive the identical estimator from the generation's
-// content alone. When the drift schedule would have built exactly anyway
-// the ordinary cache entry is shared; otherwise the exact artifact gets
-// its own "|exact" key so the two never collide.
-func (s *Server) shardEstimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64) (*kde.Estimator, error) {
-	if s.exactAt(h, g) {
-		est, _, err := s.estimatorAt(ctx, rec, h, p, g)
-		return est, err
-	}
-	fp, err := h.FingerprintAt(g)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := s.cache.GetOrBuild(p.key(fp)+"|exact", func() (any, int64, error) {
-		return s.buildEstimator(ctx, rec, h, p, g)
-	})
-	s.syncCacheCounters()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*kde.Estimator), nil
 }
 
 // shardRPC wraps a worker-side shard endpoint: request counting, its own

@@ -208,10 +208,7 @@ func (s *Server) handleStreamAppend(ctx context.Context, rec *obs.Recorder, w ht
 		s.fail(w, http.StatusConflict, "dataset %q is not appendable", name)
 		return
 	}
-	aerr := s.runStage(ctx, rec, "server/append", faults.SiteHash(name), func(sctx context.Context) error {
-		if ferr := s.pAppend.Check(sctx); ferr != nil {
-			return ferr
-		}
+	aerr := s.runStage(ctx, rec, "server/append", faults.SiteHash(name), func(context.Context) error {
 		return app.Append(pts...)
 	})
 	if aerr != nil {

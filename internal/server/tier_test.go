@@ -15,6 +15,16 @@ import (
 	"repro/internal/obs"
 )
 
+// mustDiskTier opens a disk tier over dir, unbounded.
+func mustDiskTier(t *testing.T, dir string) *DiskTier {
+	t.Helper()
+	d, err := NewDiskTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // httptestNewServer serves a hand-built Server with test cleanup.
 func httptestNewServer(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
@@ -57,7 +67,7 @@ func postTenant(t *testing.T, url, tenant string, body any) (*http.Response, []b
 func TestDiskTierRestartSurvival(t *testing.T) {
 	dir := t.TempDir()
 
-	srv1, ts1, _ := newTestServer(t, Config{Parallelism: 2, DiskDir: dir}, 3000)
+	srv1, ts1, _ := newTestServer(t, Config{Parallelism: 2, Disk: mustDiskTier(t, dir)}, 3000)
 	resp1, body1 := postJSON(t, ts1.URL+"/v1/sample", sampleBody)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("warm: %d: %s", resp1.StatusCode, body1)
@@ -72,7 +82,7 @@ func TestDiskTierRestartSurvival(t *testing.T) {
 
 	// "Restart": a brand-new server (empty memory cache, fresh recorder)
 	// over the same directory and an equivalent dataset.
-	srv2 := New(Config{Parallelism: 2, DiskDir: dir})
+	srv2 := New(Config{Parallelism: 2, Disk: mustDiskTier(t, dir)})
 	mem2 := dataset.MustInMemory(testPoints(3000, 2, 11))
 	if err := srv2.Registry().RegisterDataset("pts", mem2); err != nil {
 		t.Fatal(err)
@@ -127,14 +137,14 @@ func TestDiskTierEstimatorSurvivesRestart(t *testing.T) {
 		"dataset": "pts", "radius": 0.05, "p": 2, "kernels": 64, "seed": 42, "method": "estimate",
 	}
 
-	_, ts1, _ := newTestServer(t, Config{Parallelism: 2, DiskDir: dir}, 1500)
+	_, ts1, _ := newTestServer(t, Config{Parallelism: 2, Disk: mustDiskTier(t, dir)}, 1500)
 	resp1, body1 := postJSON(t, ts1.URL+"/v1/outliers", outlierBody)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("warm: %d: %s", resp1.StatusCode, body1)
 	}
 	ts1.Close()
 
-	srv2 := New(Config{Parallelism: 2, DiskDir: dir})
+	srv2 := New(Config{Parallelism: 2, Disk: mustDiskTier(t, dir)})
 	mem2 := dataset.MustInMemory(testPoints(1500, 2, 11))
 	if err := srv2.Registry().RegisterDataset("pts", mem2); err != nil {
 		t.Fatal(err)
@@ -215,6 +225,53 @@ func TestDegradedSampleServesCachedA0(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Degraded != 1 {
 		t.Errorf("healthz degraded = %d, want 1", health.Degraded)
+	}
+}
+
+// TestDegradedSampleServedFromDisk: after a restart over the same disk
+// tier, the degrade ladder finds the a=0 rung on disk. A shed alpha=1
+// request gets 200, X-DBS-Degraded: a0 and X-DBS-Cache: disk, with the
+// bytes of the ordinary a=0 response and no build.
+func TestDegradedSampleServedFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	a0Body := map[string]any{
+		"dataset": "pts", "alpha": 0.0, "size": 200, "kernels": 64, "seed": 42,
+	}
+	_, ts1, _ := newTestServer(t, Config{Parallelism: 2, Disk: mustDiskTier(t, dir)}, 2000)
+	respA0, bodyA0 := postJSON(t, ts1.URL+"/v1/sample", a0Body)
+	if respA0.StatusCode != http.StatusOK {
+		t.Fatalf("a0 warm: %d: %s", respA0.StatusCode, bodyA0)
+	}
+	ts1.Close()
+
+	srv, ts, _ := newTestServer(t, Config{
+		Parallelism: 2, MaxInFlight: 1, MaxQueue: -1, DegradeOK: true,
+		Disk: mustDiskTier(t, dir),
+	}, 2000)
+	release, err := srv.adm.Enter(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	resp, body := postJSON(t, ts.URL+"/v1/sample", sampleBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded: %d, want 200: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(DegradedHeader); got != "a0" {
+		t.Errorf("X-DBS-Degraded = %q, want a0", got)
+	}
+	if got := resp.Header.Get("X-DBS-Cache"); got != "disk" {
+		t.Errorf("degraded X-DBS-Cache = %q, want disk", got)
+	}
+	if !bytes.Equal(body, bodyA0) {
+		t.Error("degraded body differs from the ordinary a=0 response (must be byte-identical)")
+	}
+	if got := srv.rec.Counter(CtrDegraded).Value(); got != 1 {
+		t.Errorf("degraded counter = %d, want 1", got)
+	}
+	if got := srv.rec.Counter(CtrKDEBuilds).Value(); got != 0 {
+		t.Errorf("degraded serve ran %d KDE builds, want 0", got)
 	}
 }
 

@@ -42,6 +42,12 @@ go test -race -run 'Stream|Window' -short ./internal/server/ ./internal/stream/ 
 # hint regression, and access-log line atomicity — all under the race
 # detector.
 go test -race -run 'WFQ|Tenant|Degraded|DiskTier|RetryAfter|AccessLog' ./internal/server/
+# Fuzz smoke: arbitrary bytes in a disk-tier artifact file (DBSA1 header,
+# then a DBSK1 estimator or DBSS1 sample payload) must load as a miss or
+# as an artifact that stores back byte-identically — never panic. The
+# seed corpus holds one real estimator and one real sample, each whole
+# and truncated (internal/server/testdata/fuzz/FuzzDiskTierLoad).
+go test -run '^$' -fuzz '^FuzzDiskTierLoad$' -fuzztime 10s -parallel 2 ./internal/server/
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
