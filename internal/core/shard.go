@@ -127,7 +127,7 @@ func NormPartials(ds dataset.Dataset, est DensityEstimator, opts Options, blocks
 		floor = defaultFloor(est)
 	}
 	rec := opts.Obs
-	span := rec.StartSpan("shard/partials")
+	span := rec.StartSpan("norm_partials")
 	defer span.End()
 	out := make([]float64, len(blocks))
 	err := parallel.DoCtxObs(opts.Ctx, len(blocks), opts.Parallelism, rec, func(j int) error {
@@ -187,7 +187,7 @@ func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm flo
 		floor = defaultFloor(est)
 	}
 	rec := opts.Obs
-	span := rec.StartSpan("shard/draw")
+	span := rec.StartSpan("draw_blocks")
 	defer span.End()
 	cCoins := rec.Counter(obs.CtrCoinFlips)
 	cSat := rec.Counter(obs.CtrSaturated)

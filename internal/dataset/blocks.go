@@ -15,7 +15,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // ErrCanceled is the typed error a block scan returns when its
@@ -191,14 +190,13 @@ func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []g
 	if pc, ok := ds.(PassCounter); ok {
 		pc.AddPass()
 	}
-	// Each logical pass is one "scan" event in the request trace (when
-	// the scan's context carries one): a cache-hit request performs no
-	// passes and therefore shows zero scan spans — the property the
-	// serving tests pin. Disabled cost is one context value lookup.
-	if tr := trace.FromContext(cfg.Ctx); tr != nil {
-		tr.Begin("scan")
-		defer tr.End("scan", int64(n))
-	}
+	// Each logical pass is one "scan" span of cfg.Rec, carrying the
+	// dataset's points, and so one "scan" event in a traced request's log:
+	// a cache-hit request performs no passes and therefore shows zero
+	// scan spans — the property the serving tests pin.
+	span := cfg.Rec.StartSpan("scan")
+	span.AddPoints(int64(n))
+	defer span.End()
 	blockSize := parallel.BlockSize(cfg.BlockSize)
 	parallelism := cfg.Parallelism
 

@@ -11,20 +11,24 @@ import (
 )
 
 func init() {
-	register("obs", "observability overhead: exact draw with the Recorder disabled vs enabled", obsExp)
+	register("obs", "observability overhead: exact draw with the Recorder disabled vs enabled vs traced", obsExp)
 }
 
 // obsExp measures what attaching a Recorder costs the exact two-pass
-// biased draw. Two configurations run over the same workload from the
+// biased draw. Three configurations run over the same workload from the
 // same seed: the disabled state (nil Recorder — the hot paths' no-op
-// handles) and an enabled Recorder. The draws must be bit-identical
-// across configurations — the layer's non-perturbation guarantee; a
-// divergent draw fails the experiment — and the table reports the relative cost of
-// each enabled configuration against the disabled reference. The BENCH
-// entries back BENCH_obs.json and the verify.sh overhead guard.
+// handles), an enabled Recorder, and a traced one that also logs every
+// span occurrence (what a traced request pays). The draws must be
+// bit-identical across configurations — the layer's non-perturbation
+// guarantee; a divergent draw fails the experiment — and the table reports
+// the relative cost of each enabled configuration against the disabled
+// reference. The BENCH entries back BENCH_obs.json and the verify.sh
+// OBS_GUARD and TRACE_GUARD overhead guards.
 func obsExp(cfg Config) (*Table, error) {
 	n := 100000
-	iters := 3
+	// Best-of-10: the relative column compares ~55ms draws, where scheduler
+	// noise alone is a few percent per run.
+	iters := 10
 	if cfg.Quick {
 		n = 20000
 		iters = 2
@@ -44,6 +48,7 @@ func obsExp(cfg Config) (*Table, error) {
 	configs := []config{
 		{"disabled", func() *obs.Recorder { return nil }},
 		{"enabled", obs.New},
+		{"traced", func() *obs.Recorder { return obs.NewTraced("bench") }},
 	}
 
 	t := &Table{
@@ -53,15 +58,16 @@ func obsExp(cfg Config) (*Table, error) {
 			"relative is ns/op vs the disabled row; 1.02x means 2% overhead",
 		},
 	}
-	var ref *core.Sample
-	var refNs int64
-	for _, c := range configs {
-		var s *core.Sample
-		var best int64
-		for it := 0; it < iters; it++ {
+	// Iterations interleave round-robin across configurations so a drift
+	// in machine load lands on every configuration's best-of window, not
+	// on whichever happened to run last.
+	bests := make([]int64, len(configs))
+	samples := make([]*core.Sample, len(configs))
+	for it := 0; it < iters; it++ {
+		for ci, c := range configs {
 			rec := c.rec()
 			// SetRecorder attaches or detaches the estimator's counter
-			// handles, so one estimator serves both configurations.
+			// handles, so one estimator serves every configuration.
 			est.SetRecorder(rec)
 			var cur *core.Sample
 			d, err := timed(func() error {
@@ -72,12 +78,17 @@ func obsExp(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if best == 0 || d.Nanoseconds() < best {
-				best = d.Nanoseconds()
+			if bests[ci] == 0 || d.Nanoseconds() < bests[ci] {
+				bests[ci] = d.Nanoseconds()
 			}
-			s = cur
+			samples[ci] = cur
 		}
-		est.SetRecorder(nil)
+	}
+	est.SetRecorder(nil)
+	var ref *core.Sample
+	var refNs int64
+	for ci, c := range configs {
+		s, best := samples[ci], bests[ci]
 		sec := float64(best) / 1e9
 		identical := "ref"
 		if ref == nil {

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -295,13 +294,13 @@ func (p *Point) CheckPartial(ctx context.Context) (fraction float64, truncate bo
 	case KindNone:
 		return 0, false, nil
 	case KindDelay:
-		trace.FromContext(ctx).Eventf("fault", "site=%s kind=delay op=%d", p.site, op)
+		obs.FromContext(ctx).Eventf("fault", "site=%s kind=delay op=%d", p.site, op)
 		return 0, false, parallel.SleepCtx(ctx, p.delay(aux))
 	case KindPartial:
 		// Like delay, a truncation returns no error from this call, so it
 		// must be trace-attributed here; the validation failure it provokes
 		// downstream is an ordinary error with its own attribution.
-		trace.FromContext(ctx).Eventf("fault", "site=%s kind=partial op=%d", p.site, op)
+		obs.FromContext(ctx).Eventf("fault", "site=%s kind=partial op=%d", p.site, op)
 		return frac(aux), true, nil
 	default:
 		return 0, false, p.errAt(kind, op)
@@ -322,7 +321,7 @@ func (p *Point) Check(ctx context.Context) error {
 		// error, so it must be trace-attributed here or it would be
 		// invisible; error kinds are recorded once by the retry layer
 		// from the error they return (no double counting).
-		trace.FromContext(ctx).Eventf("fault", "site=%s kind=delay op=%d", p.site, op)
+		obs.FromContext(ctx).Eventf("fault", "site=%s kind=delay op=%d", p.site, op)
 		return parallel.SleepCtx(ctx, p.delay(aux))
 	case KindPartial:
 		return p.errAt(KindError, op)

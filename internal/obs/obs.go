@@ -1,11 +1,16 @@
 // Package obs is the pipeline-wide observability layer: hierarchical span
 // timers, named atomic counters and gauges, and the reports built from them
 // (a human-readable tree, a JSON dump, and Prometheus text exposition).
+// It is also the serving path's request tracing: a Recorder made with
+// NewTraced also logs one request's span occurrences for /debug/traces
+// and the access log (spanlog.go), from the same Span.End that feeds the
+// aggregate tree.
 //
 // The package is deliberately stdlib-only and a dependency leaf: every
 // other package in the repository may import it, and nothing here imports
 // back. A *Recorder is threaded through the pipeline via each stage's
-// Options; a nil *Recorder disables all recording — every method has a
+// Options (or, for callers that hold only a context, via NewContext and
+// FromContext); a nil *Recorder disables all recording — every method has a
 // nil-receiver fast path, and hot loops are written to fetch counter
 // handles once per stage and flush block-local tallies through them, so
 // the disabled cost on the per-point paths is zero (see DESIGN.md,
@@ -15,8 +20,8 @@
 // Recording never feeds back into the computation: no RNG is consulted, no
 // result depends on a counter or a clock, so for a fixed seed the sampling
 // and clustering outputs are bit-identical with observability on or off,
-// at every worker count (asserted by tests in internal/core and
-// internal/cure).
+// traced or not, at every worker count (asserted by tests in internal/core,
+// internal/cure and internal/server).
 package obs
 
 import (
@@ -25,8 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Canonical counter names. Stages share this catalogue so reports from
@@ -145,7 +148,7 @@ type Recorder struct {
 	spans    map[string]*Span
 	hists    map[string]*Histogram
 	roots    []*Span
-	tr       *trace.Trace // optional span sink for the owning request
+	log      *spanLog // per-request occurrence log; nil unless NewTraced
 	start    time.Time
 	now      func() time.Time // test hook; nil means time.Now
 }
@@ -271,33 +274,6 @@ func (r *Recorder) Merge(src *Recorder) {
 			r.Counter(name).Add(v)
 		}
 	}
-}
-
-// SetTrace attaches a request trace to the recorder: every span
-// opened after this forwards its outermost Begin/End transitions (and
-// the points attributed between them) to tr as trace events, so a
-// per-request Recorder gives the request's trace the whole pipeline
-// span tree — draw, scan, build stages — without any pipeline package
-// knowing about tracing. The trace never calls back into the recorder,
-// so the forwarding adds no lock ordering. No-op on a nil Recorder;
-// a nil trace detaches.
-func (r *Recorder) SetTrace(tr *trace.Trace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tr = tr
-	r.mu.Unlock()
-}
-
-// Trace returns the attached trace (nil when none, or on nil Recorder).
-func (r *Recorder) Trace() *trace.Trace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tr
 }
 
 // PoolRun records one parallel.Do invocation scheduling tasks items over

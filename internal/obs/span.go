@@ -13,6 +13,10 @@ import (
 // their total. A span optionally carries the number of points it
 // processed, from which the reports derive throughput.
 //
+// On a traced Recorder each outermost StartSpan/End pair is also one
+// occurrence in the request's log (see NewTraced), so the aggregate node
+// and the request snapshot come from the same open and close.
+//
 // A nil *Span — what a nil Recorder hands out — is a valid no-op handle.
 type Span struct {
 	rec    *Recorder
@@ -25,8 +29,7 @@ type Span struct {
 	started time.Time
 	open    int
 	total   time.Duration
-	ended   bool
-	openPts int64 // points total when the outermost Begin opened
+	openPts int64 // points total when the outermost StartSpan opened
 }
 
 // StartSpan opens (or re-opens) the span at path, creating any missing
@@ -41,10 +44,6 @@ func (r *Recorder) StartSpan(path string) *Span {
 	if s.open == 0 {
 		s.started = r.clock()
 		s.openPts = s.points.Load()
-		// Forward the outermost open to the request trace, if one is
-		// attached. The trace never calls back into the recorder, so
-		// holding r.mu across this is safe.
-		r.tr.Begin(path)
 	}
 	s.open++
 	return s
@@ -75,7 +74,9 @@ func (r *Recorder) spanNodeLocked(path string) *Span {
 }
 
 // End closes the span, accumulating the elapsed wall time since the
-// matching StartSpan. No-op on a nil handle; extra Ends are ignored.
+// matching StartSpan; the outermost End of a traced Recorder also logs
+// the occurrence with the points attributed while it was open. No-op on
+// a nil handle; extra Ends are ignored.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -88,9 +89,16 @@ func (s *Span) End() {
 	}
 	s.open--
 	if s.open == 0 {
-		s.total += r.clock().Sub(s.started)
-		s.ended = true
-		r.tr.End(s.path, s.points.Load()-s.openPts)
+		now := r.clock()
+		s.total += now.Sub(s.started)
+		if r.log != nil {
+			r.logLocked(event{
+				path:   s.path,
+				start:  s.started.Sub(r.start),
+				end:    now.Sub(r.start),
+				points: s.points.Load() - s.openPts,
+			})
+		}
 	}
 }
 

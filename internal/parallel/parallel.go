@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ErrCanceled is returned (wrapped, with the context's own error as a
@@ -143,9 +142,8 @@ func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn fun
 	}
 	rec.PoolRun(n, workers)
 	// One event per pool run (per scan pass, not per task), so a traced
-	// request shows how its block work was scheduled. The context lookup
-	// is the entire cost when tracing is off.
-	trace.FromContext(ctx).Eventf("pool/run", "tasks=%d workers=%d", n, workers)
+	// request shows how its block work was scheduled.
+	rec.Eventf("pool/run", "tasks=%d workers=%d", n, workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctxErr(ctx); err != nil {

@@ -15,7 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/geom"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // chaosReqs is the fixed request mix every chaos run replays: two
@@ -171,7 +171,7 @@ func TestChaosServingInvariants(t *testing.T) {
 
 // faultEventsBySite counts "fault" span events per injection site across
 // a set of retained trace snapshots.
-func faultEventsBySite(snaps []trace.Snapshot) map[string]int64 {
+func faultEventsBySite(snaps []obs.Snapshot) map[string]int64 {
 	out := make(map[string]int64)
 	for _, snap := range snaps {
 		for _, e := range snap.Events {
@@ -321,7 +321,7 @@ func TestChaosTraceRingBounded(t *testing.T) {
 	if got := srv.traces.Total(); got != want {
 		t.Errorf("recent ring admitted %d traces, want %d", got, want)
 	}
-	for name, ring := range map[string]*trace.Ring{"recent": srv.traces, "slow": srv.slowTrace} {
+	for name, ring := range map[string]*Ring{"recent": srv.traces, "slow": srv.slowTrace} {
 		if ring.Len() > ring.Cap() || ring.Cap() != cfg.TraceRing {
 			t.Errorf("%s ring len %d cap %d, want len <= cap == %d", name, ring.Len(), ring.Cap(), cfg.TraceRing)
 		}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/outlier"
 	"repro/internal/shard"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func (s *Server) routes() {
@@ -42,7 +41,8 @@ func (s *Server) routes() {
 
 // computeHandler is a pipeline endpoint: it runs under the admission
 // controller with a per-request deadline context and a per-request
-// Recorder whose counters are rolled into the server's afterwards.
+// Recorder, carried by the context too, whose counters are rolled into
+// the server's afterwards.
 type computeHandler func(ctx context.Context, rec *obs.Recorder, w http.ResponseWriter, r *http.Request)
 
 // compute wraps a pipeline endpoint with admission control, the request
@@ -62,23 +62,19 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 		id := s.ids.Next()
 		w.Header().Set(TraceHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
-		var tr *trace.Trace
-		if s.traceOn {
-			tr = trace.New(id)
-		}
+		rec := s.requestRecorder(id)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 		defer cancel()
-		ctx = trace.NewContext(ctx, tr)
+		ctx = obs.NewContext(ctx, rec)
 		tenant := r.Header.Get(TenantHeader)
 		if tenant == "" {
 			tenant = DefaultTenant
 		}
 		defer func() {
 			s.observe(route, start)
-			s.finishRequest(tr, route, tenant, sw, start)
+			s.finishRequest(rec, route, tenant, sw, start)
 		}()
 
-		tr.Begin("admission/wait")
 		admStart := time.Now()
 		release, queuedWait, err := s.adm.EnterTenant(ctx, tenant)
 		if queuedWait {
@@ -87,7 +83,7 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 			// stand back.
 			s.observeQueueWait(tenant, time.Since(admStart))
 		}
-		tr.End("admission/wait", 0)
+		rec.Region("admission/wait", admStart, 0, "")
 		if err != nil {
 			s.syncShedCounters()
 			switch {
@@ -105,7 +101,7 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 				// Shed by policy (queue full or preempted by a higher-
 				// priority tenant): try the degrade ladder before
 				// answering 429 with the observed median wait.
-				if s.cfg.DegradeOK && route == "/v1/sample" && s.tryDegradeSample(ctx, sw, r) {
+				if s.cfg.DegradeOK && route == "/v1/sample" && s.tryDegradeSample(rec, sw, r) {
 					return
 				}
 				sw.Header().Set("Retry-After", s.retryAfterHint(0.50, 1))
@@ -117,10 +113,6 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 		}
 		defer release()
 		s.syncGauges()
-
-		rec := obs.New()
-		rec.SetTrace(tr)
-		defer s.rec.Merge(rec)
 		fn(ctx, rec, sw, r)
 	}
 }
@@ -369,7 +361,7 @@ func (s *Server) handleAppend(ctx context.Context, rec *obs.Recorder, w http.Res
 	span := rec.StartSpan("server/append")
 	defer span.End()
 	name := r.PathValue("name")
-	h, err := s.acquireTraced(ctx, name)
+	h, err := s.acquireTraced(rec, name)
 	if err != nil {
 		s.acquireFail(w, err)
 		return
@@ -502,13 +494,12 @@ func genSeed(seed, g uint64, stage string) uint64 {
 // artifact runs one artifact lookup through the cache tiers — memory,
 // then disk, then build — or, with a nil build, the degrade ladder's peek
 // (memory or disk, never a build; nothing found returns a nil value). It
-// records the lookup as one trace event, spanning any singleflight wait
-// or the build itself and noting the outcome — a hit's trace shows this
-// event and no scan spans at all — and mirrors the cache counters into
-// the recorder.
-func (s *Server) artifact(ctx context.Context, event, key string, g uint64, build func() (any, int64, error)) (any, Outcome, error) {
-	tr := trace.FromContext(ctx)
-	t0 := tr.Now()
+// logs the lookup as one region of the request's trace, spanning any
+// singleflight wait or the build itself and noting the outcome — a hit's
+// trace shows this region and no scan spans at all — and mirrors the
+// cache counters into the recorder.
+func (s *Server) artifact(rec *obs.Recorder, event, key string, g uint64, build func() (any, int64, error)) (any, Outcome, error) {
+	t0 := time.Now()
 	var v any
 	var out Outcome
 	var err error
@@ -518,9 +509,7 @@ func (s *Server) artifact(ctx context.Context, event, key string, g uint64, buil
 		v, out, err = s.cache.GetOrBuild(key, build)
 	}
 	s.syncCacheCounters()
-	if tr != nil {
-		tr.Add(event, t0, tr.Now(), 0, fmt.Sprintf("%s gen=%d", out, g))
-	}
+	rec.Region(event, t0, 0, "%s gen=%d", out, g)
 	return v, out, err
 }
 
@@ -545,7 +534,7 @@ func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, 
 	if exactOnly && !s.exactAt(h, g) {
 		key += "|exact"
 	}
-	v, out, err := s.artifact(ctx, "cache/est", key, g, func() (any, int64, error) {
+	v, out, err := s.artifact(rec, "cache/est", key, g, func() (any, int64, error) {
 		if exactOnly || s.exactAt(h, g) {
 			return s.buildEstimator(ctx, rec, h, p, g)
 		}
@@ -705,7 +694,7 @@ func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q s
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	v, out, err := s.artifact(ctx, "cache/sample", q.key(fp, p), g, func() (any, int64, error) {
+	v, out, err := s.artifact(rec, "cache/sample", q.key(fp, p), g, func() (any, int64, error) {
 		switch {
 		case s.coord != nil && !q.OnePass && !h.Windowed():
 			return s.buildSampleSharded(ctx, rec, h, q, p, g)
@@ -831,7 +820,7 @@ func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.Res
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h, err := s.acquireTraced(ctx, req.Dataset)
+	h, err := s.acquireTraced(rec, req.Dataset)
 	if err != nil {
 		s.acquireFail(w, err)
 		return
@@ -845,7 +834,7 @@ func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.Res
 		// artifact is resident answers degraded instead of 503 — the
 		// cached rung needs no dataset pass, so serving it cannot
 		// retrigger the fault that broke the build.
-		if s.cfg.DegradeOK && isTransient(err) && s.degradeSample(ctx, w, req, p, h) {
+		if s.cfg.DegradeOK && isTransient(err) && s.degradeSample(rec, w, req, p, h) {
 			return
 		}
 		s.pipelineFail(w, err)
@@ -891,7 +880,7 @@ func writeSampleResponse(w http.ResponseWriter, name string, alpha float64, fp u
 // caller falls through to the 429. Only cached artifacts qualify: the
 // peek path runs no build, no dataset pass, and needs no admission
 // slot, so serving it cannot deepen the overload being shed.
-func (s *Server) tryDegradeSample(ctx context.Context, w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) tryDegradeSample(rec *obs.Recorder, w http.ResponseWriter, r *http.Request) bool {
 	var req sampleRequest
 	if err := decodeJSON(r, &req); err != nil {
 		return false
@@ -900,18 +889,18 @@ func (s *Server) tryDegradeSample(ctx context.Context, w http.ResponseWriter, r 
 	if err != nil {
 		return false
 	}
-	h, err := s.acquireTraced(ctx, req.Dataset)
+	h, err := s.acquireTraced(rec, req.Dataset)
 	if err != nil {
 		return false
 	}
 	defer h.Release()
-	return s.degradeSample(ctx, w, req, p, h)
+	return s.degradeSample(rec, w, req, p, h)
 }
 
 // degradeSample serves the cached a=0 rung for req's identity through an
 // already-held dataset handle; it reports false (nothing written) when
 // no rung is resident in memory or on disk.
-func (s *Server) degradeSample(ctx context.Context, w http.ResponseWriter, req sampleRequest, p estParams, h *Handle) bool {
+func (s *Server) degradeSample(rec *obs.Recorder, w http.ResponseWriter, req sampleRequest, p estParams, h *Handle) bool {
 	g := h.Generation()
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
@@ -919,7 +908,7 @@ func (s *Server) degradeSample(ctx context.Context, w http.ResponseWriter, req s
 	}
 	a0 := req
 	a0.Alpha = 0
-	v, out, _ := s.artifact(ctx, "cache/sample", a0.key(fp, p), g, nil)
+	v, out, _ := s.artifact(rec, "cache/sample", a0.key(fp, p), g, nil)
 	if v == nil {
 		return false
 	}
@@ -932,19 +921,16 @@ func (s *Server) degradeSample(ctx context.Context, w http.ResponseWriter, req s
 	return true
 }
 
-// acquireTraced is reg.Acquire with the lookup recorded as a trace
-// event (the registry acquire leg of the request's span tree).
-func (s *Server) acquireTraced(ctx context.Context, name string) (*Handle, error) {
-	tr := trace.FromContext(ctx)
-	t0 := tr.Now()
+// acquireTraced is reg.Acquire with the lookup logged as a region of the
+// request's trace (the registry acquire leg of its span tree).
+func (s *Server) acquireTraced(rec *obs.Recorder, name string) (*Handle, error) {
+	t0 := time.Now()
 	h, err := s.reg.Acquire(name)
-	if tr != nil {
-		note := "dataset=" + name
-		if err != nil {
-			note += " error"
-		}
-		tr.Add("registry/acquire", t0, tr.Now(), 0, note)
+	failed := ""
+	if err != nil {
+		failed = " error"
 	}
+	rec.Region("registry/acquire", t0, 0, "dataset=%s%s", name, failed)
 	if err == nil {
 		// Stream datasets compute over their sliding window: the handle
 		// resolves it once here and every downstream view, fingerprint,
@@ -955,7 +941,7 @@ func (s *Server) acquireTraced(ctx context.Context, name string) (*Handle, error
 			h.Release()
 			return nil, werr
 		}
-		traceWindow(ctx, h)
+		traceWindow(rec, h)
 	}
 	return h, err
 }
@@ -1013,7 +999,7 @@ func (s *Server) handleCluster(ctx context.Context, rec *obs.Recorder, w http.Re
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h, err := s.acquireTraced(ctx, req.Dataset)
+	h, err := s.acquireTraced(rec, req.Dataset)
 	if err != nil {
 		s.acquireFail(w, err)
 		return
@@ -1102,7 +1088,7 @@ func (s *Server) handleOutliers(ctx context.Context, rec *obs.Recorder, w http.R
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h, err := s.acquireTraced(ctx, req.Dataset)
+	h, err := s.acquireTraced(rec, req.Dataset)
 	if err != nil {
 		s.acquireFail(w, err)
 		return

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // isTransient classifies an error as worth retrying: injected faults,
@@ -56,7 +55,6 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 	if attempts < 1 {
 		attempts = 1
 	}
-	tr := trace.FromContext(ctx)
 	hist := s.rec.Histogram(HistStageSeconds, obs.Label{Key: "stage", Value: stage})
 	var rng *stats.RNG
 	var err error
@@ -66,10 +64,10 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 		if s.cfg.StageTimeout > 0 {
 			sctx, cancel = context.WithTimeout(ctx, s.cfg.StageTimeout)
 		}
-		// Each attempt is one span occurrence at the stage path (the
-		// recorder forwards it to the request trace, so a retried stage
-		// shows sibling attempt spans) and one stage-histogram
-		// observation on the server recorder.
+		// Each attempt is one span occurrence at the stage path (a
+		// retried stage shows sibling attempt spans in the request
+		// trace) and one stage-histogram observation on the server
+		// recorder.
 		t0 := time.Now()
 		span := rec.StartSpan(stage)
 		if err = s.cfg.Faults.Point(stage).Check(sctx); err == nil {
@@ -87,11 +85,9 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 		// from the error it produced — exactly once, whatever the stage
 		// outcome (faults.Point.Check records only clean delays itself,
 		// which never surface as errors).
-		if tr != nil {
-			var ie *faults.InjectedError
-			if errors.As(err, &ie) {
-				tr.Eventf("fault", "site=%s kind=%s op=%d", ie.Site, ie.Kind, ie.Op)
-			}
+		var ie *faults.InjectedError
+		if errors.As(err, &ie) {
+			rec.Eventf("fault", "site=%s kind=%s op=%d", ie.Site, ie.Kind, ie.Op)
 		}
 		if ctx.Err() != nil {
 			// The request itself is dead; retrying would burn a slot on
@@ -110,7 +106,7 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 		}
 		back := float64(s.cfg.RetryBackoff << uint(i))
 		d := time.Duration((0.5 + 0.5*rng.Float64()) * back)
-		tr.Eventf("retry", "stage=%s attempt=%d backoff=%s", stage, i+1, d)
+		rec.Eventf("retry", "stage=%s attempt=%d backoff=%s", stage, i+1, d)
 		if d > 0 {
 			if parallel.SleepCtx(ctx, d) != nil {
 				return err

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/shard"
-	"repro/internal/trace"
 )
 
 // Server-level counter and gauge names, joining the catalogue in
@@ -132,7 +131,7 @@ type Config struct {
 	Rec *obs.Recorder
 	// TraceSample is the fraction of requests whose completed traces
 	// are retained in the /debug/traces recent ring. The decision is a
-	// pure function of the trace ID (trace.SampleID) — no RNG state is
+	// pure function of the trace ID (SampleID) — no RNG state is
 	// consumed, so sampling can never perturb responses. 0 disables the
 	// recent ring; ≥ 1 retains every request.
 	TraceSample float64
@@ -141,7 +140,7 @@ type Config struct {
 	// sample rate. 0 disables the keeper.
 	SlowThreshold time.Duration
 	// TraceRing is the capacity of each trace ring (default 64). Memory
-	// is bounded by 2 × TraceRing × trace.MaxEvents however many
+	// is bounded by 2 × TraceRing × obs.MaxEvents however many
 	// requests pass through.
 	TraceRing int
 	// TraceSeed seeds the trace-ID stream deterministically (tests and
@@ -212,8 +211,8 @@ type Config struct {
 
 // tracingEnabled reports whether requests collect traces: any consumer
 // of per-request events (sampling ring, slow keeper, access log) turns
-// collection on; with none, requests carry a nil trace and the whole
-// layer costs a header write and a few nil checks.
+// collection on; with none, request Recorders keep no occurrence log and
+// the whole layer costs a header write and a few nil checks.
 func (c *Config) tracingEnabled() bool {
 	return c.TraceSample > 0 || c.SlowThreshold > 0 || c.AccessLog != nil
 }
@@ -269,9 +268,9 @@ type Server struct {
 	// Request tracing: the ID stream (every compute response gets an
 	// ID), the sampled recent ring and the always-kept slow ring served
 	// by /debug/traces, and the structured access log.
-	ids       *trace.IDSource
-	traces    *trace.Ring
-	slowTrace *trace.Ring
+	ids       *IDSource
+	traces    *Ring
+	slowTrace *Ring
 	accessLog *accessLogger
 	traceOn   bool
 
@@ -301,9 +300,9 @@ func New(cfg Config) *Server {
 		disk:      cfg.Disk,
 		rec:       cfg.Rec,
 		mux:       http.NewServeMux(),
-		ids:       trace.NewIDSource(cfg.TraceSeed),
-		traces:    trace.NewRing(cfg.TraceRing),
-		slowTrace: trace.NewRing(cfg.TraceRing),
+		ids:       NewIDSource(cfg.TraceSeed),
+		traces:    NewRing(cfg.TraceRing),
+		slowTrace: NewRing(cfg.TraceRing),
 		traceOn:   cfg.tracingEnabled(),
 		streams:   make(map[string]*streamState),
 		nowFn:     time.Now,

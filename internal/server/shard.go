@@ -11,7 +11,6 @@ import (
 	"repro/internal/kde"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/trace"
 )
 
 // This file is the serving layer's two halves of the sharded protocol:
@@ -46,9 +45,12 @@ type shardExecutor struct {
 // generation-pinned view whose content fingerprint matches the request
 // (the guard that turns dataset divergence between replicas into a loud
 // error instead of a silently wrong merge), the exactly-built estimator
-// for the params, and the draw options mirroring the local build's.
-func (e *shardExecutor) resolve(ctx context.Context, rec *obs.Recorder, p shard.Params) (dataset.Dataset, *kde.Estimator, core.Options, func(), error) {
+// for the params, and the draw options mirroring the local build's. The
+// work records into the Recorder ctx carries: the coordinator request's
+// for an in-process worker, the RPC's own behind /internal/shard.
+func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Dataset, *kde.Estimator, core.Options, func(), error) {
 	s := e.s
+	rec := obs.FromContext(ctx)
 	fail := func(err error) (dataset.Dataset, *kde.Estimator, core.Options, func(), error) {
 		return nil, nil, core.Options{}, nil, err
 	}
@@ -98,10 +100,7 @@ func (e *shardExecutor) Partials(ctx context.Context, req *shard.PartialsRequest
 	if err := e.checkIdentity(req.Shard); err != nil {
 		return nil, err
 	}
-	rec := obs.New()
-	rec.SetTrace(trace.FromContext(ctx))
-	defer e.s.rec.Merge(rec)
-	view, est, opts, release, err := e.resolve(ctx, rec, req.Params)
+	view, est, opts, release, err := e.resolve(ctx, req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +126,7 @@ func (e *shardExecutor) Draw(ctx context.Context, req *shard.DrawRequest) (*shar
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.New()
-	rec.SetTrace(trace.FromContext(ctx))
-	defer e.s.rec.Merge(rec)
-	view, est, opts, release, rerr := e.resolve(ctx, rec, req.Params)
+	view, est, opts, release, rerr := e.resolve(ctx, req.Params)
 	if rerr != nil {
 		return nil, rerr
 	}
@@ -181,19 +177,16 @@ func (s *Server) shardRPC(route string, fn func(ctx context.Context, r *http.Req
 		id := s.ids.Next()
 		w.Header().Set(TraceHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
-		var tr *trace.Trace
-		if s.traceOn {
-			tr = trace.New(id)
-			if parent := r.Header.Get(TraceHeader); parent != "" {
-				tr.Eventf("rpc", "parent=%s", parent)
-			}
+		rec := s.requestRecorder(id)
+		if parent := r.Header.Get(TraceHeader); parent != "" {
+			rec.Eventf("rpc", "parent=%s", parent)
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
 		defer cancel()
-		ctx = trace.NewContext(ctx, tr)
+		ctx = obs.NewContext(ctx, rec)
 		defer func() {
 			s.observe(route, start)
-			s.finishRequest(tr, route, r.Header.Get(TenantHeader), sw, start)
+			s.finishRequest(rec, route, r.Header.Get(TenantHeader), sw, start)
 		}()
 		resp, err := fn(ctx, r)
 		if err != nil {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -194,14 +196,11 @@ func TestShardAppendParity(t *testing.T) {
 	}
 }
 
-type traceSpan struct {
-	Path     string      `json:"path"`
-	Children []traceSpan `json:"children"`
-}
-
-// TestShardTraceTree: with tracing on, a sharded request's trace contains
-// the scatter-gather spans (shard/partials, shard/draw, and per-RPC
-// children).
+// TestShardTraceTree: with tracing on, a sharded request's trace nests
+// every RPC attempt shard/<op>/rpc/<shard> under its phase span
+// shard/<op>, and logs the in-process workers' compute (norm_partials,
+// draw_blocks) as events of their own, not folded into the
+// coordinator's phase spans.
 func TestShardTraceTree(t *testing.T) {
 	srv := New(Config{Parallelism: 2, ShardWorkers: 2, TraceSample: 1, TraceSeed: 1})
 	if err := srv.Registry().RegisterDataset("pts", dataset.MustInMemory(testPoints(2000, 2, 11))); err != nil {
@@ -213,35 +212,38 @@ func TestShardTraceTree(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sample: %d: %s", resp.StatusCode, body)
 	}
-	var out struct {
-		Recent []struct {
-			Spans []traceSpan `json:"spans"`
-		} `json:"recent"`
+	tr := getTraces(t, ts.URL)
+	if len(tr.Recent) != 1 {
+		t.Fatalf("recent traces = %d, want 1", len(tr.Recent))
 	}
-	getJSON(t, ts.URL+"/debug/traces", &out)
-	paths := map[string]bool{}
-	var walk func([]traceSpan)
-	walk = func(spans []traceSpan) {
+	snap := tr.Recent[0]
+	paths := eventPaths(snap)
+	for _, want := range []string{"shard/partials", "shard/draw", "norm_partials", "draw_blocks"} {
+		if paths[want] == 0 {
+			t.Errorf("trace missing %q event; got %v", want, paths)
+		}
+	}
+	attempts := map[string]int{} // phase -> attempts nested under it
+	var walk func(spans []obs.SpanJSON, phase string)
+	walk = func(spans []obs.SpanJSON, phase string) {
 		for _, sp := range spans {
-			paths[sp.Path] = true
-			walk(sp.Children)
+			in := phase
+			if !sp.Synthetic && (sp.Path == "shard/partials" || sp.Path == "shard/draw") {
+				in = sp.Path
+			}
+			if strings.Contains(sp.Path, "/rpc/") {
+				if in == "" || !strings.HasPrefix(sp.Path, in+"/rpc/") {
+					t.Errorf("RPC attempt %q is not nested under its phase span (enclosing phase %q)", sp.Path, in)
+				}
+				attempts[in]++
+			}
+			walk(sp.Children, in)
 		}
 	}
-	for _, tr := range out.Recent {
-		walk(tr.Spans)
-	}
-	for _, want := range []string{"shard/partials", "shard/draw"} {
-		if !paths[want] {
-			t.Errorf("trace missing span %q; saw %v", want, paths)
+	walk(snap.Spans, "")
+	for _, phase := range []string{"shard/partials", "shard/draw"} {
+		if attempts[phase] == 0 {
+			t.Errorf("phase %q has no RPC attempts nested under it; events %v", phase, paths)
 		}
-	}
-	sawRPC := false
-	for p := range paths {
-		if len(p) > len("shard/rpc/") && p[:len("shard/rpc/")] == "shard/rpc/" {
-			sawRPC = true
-		}
-	}
-	if !sawRPC {
-		t.Errorf("trace has no shard/rpc/* attempt spans; saw %v", paths)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // streamState is the serving layer's per-stream bookkeeping: when each
@@ -176,7 +174,7 @@ func (s *Server) handleStreamAppend(ctx context.Context, rec *obs.Recorder, w ht
 		return
 	}
 
-	h, err := s.acquireTraced(ctx, name)
+	h, err := s.acquireTraced(rec, name)
 	if errors.Is(err, ErrNotFound) {
 		// First batch: register it as generation 0 of a fresh stream.
 		ds, derr := dataset.NewInMemory(pts)
@@ -196,7 +194,7 @@ func (s *Server) handleStreamAppend(ctx context.Context, rec *obs.Recorder, w ht
 			return
 		}
 		// Lost a concurrent create race: fall through to a plain append.
-		h, err = s.acquireTraced(ctx, name)
+		h, err = s.acquireTraced(rec, name)
 	}
 	if err != nil {
 		s.acquireFail(w, err)
@@ -241,10 +239,9 @@ func (s *Server) writeStreamAppendResponse(w http.ResponseWriter, name string, g
 }
 
 // traceWindow annotates the request trace with the resolved window.
-func traceWindow(ctx context.Context, h *Handle) {
-	if tr := trace.FromContext(ctx); tr != nil && h.Windowed() {
+func traceWindow(rec *obs.Recorder, h *Handle) {
+	if h.Windowed() {
 		start, end := h.WindowRange()
-		t := tr.Now()
-		tr.Add("window/apply", t, t, 0, fmt.Sprintf("window=[%d,%d)", start, end))
+		rec.Eventf("window/apply", "window=[%d,%d)", start, end)
 	}
 }

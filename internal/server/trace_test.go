@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // TestSampleBytesIdenticalAcrossTracingModes pins the determinism
@@ -60,7 +60,7 @@ func getTraces(t *testing.T, url string) tracesResponse {
 }
 
 // eventPaths collects path -> occurrence count from a snapshot.
-func eventPaths(snap trace.Snapshot) map[string]int {
+func eventPaths(snap obs.Snapshot) map[string]int {
 	m := make(map[string]int)
 	for _, e := range snap.Events {
 		m[e.Path]++
@@ -105,9 +105,9 @@ func TestDebugTracesCompleteSpanTree(t *testing.T) {
 		t.Errorf("cold request recorded no dataset scan events; got %v", paths)
 	}
 	// The rendered tree must place the build stages under server/build.
-	var build []trace.SpanJSON
-	var find func(spans []trace.SpanJSON)
-	find = func(spans []trace.SpanJSON) {
+	var build []obs.SpanJSON
+	var find func(spans []obs.SpanJSON)
+	find = func(spans []obs.SpanJSON) {
 		for _, sp := range spans {
 			if sp.Path == "server/build" {
 				build = sp.Children
@@ -240,8 +240,11 @@ func TestTraceSeedDeterministicIDs(t *testing.T) {
 
 // TestAccessLogLine checks the structured access log: one JSON line per
 // request carrying the trace ID, route, status, cache outcome, queue
-// wait, and a per-stage breakdown. The logger finishes the line before
-// the response returns, so reading the buffer after postJSON is ordered.
+// wait, and a per-stage breakdown that reports every logged span none of
+// whose ancestors logged anything — the KDE build on a single node, the
+// scatter-gather phases on a sharded coordinator. The logger finishes
+// the line before the response returns, so reading the buffer after
+// postJSON is ordered.
 func TestAccessLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	srv := New(Config{TraceSample: 1, TraceSeed: 5, AccessLog: &buf})
@@ -255,24 +258,7 @@ func TestAccessLogLine(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sample: %d: %s", resp.StatusCode, body)
 	}
-	line := bytes.TrimSpace(buf.Bytes())
-	if n := bytes.Count(line, []byte("\n")); n != 0 {
-		t.Fatalf("access log has %d lines, want exactly 1: %s", n+1, line)
-	}
-	var rec struct {
-		Time    string             `json:"time"`
-		TraceID string             `json:"trace_id"`
-		Route   string             `json:"route"`
-		Status  int                `json:"status"`
-		DurMs   float64            `json:"dur_ms"`
-		QueueMs float64            `json:"queue_ms"`
-		Cache   string             `json:"cache"`
-		Bytes   int64              `json:"bytes"`
-		Stages  map[string]float64 `json:"stages_ms"`
-	}
-	if err := json.Unmarshal(line, &rec); err != nil {
-		t.Fatalf("access log line %q: %v", line, err)
-	}
+	rec := accessLogLine(t, &buf)
 	if rec.TraceID != resp.Header.Get(TraceHeader) {
 		t.Errorf("logged trace_id %q != header %q", rec.TraceID, resp.Header.Get(TraceHeader))
 	}
@@ -285,12 +271,61 @@ func TestAccessLogLine(t *testing.T) {
 	if rec.Bytes != int64(len(body)) {
 		t.Errorf("logged bytes = %d, want %d", rec.Bytes, len(body))
 	}
-	if rec.Stages["server/build/sample"] <= 0 {
-		t.Errorf("stage breakdown missing build stage: %v", rec.Stages)
+	for _, stage := range []string{"server/build/sample", "kde/build", "draw", "scan"} {
+		if rec.Stages[stage] <= 0 {
+			t.Errorf("stage breakdown missing %q: %v", stage, rec.Stages)
+		}
+	}
+	if _, nested := rec.Stages["draw/normalize"]; nested {
+		t.Errorf("stage breakdown counts draw/normalize inside draw: %v", rec.Stages)
 	}
 	if _, err := time.Parse(time.RFC3339Nano, rec.Time); err != nil {
 		t.Errorf("timestamp %q: %v", rec.Time, err)
 	}
+
+	buf.Reset()
+	sharded := New(Config{ShardWorkers: 2, TraceSample: 1, TraceSeed: 5, AccessLog: &buf})
+	if err := sharded.Registry().RegisterDataset("pts", dataset.MustInMemory(testPoints(1500, 2, 11))); err != nil {
+		t.Fatal(err)
+	}
+	sts := httptest.NewServer(sharded.Handler())
+	defer sts.Close()
+	if resp, body := postJSON(t, sts.URL+"/v1/sample", sampleBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded sample: %d: %s", resp.StatusCode, body)
+	}
+	stages := accessLogLine(t, &buf).Stages
+	for _, stage := range []string{"shard/partials", "shard/draw"} {
+		if stages[stage] <= 0 {
+			t.Errorf("sharded stage breakdown missing %q: %v", stage, stages)
+		}
+	}
+}
+
+// accessLogRecord is the decoded form of one access-log line.
+type accessLogRecord struct {
+	Time    string             `json:"time"`
+	TraceID string             `json:"trace_id"`
+	Route   string             `json:"route"`
+	Status  int                `json:"status"`
+	DurMs   float64            `json:"dur_ms"`
+	QueueMs float64            `json:"queue_ms"`
+	Cache   string             `json:"cache"`
+	Bytes   int64              `json:"bytes"`
+	Stages  map[string]float64 `json:"stages_ms"`
+}
+
+// accessLogLine decodes buf as exactly one access-log line.
+func accessLogLine(t *testing.T, buf *bytes.Buffer) accessLogRecord {
+	t.Helper()
+	line := bytes.TrimSpace(buf.Bytes())
+	if n := bytes.Count(line, []byte("\n")); n != 0 {
+		t.Fatalf("access log has %d lines, want exactly 1: %s", n+1, line)
+	}
+	var rec accessLogRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		t.Fatalf("access log line %q: %v", line, err)
+	}
+	return rec
 }
 
 // TestLatencySummaryJSONBackCompat freezes the /healthz digest schema:

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"crypto/rand"
+	"encoding/binary"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // statusWriter records the status code and body bytes a handler wrote,
@@ -42,23 +47,34 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// finishRequest seals a completed compute request: the trace snapshot
-// is filed into the slow ring (always, past the threshold) and the
-// recent ring (by the deterministic ID-sampling decision), and the
-// access-log line is emitted. tr may be nil (tracing disabled) — the
-// access logger then logs without a stage breakdown, though the usual
-// wiring enables collection whenever an access log is configured.
-func (s *Server) finishRequest(tr *trace.Trace, route, tenant string, sw *statusWriter, start time.Time) {
+// requestRecorder returns a request's Recorder: traced under id when any
+// consumer of the occurrence log (the trace rings, the access log) is
+// configured, plain otherwise.
+func (s *Server) requestRecorder(id string) *obs.Recorder {
+	if s.traceOn {
+		return obs.NewTraced(id)
+	}
+	return obs.New()
+}
+
+// finishRequest seals a completed request: its counters roll up into the
+// server's Recorder, the trace snapshot is filed into the slow ring
+// (always, past the threshold) and the recent ring (by the deterministic
+// ID-sampling decision), and the access-log line is emitted. Without
+// tracing the access logger logs without a stage breakdown, though the
+// usual wiring enables collection whenever an access log is configured.
+func (s *Server) finishRequest(rec *obs.Recorder, route, tenant string, sw *statusWriter, start time.Time) {
+	s.rec.Merge(rec)
 	dur := time.Since(start)
 	cache := sw.Header().Get("X-DBS-Cache")
-	var snap trace.Snapshot
-	if tr != nil {
-		snap = tr.Finish(route, sw.status(), cache)
+	var snap obs.Snapshot
+	if s.traceOn {
+		snap = rec.Finish(route, sw.status(), cache)
 		snap.Slow = s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold
 		if snap.Slow {
 			s.slowTrace.Add(snap)
 		}
-		if s.cfg.TraceSample > 0 && trace.SampleID(snap.ID, s.cfg.TraceSample) {
+		if s.cfg.TraceSample > 0 && SampleID(snap.ID, s.cfg.TraceSample) {
 			s.traces.Add(snap)
 		}
 	}
@@ -85,28 +101,26 @@ func (s *Server) finishRequest(tr *trace.Trace, route, tenant string, sw *status
 }
 
 // stageBreakdown aggregates a snapshot's events into the access-log
-// stage map: admission wait is split out as the queue time; serving-
-// layer events ("server/build/est", "cache/sample", "registry/
-// acquire") keep their full path; other pipeline spans report at their
-// top level only ("draw", "scan", "kde") so a parent and its children
-// are never both counted. Totals overlap hierarchically — a scan runs
-// inside a draw which runs inside a build stage — the map is a
-// breakdown for reading, not a partition.
-func stageBreakdown(snap trace.Snapshot) (queueMs float64, stages map[string]float64) {
+// stage map: admission wait is split out as the queue time, and every
+// other timed path none of whose ancestor paths logged anything reports
+// its total ("server/build/est", "kde/build", "shard/partials", "scan"),
+// so a span and its own children ("draw" and "draw/normalize") are never
+// both counted. Totals still overlap across paths — a scan runs inside a
+// draw which runs inside a build stage — so the map is a breakdown for
+// reading, not a partition.
+func stageBreakdown(snap obs.Snapshot) (queueMs float64, stages map[string]float64) {
+	logged := make(map[string]bool, len(snap.Events))
+	for _, e := range snap.Events {
+		logged[e.Path] = true
+	}
 	for _, e := range snap.Events {
 		d := e.EndMs - e.StartMs
 		if e.Path == "admission/wait" {
 			queueMs += d
 			continue
 		}
-		if d <= 0 {
-			continue // point events (faults, retries, pool runs)
-		}
-		if i := strings.IndexByte(e.Path, '/'); i >= 0 &&
-			!strings.HasPrefix(e.Path, "server/") &&
-			!strings.HasPrefix(e.Path, "cache/") &&
-			!strings.HasPrefix(e.Path, "registry/") {
-			continue
+		if d <= 0 || loggedAncestor(logged, e.Path) {
+			continue // point events (faults, retries, pool runs) and nested spans
 		}
 		if stages == nil {
 			stages = make(map[string]float64)
@@ -116,14 +130,29 @@ func stageBreakdown(snap trace.Snapshot) (queueMs float64, stages map[string]flo
 	return queueMs, stages
 }
 
+// loggedAncestor reports whether any proper ancestor path of path is in
+// logged.
+func loggedAncestor(logged map[string]bool, path string) bool {
+	for {
+		i := strings.LastIndexByte(path, '/')
+		if i < 0 {
+			return false
+		}
+		path = path[:i]
+		if logged[path] {
+			return true
+		}
+	}
+}
+
 // tracesResponse is the /debug/traces body.
 type tracesResponse struct {
-	Enabled bool             `json:"enabled"`
-	Sample  float64          `json:"sample"`
-	SlowMs  float64          `json:"slow_ms"`
-	Total   int64            `json:"total"`
-	Recent  []trace.Snapshot `json:"recent"`
-	Slow    []trace.Snapshot `json:"slow"`
+	Enabled bool           `json:"enabled"`
+	Sample  float64        `json:"sample"`
+	SlowMs  float64        `json:"slow_ms"`
+	Total   int64          `json:"total"`
+	Recent  []obs.Snapshot `json:"recent"`
+	Slow    []obs.Snapshot `json:"slow"`
 }
 
 // handleTraces serves the retained trace rings, newest first. Recent
@@ -141,4 +170,152 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Recent:  s.traces.Snapshots(),
 		Slow:    s.slowTrace.Snapshots(),
 	})
+}
+
+// mix64 is the SplitMix64 finalizer, the same avalanche used by
+// internal/stats and internal/faults.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+const golden = 0x9e3779b97f4a7c15
+
+// IDSource generates trace IDs: 16 hex digits from a SplitMix64
+// stream. With a non-zero seed the sequence is deterministic — the
+// test and chaos mode, so a failing trace can be named by (seed,
+// request index) — while seed 0 draws a random stream seed once.
+type IDSource struct {
+	mu    sync.Mutex
+	state uint64
+}
+
+// NewIDSource returns an ID source. seed == 0 seeds randomly.
+func NewIDSource(seed uint64) *IDSource {
+	if seed == 0 {
+		var b [8]byte
+		if _, err := rand.Read(b[:]); err == nil {
+			seed = binary.LittleEndian.Uint64(b[:])
+		} else {
+			seed = uint64(time.Now().UnixNano())
+		}
+		if seed == 0 {
+			seed = 1
+		}
+	}
+	return &IDSource{state: seed}
+}
+
+// Next returns the next ID in the stream.
+func (s *IDSource) Next() string {
+	s.mu.Lock()
+	s.state += golden
+	id := mix64(s.state)
+	s.mu.Unlock()
+	return fmt.Sprintf("%016x", id)
+}
+
+// SampleID is the deterministic sampling decision for a trace ID: a
+// pure function of (id, rate), so every replica — and a replayed
+// request — decides identically, and the decision consumes no RNG
+// state that could perturb results. rate ≥ 1 keeps everything, ≤ 0
+// nothing.
+func SampleID(id string, rate float64) bool {
+	if rate >= 1 {
+		return true
+	}
+	if rate <= 0 {
+		return false
+	}
+	v, err := strconv.ParseUint(id, 16, 64)
+	if err != nil {
+		// Non-hex IDs (external callers): hash the string instead.
+		v = 14695981039346656037
+		for i := 0; i < len(id); i++ {
+			v ^= uint64(id[i])
+			v *= 1099511628211
+		}
+	}
+	u := float64(mix64(v^golden)>>11) / (1 << 53)
+	return u < rate
+}
+
+// Ring is a bounded ring of completed trace snapshots, newest-first on
+// read. Memory is bounded by cap × obs.MaxEvents regardless of how many
+// requests pass through — the chaos suite's leak assertion.
+type Ring struct {
+	mu    sync.Mutex
+	buf   []obs.Snapshot
+	next  int
+	n     int
+	total int64
+}
+
+// NewRing returns a ring holding up to capacity snapshots (min 1).
+func NewRing(capacity int) *Ring {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &Ring{buf: make([]obs.Snapshot, capacity)}
+}
+
+// Add files a snapshot, evicting the oldest when full.
+func (r *Ring) Add(s obs.Snapshot) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.buf[r.next] = s
+	r.next = (r.next + 1) % len(r.buf)
+	if r.n < len(r.buf) {
+		r.n++
+	}
+	r.total++
+	r.mu.Unlock()
+}
+
+// Snapshots returns the retained traces, newest first.
+func (r *Ring) Snapshots() []obs.Snapshot {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]obs.Snapshot, 0, r.n)
+	for i := 1; i <= r.n; i++ {
+		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
+	}
+	return out
+}
+
+// Len returns how many snapshots are retained.
+func (r *Ring) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// Cap returns the ring's capacity.
+func (r *Ring) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.buf)
+}
+
+// Total returns how many snapshots have ever been added.
+func (r *Ring) Total() int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
 }

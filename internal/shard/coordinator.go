@@ -14,7 +14,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // Coordinator counters, joining the /metrics catalogue.
@@ -241,15 +240,17 @@ func scatter(ctx context.Context, groups []group, fn func(g group) error) error 
 
 // rpc wraps one attempt: fault injection (error/delay/truncation), the
 // transport call, response validation, counters, and the per-attempt
-// trace span that makes the scatter-gather tree visible in /debug/traces.
+// region shard/<op>/rpc/<shard> of the request's trace, which nests under
+// the phase span shard/<op> and makes the scatter-gather tree visible in
+// /debug/traces.
 // validate must reject any structurally short or inconsistent response —
 // a truncated reply becomes a failed attempt (then a fallback), never a
 // short merge.
 func rpc[T any](c *Coordinator, op string, pt *faults.Point, blocks []int, truncAt func(resp T, frac float64) T, validate func(resp T) error) func(ctx context.Context, sh Shard, do func(context.Context) (T, error)) (T, error) {
 	return func(ctx context.Context, sh Shard, do func(context.Context) (T, error)) (T, error) {
 		var zero T
-		tr := trace.FromContext(ctx)
-		t0 := tr.Now()
+		rec := obs.FromContext(ctx)
+		t0 := time.Now()
 		c.rec.Counter(CtrRPCs).Inc()
 		finish := func(err error) {
 			note := "ok"
@@ -257,9 +258,7 @@ func rpc[T any](c *Coordinator, op string, pt *faults.Point, blocks []int, trunc
 				c.rec.Counter(CtrRPCErrors).Inc()
 				note = "error: " + err.Error()
 			}
-			if tr != nil {
-				tr.Add("shard/rpc/"+op+"/"+sh.Name(), t0, tr.Now(), int64(len(blocks)), note)
-			}
+			rec.Region("shard/"+op+"/rpc/"+sh.Name(), t0, int64(len(blocks)), "%s", note)
 		}
 		frac, truncate, ferr := pt.CheckPartial(ctx)
 		if ferr != nil {
@@ -308,9 +307,9 @@ func (c *Coordinator) onLaunch() func(i int, hedge bool) {
 func (c *Coordinator) Norm(ctx context.Context, p Params, n int) (float64, error) {
 	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
 	groups := c.groups(p.Dataset, numBlocks)
-	tr := trace.FromContext(ctx)
-	tr.Begin("shard/partials")
-	defer tr.End("shard/partials", int64(n))
+	span := obs.FromContext(ctx).StartSpan("shard/partials")
+	span.AddPoints(int64(n))
+	defer span.End()
 	partials := make([]float64, numBlocks)
 	err := scatter(ctx, groups, func(g group) error {
 		attempt := rpc(c, "partials", c.pPartials, g.blocks,
@@ -359,9 +358,9 @@ func (c *Coordinator) Norm(ctx context.Context, p Params, n int) (float64, error
 func (c *Coordinator) Draw(ctx context.Context, p Params, n, dims int, norm float64, base uint64) (*core.Sample, error) {
 	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
 	groups := c.groups(p.Dataset, numBlocks)
-	tr := trace.FromContext(ctx)
-	tr.Begin("shard/draw")
-	defer tr.End("shard/draw", int64(n))
+	span := obs.FromContext(ctx).StartSpan("shard/draw")
+	span.AddPoints(int64(n))
+	defer span.End()
 	perBlock := make([]BlockDraw, numBlocks)
 	err := scatter(ctx, groups, func(g group) error {
 		attempt := rpc(c, "draw", c.pDraw, g.blocks,

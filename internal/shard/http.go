@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // HTTP routes the worker side of the shard RPC mounts; the serving layer
@@ -79,7 +79,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	if id := trace.FromContext(ctx).ID(); id != "" {
+	if id := obs.FromContext(ctx).ID(); id != "" {
 		hreq.Header.Set(TraceHeader, id)
 	}
 	hresp, err := c.hc.Do(hreq)

@@ -9,9 +9,9 @@ import (
 
 // TestObsOverheadGuard is the CI guard on the observability layer's cost:
 // it runs the "obs" experiment (exact draw with the Recorder disabled vs
-// enabled, best-of-N, identical-sample check) and fails when the enabled
-// run costs more than the budget over the disabled run, or when any run
-// diverges from the reference sample. The interactive budget is 2%
+// enabled vs traced, best-of-N, identical-sample check) and fails when the
+// enabled run costs more than the budget over the disabled run, or when
+// any run diverges from the reference sample. The interactive budget is 2%
 // (BENCH_obs.json records the measured numbers); the guard allows 15% to
 // absorb shared-CI timer noise while still catching a per-point atomic or
 // an accidental always-on branch, which cost far more. Gated behind

@@ -8,9 +8,9 @@ import (
 )
 
 // TestTraceOverheadGuard is the CI guard on request tracing's cost: it
-// runs the "trace" experiment (exact draw untraced vs recorder-only vs
-// recorder forwarding into a live Trace, best-of-N, identical-sample
-// check) and fails when the fully traced run costs more than the budget
+// runs the "obs" experiment (exact draw untraced vs recorder-only vs a
+// traced Recorder logging every span occurrence, best-of-N, identical-
+// sample check) and fails when the traced run costs more than the budget
 // over the disabled run, or when any configuration diverges from the
 // reference sample. The interactive budget is 2% (BENCH_trace.json
 // records the measured numbers); the guard allows 15% to absorb shared-
@@ -22,16 +22,16 @@ func TestTraceOverheadGuard(t *testing.T) {
 	if os.Getenv("TRACE_GUARD") == "" {
 		t.Skip("set TRACE_GUARD=1 to run the timing guard (verify.sh does)")
 	}
-	tb, err := experiments.Run("trace", experiments.Config{Seed: 1, Quick: true, Parallelism: 1})
+	tb, err := experiments.Run("obs", experiments.Config{Seed: 1, Quick: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var disabled, traced int64
 	for _, b := range tb.Benchmarks {
 		switch b.Name {
-		case "DrawExact_trace_disabled":
+		case "DrawExact_obs_disabled":
 			disabled = b.NsPerOp
-		case "DrawExact_trace_traced":
+		case "DrawExact_obs_traced":
 			traced = b.NsPerOp
 		}
 	}

@@ -13,7 +13,7 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/trace/... ./internal/shard/... ./internal/loadgen/... ./internal/stream/...
+go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/shard/... ./internal/loadgen/... ./internal/stream/...
 # Chaos smoke: the seeded fault-injection suite in short mode (12 seeds) —
 # goroutine leaks, admission slot leaks, cache accounting drift, and any
 # fault-corrupted response fail this line fast; the full 60-seed sweep
@@ -54,9 +54,9 @@ go test -run '^$' -fuzz '^FuzzDiskTierLoad$' -fuzztime 10s -parallel 2 ./interna
 # full-size numbers.
 go run ./cmd/dbsload -quick > /dev/null
 OBS_GUARD=1 go test -run TestObsOverheadGuard .
-# Tracing-overhead guard: a request trace forwarding every span must stay
-# within the same budget over the untraced draw (TRACE_GUARD gates the
-# timing assertion; see trace_guard_test.go and BENCH_trace.json).
+# Tracing-overhead guard: a traced Recorder logging every span occurrence
+# must stay within the same budget over the untraced draw (TRACE_GUARD
+# gates the timing assertion; see trace_guard_test.go and BENCH_trace.json).
 TRACE_GUARD=1 go test -run TestTraceOverheadGuard .
 # Allocation-regression guard: steady-state Draw must perform zero
 # per-block heap allocations (testing.AllocsPerRun over 512 blocks; see
