@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -89,6 +90,139 @@ func TestDrawMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameSample(t, want, got, "reference")
+				}
+			}
+		}
+	}
+}
+
+// refExtend is ExtendDraw written out the same way: the delta's weights
+// block by block, k_a' = K·s^a + Σ_delta w with the KDE rescaling
+// s = (n'/N)·(ks/ks'), the prior thinned at r = K·s^a/k_a' from stream 0
+// of one SplitsValues draw, and delta block b flipped from stream 1+b.
+// Indices of delta selections are global: deltaStart + offset.
+func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Sample, ns NormState, alpha, floor float64, b, blockSize int, rng *stats.RNG) *Sample {
+	weight := func(f float64) float64 { return math.Pow(math.Max(f, floor), alpha) }
+	delta := pts[deltaStart:]
+	var blocks [][]geom.Point
+	for start := 0; start < len(delta); start += blockSize {
+		blocks = append(blocks, delta[start:min(start+blockSize, len(delta))])
+	}
+	weights := make([][]float64, len(blocks))
+	var d float64
+	for i, blk := range blocks {
+		weights[i] = make([]float64, len(blk))
+		est.DensityBatch(blk, weights[i])
+		var partial float64
+		for j, f := range weights[i] {
+			weights[i][j] = weight(f)
+			partial += weights[i][j]
+		}
+		d += partial
+	}
+	s := (float64(len(pts)) / float64(ns.N)) * (float64(ns.Kernels) / float64(len(est.Centers())))
+	kbase := ns.K * math.Pow(s, alpha)
+	norm := kbase + d
+	r := kbase / norm
+	streams := rng.SplitsValues(1+len(blocks), nil)
+	out := &Sample{Norm: norm, DataPasses: 2}
+	for i, wp := range prior.Points {
+		if streams[0].Bernoulli(r) {
+			out.Points = append(out.Points, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
+			out.Indices = append(out.Indices, prior.Indices[i])
+		}
+	}
+	for i, blk := range blocks {
+		for j, p := range blk {
+			prob := float64(b) * weights[i][j] / norm
+			if prob >= 1 {
+				prob = 1
+				out.Saturated++
+			}
+			if streams[1+i].Bernoulli(prob) {
+				out.Points = append(out.Points, dataset.WeightedPoint{P: p, W: 1 / prob})
+				out.Indices = append(out.Indices, int64(deltaStart+i*blockSize+j))
+			}
+		}
+	}
+	return out
+}
+
+// TestExtendDrawMatchesReference pins ExtendDraw to refExtend bit for bit
+// — points, weights, indices, Norm and Saturated — over an appended
+// in-memory dataset (the delta's weights are kept between the passes) and
+// the same rows file-backed (they are recomputed), across exponents and
+// worker counts. It is what notices a delta block flipping its coins from
+// the wrong stream, including the thinning stream.
+func TestExtendDrawMatchesReference(t *testing.T) {
+	setup := stats.NewRNG(505)
+	mem, pts := twoBlobs(2500, 2500, setup)
+	n := len(pts)
+	prefix := dataset.MustInMemory(pts)
+	// The delta thickens the dense blob, opens a new sparse region and
+	// scatters a few isolated points, whose floored weights saturate at
+	// a = -0.5.
+	for i := 0; i < 1500; i++ {
+		switch {
+		case i%2 == 0:
+			pts = append(pts, geom.Point{0.2 + 0.05*setup.Float64(), 0.2 + 0.05*setup.Float64()})
+		case i%10 == 1:
+			pts = append(pts, geom.Point{setup.Float64(), setup.Float64()})
+		default:
+			pts = append(pts, geom.Point{0.05 + 0.3*setup.Float64(), 0.6 + 0.3*setup.Float64()})
+		}
+	}
+	if err := mem.Append(pts[n:]...); err != nil {
+		t.Fatal(err)
+	}
+	priorEst := buildKDE(t, prefix, 200, setup)
+	deltaView, err := dataset.DeltaView(mem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centers, err := dataset.Reservoir(deltaView, 60, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := priorEst.Extend(centers, len(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "appended.dbs")
+	if err := dataset.SaveBinary(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	file, err := dataset.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The floor binds for the isolated points and their neighbours.
+	const floor, b, blockSize = 2e3, 2000, 256
+	for _, alpha := range []float64{1, 0, -0.5} {
+		base := Options{Alpha: alpha, TargetSize: b, FloorDensity: floor, BlockSize: blockSize}
+		prior, err := Draw(prefix, priorEst, base, stats.NewRNG(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := NormState{K: prior.Norm, N: n, Kernels: priorEst.NumKernels()}
+		want := refExtend(pts, n, ext, prior, ns, alpha, floor, b, blockSize, stats.NewRNG(9))
+		for _, ds := range []dataset.Dataset{mem, file} {
+			for _, workers := range []int{1, 8} {
+				opts := base
+				opts.Parallelism = workers
+				got, _, err := ExtendDraw(ds, ext, ExtendOptions{Options: opts, DeltaStart: n, Prior: prior, PriorNorm: ns}, stats.NewRNG(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("alpha=%v %T workers=%d", alpha, ds, workers)
+				sameSample(t, want, got, label)
+				if len(got.Indices) != len(want.Indices) {
+					t.Fatalf("%s: %d indices, want %d", label, len(got.Indices), len(want.Indices))
+				}
+				for i := range want.Indices {
+					if got.Indices[i] != want.Indices[i] {
+						t.Fatalf("%s: index %d = %d, want %d", label, i, got.Indices[i], want.Indices[i])
+					}
 				}
 			}
 		}
