@@ -33,14 +33,12 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -311,17 +309,14 @@ func (s *Sample) PlainPoints() []geom.Point {
 // one to flip the inclusion coin per point. With OnePass set it makes a
 // single pass, approximating k_a from the estimator's centers.
 //
-// Both passes are chunked scans (dataset.ScanBlocks): the coin-flip pass
-// derives one RNG stream per block from a single draw of rng
-// (stats.RNG.Splits), flips each block's coins from its own stream, and
-// concatenates the per-block selections in block order. The sample is
-// therefore a function of (dataset, estimator, opts, seed) only — running
-// with 1 worker or 8 returns byte-identical points, weights, Norm, and
-// Saturated. rng advances by a fixed small amount, not once per point.
+// Both passes are the block engine's chunked scans: one draw of rng
+// (DrawStreamBase) is the base every block's coin stream derives from,
+// block i flips its coins from stats.StreamAt(base, i), and the per-block
+// selections concatenate in block order. The sample is therefore a
+// function of (dataset, estimator, opts, seed) only — running with 1
+// worker or 8 returns byte-identical points, weights, Norm, and
+// Saturated. rng advances by one draw, not once per point.
 func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG) (*Sample, error) {
-	if est == nil {
-		return nil, errors.New("core: nil density estimator")
-	}
 	if opts.TargetSize <= 0 {
 		return nil, errors.New("core: TargetSize must be positive")
 	}
@@ -329,12 +324,9 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	if n == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	floor := opts.FloorDensity
-	if floor < 0 {
-		return nil, errors.New("core: negative FloorDensity")
-	}
-	if floor == 0 {
-		floor = defaultFloor(est)
+	e, err := newEngine(ds, est, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	rec := opts.Obs
@@ -342,21 +334,20 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	defer span.End()
 
 	var norm float64
-	var weightCache []float64
 	passes := 0
 	if opts.OnePass {
 		ce, ok := est.(centersEstimator)
 		if !ok {
 			return nil, errors.New("core: OnePass requires an estimator exposing Centers and N")
 		}
-		var err error
-		norm, err = approxNorm(ce, opts.Alpha, floor)
-		if err != nil {
+		if norm, err = approxNorm(ce, opts.Alpha, e.floor); err != nil {
 			return nil, err
 		}
 		if opts.VerifyNorm && rec != nil {
 			vspan := rec.StartSpan("draw/verify_norm")
-			exact, verr := exactNorm(opts.Ctx, ds, est, opts, floor, nil, rec, nil)
+			verify := *e
+			verify.opts.Progress = nil
+			exact, verr := verify.exactNorm(false)
 			vspan.AddPoints(int64(n))
 			vspan.End()
 			if verr != nil {
@@ -367,22 +358,8 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 			}
 		}
 	} else {
-		// For memory-resident datasets (anything Sliceable whose snapshot
-		// covers the scan, including generation-pinned views and mapped
-		// segment files) the biased weights f'(x)^a computed by the
-		// normalization pass are cached (8 bytes per point — negligible
-		// next to the resident points) and reused by the coin-flip pass,
-		// halving the dominant cost of the exact algorithm and hoisting the
-		// power out of the coin loop. The weight is a pure function of the
-		// point, so cached and recomputed values are bit-identical and the
-		// sample is unchanged; streaming datasets keep the constant-memory
-		// recomputation.
-		if sl, ok := ds.(dataset.Sliceable); ok && len(sl.Points()) >= n {
-			weightCache = make([]float64, n)
-		}
 		nspan := rec.StartSpan("draw/normalize")
-		var err error
-		norm, err = exactNorm(opts.Ctx, ds, est, opts, floor, weightCache, rec, opts.Progress)
+		norm, err = e.exactNorm(true)
 		nspan.AddPoints(int64(n))
 		nspan.End()
 		if err != nil {
@@ -390,55 +367,12 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 		}
 		passes++
 	}
-	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return nil, fmt.Errorf("core: degenerate normalizer k_a = %v", norm)
+	if err := checkNorm(norm); err != nil {
+		return nil, err
 	}
 
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(n, blockSize)
-	streams := rng.SplitsValues(numBlocks, nil)
-
-	type blockSample struct {
-		points    []dataset.WeightedPoint
-		indices   []int64
-		saturated int
-	}
-	perBlock := make([]blockSample, numBlocks)
-	arena := &sampleArena{dims: ds.Dims()}
-	b := float64(opts.TargetSize)
 	sspan := rec.StartSpan("draw/sample")
-	cCoins := rec.Counter(obs.CtrCoinFlips)
-	cSat := rec.Counter(obs.CtrSaturated)
-	err := dataset.ScanBlocksCfg(ds, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-		Rec:         rec,
-		Progress:    opts.Progress,
-	}, func(block, start int, pts []geom.Point) error {
-		// The fused pass: evaluate (or fetch) the biased weights, flip the
-		// block's coins recording (index, prob) pairs in pooled scratch,
-		// then carve exactly-sized storage for the selections from the
-		// shared arena — no per-point Clone, no per-block allocation.
-		sc := getCoinScratch(len(pts))
-		defer coinScratchPool.Put(sc)
-		var weights []float64
-		if weightCache != nil {
-			weights = weightCache[start : start+len(pts)]
-		} else {
-			weights = sc.dens
-			evalDensities(est, pts, weights)
-			for i, f := range weights {
-				weights[i] = biasedWeight(f, opts.Alpha, floor)
-			}
-		}
-		count, sat := flipCoins(weights, b, norm, &streams[block], sc)
-		wps, idxs := fillBlockSample(arena, pts, sc, count, start)
-		perBlock[block] = blockSample{points: wps, indices: idxs, saturated: sat}
-		cCoins.Add(int64(len(pts)))
-		cSat.Add(int64(sat))
-		return nil
-	})
+	blocks, err := e.flip(norm, DrawStreamBase(rng), 0)
 	sspan.AddPoints(int64(n))
 	sspan.End()
 	if err != nil {
@@ -447,19 +381,8 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	passes++
 
 	out := &Sample{Norm: norm, DataPasses: passes}
-	total := 0
-	for i := range perBlock {
-		total += len(perBlock[i].points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	out.Indices = make([]int64, 0, total)
-	for i := range perBlock {
-		out.Points = append(out.Points, perBlock[i].points...)
-		out.Indices = append(out.Indices, perBlock[i].indices...)
-		out.Saturated += perBlock[i].saturated
-	}
+	out.gather(blocks, true)
 	span.AddPoints(int64(n))
-	rec.Counter(obs.CtrSampled).Add(int64(len(out.Points)))
 	rec.Gauge(obs.GaugeSampleNorm).Set(norm)
 	rec.Gauge(obs.GaugeSampleDataPasses).Set(float64(passes))
 	return out, nil
@@ -497,63 +420,18 @@ func ExactNorm(ds dataset.Dataset, est DensityEstimator, alpha, floor float64) (
 
 // ExactNormParallel computes k_a with a chunked scan on the given worker
 // budget. Each block accumulates its partial sum over its points in index
-// order, and the partials are reduced in block order — an ordered
-// reduction, not atomic adds — so the result is bit-for-bit identical for
-// every parallelism (floating-point addition is not associative; a
-// completion-order or atomic reduction would make k_a depend on goroutine
-// scheduling).
+// order, and the partials are reduced in block order (FoldNorm) — an
+// ordered reduction, not atomic adds — so the result is bit-for-bit
+// identical for every parallelism (floating-point addition is not
+// associative; a completion-order or atomic reduction would make k_a
+// depend on goroutine scheduling). The floor is taken as given: unlike
+// Options.FloorDensity, zero means no floor.
 func ExactNormParallel(ds dataset.Dataset, est DensityEstimator, alpha, floor float64, parallelism, blockSize int) (float64, error) {
-	return exactNorm(nil, ds, est, Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor, nil, nil, nil)
-}
-
-// exactNorm is ExactNormParallel with an optional weight cache: when cache
-// is non-nil (length ds.Len()), each block stores its biased weights
-// f'(x)^a at the block's global offset so the coin pass can reuse them
-// without re-evaluating densities or powers. Blocks write disjoint ranges,
-// so the cache needs no synchronization. rec and progress, when non-nil,
-// observe the scan (see Options.Obs/Progress) and never influence the
-// sum. ctx, when non-nil, cancels per block.
-func exactNorm(ctx context.Context, ds dataset.Dataset, est DensityEstimator, opts Options, floor float64, cache []float64, rec *obs.Recorder, progress func(done, total int)) (float64, error) {
 	if est == nil {
-		return 0, errors.New("core: nil density estimator")
+		return 0, errNilEstimator
 	}
-	n := ds.Len()
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	partials := make([]float64, parallel.NumBlocks(n, blockSize))
-	err := dataset.ScanBlocksCfg(ds, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         ctx,
-		Rec:         rec,
-		Progress:    progress,
-	}, func(block, start int, pts []geom.Point) error {
-		var dens []float64
-		var sc *coinScratch
-		if cache != nil {
-			dens = cache[start : start+len(pts)]
-		} else {
-			sc = getCoinScratch(len(pts))
-			defer coinScratchPool.Put(sc)
-			dens = sc.dens
-		}
-		evalDensities(est, pts, dens)
-		var k float64
-		for i, f := range dens {
-			w := biasedWeight(f, opts.Alpha, floor)
-			dens[i] = w
-			k += w
-		}
-		partials[block] = k
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var k float64
-	for _, p := range partials {
-		k += p
-	}
-	return k, nil
+	e := &engine{ds: ds, est: est, opts: Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor: floor}
+	return e.exactNorm(false)
 }
 
 // approxNorm estimates k_a from the estimator's own centers. The centers

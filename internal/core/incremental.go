@@ -9,7 +9,7 @@
 //	k_a' = k_base + D,  k_base = K·s^a,  D = Σ_{x ∈ delta} f'(x)^a
 //
 // where K is the prior normalizer, f' is the extended estimator, and s is
-// the density rescaling the extension applies to old points (see kbase
+// the density rescaling the extension applies to old points (see carriedNorm
 // below). The prior sample is thinned with keep-probability r = k_base/k_a'
 // (each kept weight divided by r), and the delta points flip the usual
 // inclusion coin against k_a'. Under the rescaling approximation
@@ -33,9 +33,7 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -84,8 +82,9 @@ type ExtendOptions struct {
 // coins. est must be the extended estimator (the prior estimator after
 // Extend over delta centers) and must expose Centers and N.
 //
-// Determinism matches Draw: one draw of rng fans out into a thinning
-// stream plus one stream per delta block, the delta blocks are laid out by
+// Determinism matches Draw: one draw of rng (DrawStreamBase) is the base
+// of a thinning stream, stats.StreamAt(base, 0), and of delta block b's
+// stream, stats.StreamAt(base, 1+b); the delta blocks are laid out by
 // (delta length, BlockSize) alone, and per-block selections concatenate in
 // block order — so for a fixed seed the result is bit-for-bit identical at
 // every Parallelism.
@@ -95,9 +94,6 @@ type ExtendOptions struct {
 // coins are not re-examined — re-deciding them would need a full pass).
 func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rng *stats.RNG) (*Sample, NormState, error) {
 	var zero NormState
-	if est == nil {
-		return nil, zero, errors.New("core: nil density estimator")
-	}
 	if opts.TargetSize <= 0 {
 		return nil, zero, errors.New("core: TargetSize must be positive")
 	}
@@ -108,9 +104,6 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 		return nil, zero, errors.New("core: ExtendDraw requires a prior sample")
 	}
 	prior := opts.PriorNorm
-	if prior.N <= 0 || prior.Kernels <= 0 || prior.K <= 0 {
-		return nil, zero, fmt.Errorf("core: degenerate prior norm state %+v", prior)
-	}
 	if opts.DeltaStart != prior.N {
 		return nil, zero, fmt.Errorf("core: delta starts at %d but prior covers %d points", opts.DeltaStart, prior.N)
 	}
@@ -119,157 +112,74 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if m <= 0 {
 		return nil, zero, fmt.Errorf("core: dataset has %d points, none beyond the prior's %d", n, opts.DeltaStart)
 	}
-	ce, ok := est.(centersEstimator)
-	if !ok {
-		return nil, zero, errors.New("core: ExtendDraw requires an estimator exposing Centers and N")
+	w, err := dataset.Window(ds, opts.DeltaStart, n)
+	if err != nil {
+		return nil, zero, err
 	}
-	floor := opts.FloorDensity
-	if floor < 0 {
-		return nil, zero, errors.New("core: negative FloorDensity")
+	e, err := newEngine(w, est, opts.Options)
+	if err != nil {
+		return nil, zero, err
 	}
-	if floor == 0 {
-		floor = defaultFloor(est)
+	e.origin = opts.DeltaStart
+	kbase, ks, err := carriedNorm(est, prior, n, opts.Alpha)
+	if err != nil {
+		return nil, zero, err
 	}
 
 	rec := opts.Obs
 	span := rec.StartSpan("extend_draw")
 	defer span.End()
 
-	w, err := dataset.Window(ds, opts.DeltaStart, n)
-	if err != nil {
-		return nil, zero, err
-	}
-
 	// Pass 1 over the delta: D = Σ_{delta} f'(x)^a, with the biased
-	// weights cached for the coin pass when the delta is memory-resident.
-	var weightCache []float64
-	if sl, ok := w.(dataset.Sliceable); ok && len(sl.Points()) >= m {
-		weightCache = make([]float64, m)
-	}
+	// weights kept for the coin pass when the delta is memory-resident.
 	nspan := rec.StartSpan("extend_draw/normalize")
-	d, err := exactNorm(opts.Ctx, w, est, opts.Options, floor, weightCache, rec, opts.Progress)
+	d, err := e.exactNorm(true)
 	nspan.AddPoints(int64(m))
 	nspan.End()
 	if err != nil {
 		return nil, zero, err
 	}
 
-	// kbase rescales the prior normalizer to the extended estimator. The
-	// extension changes an old point's density by s = (n'/N)·(ks/ks'): the
-	// per-kernel mass scales with the represented size and inversely with
-	// the kernel count, while the kernel sum at an old point is dominated
-	// by the old centers. So Σ_{prefix} f'(x)^a ≈ s^a · Σ_{prefix} f(x)^a
-	// = K·s^a. The error of this approximation is the drift this step
-	// contributes.
-	ks := len(ce.Centers())
-	if ks == 0 {
-		return nil, zero, errors.New("core: estimator has no centers")
-	}
-	s := (float64(n) / float64(prior.N)) * (float64(prior.Kernels) / float64(ks))
-	if nr, ok := est.(NormRescaler); ok {
-		s = nr.NormRescale(prior.N, prior.Kernels)
-	}
-	kbase := prior.K * biasedScale(s, opts.Alpha)
 	kNew := kbase + d
-	if kNew <= 0 || math.IsInf(kNew, 0) || math.IsNaN(kNew) {
-		return nil, zero, fmt.Errorf("core: degenerate extended normalizer k_a = %v", kNew)
+	if err := checkNorm(kNew); err != nil {
+		return nil, zero, err
 	}
 	r := kbase / kNew
+	base := DrawStreamBase(rng)
 
-	blockSize := parallel.BlockSize(opts.BlockSize)
-	numBlocks := parallel.NumBlocks(m, blockSize)
-	streams := rng.SplitsValues(1+numBlocks, nil)
-
-	// Thin the prior sample sequentially from its own stream: each kept
-	// point's inclusion probability shrinks by r, so its inverse-
-	// probability weight grows by 1/r.
-	cCoins := rec.Counter(obs.CtrCoinFlips)
+	// Thin the prior sample sequentially from stream 0: each kept point's
+	// inclusion probability shrinks by r, so its inverse-probability
+	// weight grows by 1/r.
 	tspan := rec.StartSpan("extend_draw/thin")
-	thin := &streams[0]
-	kept := make([]dataset.WeightedPoint, 0, len(opts.Prior.Points))
-	var keptIdx []int64
+	thin := stats.StreamAt(base, 0)
+	out := &Sample{Norm: kNew, DataPasses: 2, Points: make([]dataset.WeightedPoint, 0, len(opts.Prior.Points))}
 	if opts.Prior.Indices != nil {
-		keptIdx = make([]int64, 0, len(opts.Prior.Indices))
+		out.Indices = make([]int64, 0, len(opts.Prior.Indices))
 	}
 	for i, wp := range opts.Prior.Points {
 		if thin.Bernoulli(r) {
-			kept = append(kept, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
-			if keptIdx != nil {
-				keptIdx = append(keptIdx, opts.Prior.Indices[i])
+			out.Points = append(out.Points, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
+			if out.Indices != nil {
+				out.Indices = append(out.Indices, opts.Prior.Indices[i])
 			}
 		}
 	}
-	cCoins.Add(int64(len(opts.Prior.Points)))
+	rec.Counter(obs.CtrCoinFlips).Add(int64(len(opts.Prior.Points)))
 	tspan.End()
 
-	// Pass 2 over the delta: the usual inclusion coin against k_a'.
-	type blockSample struct {
-		points    []dataset.WeightedPoint
-		indices   []int64
-		saturated int
-	}
-	perBlock := make([]blockSample, numBlocks)
-	arena := &sampleArena{dims: ds.Dims()}
-	b := float64(opts.TargetSize)
-	cSat := rec.Counter(obs.CtrSaturated)
+	// Pass 2 over the delta: the usual inclusion coin against k_a', delta
+	// block b drawing from stream 1+b. Block starts are window-relative;
+	// the engine's origin makes a selection's index DeltaStart + offset.
 	sspan := rec.StartSpan("extend_draw/sample")
-	err = dataset.ScanBlocksCfg(w, dataset.ScanConfig{
-		BlockSize:   blockSize,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-		Rec:         rec,
-		Progress:    opts.Progress,
-	}, func(block, start int, pts []geom.Point) error {
-		// Same fused pass as Draw: cached (or freshly fused) biased
-		// weights, coin flips into pooled scratch, arena-carved storage.
-		sc := getCoinScratch(len(pts))
-		defer coinScratchPool.Put(sc)
-		var weights []float64
-		if weightCache != nil {
-			weights = weightCache[start : start+len(pts)]
-		} else {
-			weights = sc.dens
-			evalDensities(est, pts, weights)
-			for i, f := range weights {
-				weights[i] = biasedWeight(f, opts.Alpha, floor)
-			}
-		}
-		count, sat := flipCoins(weights, b, kNew, &streams[1+block], sc)
-		// Block starts are window-relative; the global dataset index of a
-		// delta selection is DeltaStart + start + in-block offset.
-		wps, idxs := fillBlockSample(arena, pts, sc, count, opts.DeltaStart+start)
-		perBlock[block] = blockSample{points: wps, indices: idxs, saturated: sat}
-		cCoins.Add(int64(len(pts)))
-		cSat.Add(int64(sat))
-		return nil
-	})
+	blocks, err := e.flip(kNew, base, 1)
 	sspan.AddPoints(int64(m))
 	sspan.End()
 	if err != nil {
 		return nil, zero, err
 	}
-
-	out := &Sample{Norm: kNew, DataPasses: 2}
-	total := len(kept)
-	for i := range perBlock {
-		total += len(perBlock[i].points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	out.Points = append(out.Points, kept...)
-	if keptIdx != nil {
-		out.Indices = make([]int64, 0, total)
-		out.Indices = append(out.Indices, keptIdx...)
-	}
-	for i := range perBlock {
-		out.Points = append(out.Points, perBlock[i].points...)
-		if out.Indices != nil {
-			out.Indices = append(out.Indices, perBlock[i].indices...)
-		}
-		out.Saturated += perBlock[i].saturated
-	}
+	out.gather(blocks, out.Indices != nil)
 	span.AddPoints(int64(m))
 	rec.Counter(obs.CtrIncDraws).Inc()
-	rec.Counter(obs.CtrSampled).Add(int64(len(out.Points) - len(kept)))
 	rec.Gauge(obs.GaugeSampleNorm).Set(kNew)
 	rec.Gauge(obs.GaugeSampleDataPasses).Set(float64(out.DataPasses))
 
@@ -280,6 +190,35 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 		Drift:   prior.Drift + float64(m)/float64(n),
 	}
 	return out, next, nil
+}
+
+// carriedNorm is k_base = K·s^a: the prior normalizer K carried over to
+// est, the estimator after the prior's dataset grew or shrank to n
+// points. The KDE default is s = (n/N)·(ks/ks'): the per-kernel mass
+// scales with the represented size and inversely with the kernel count,
+// while the kernel sum at a surviving point is dominated by the old
+// centers, so Σ_{prior} f'(x)^a ≈ s^a · Σ_{prior} f(x)^a = K·s^a. The
+// error of this approximation is the drift an incremental step
+// contributes. An estimator implementing NormRescaler supplies s itself.
+// ks', est's kernel count, is returned for the successor NormState; a
+// degenerate prior state is an error.
+func carriedNorm(est DensityEstimator, prior NormState, n int, alpha float64) (float64, int, error) {
+	if prior.N <= 0 || prior.Kernels <= 0 || prior.K <= 0 {
+		return 0, 0, fmt.Errorf("core: degenerate prior norm state %+v", prior)
+	}
+	ce, ok := est.(centersEstimator)
+	if !ok {
+		return 0, 0, errors.New("core: incremental draws require an estimator exposing Centers and N")
+	}
+	ks := len(ce.Centers())
+	if ks == 0 {
+		return 0, 0, errors.New("core: estimator has no centers")
+	}
+	s := (float64(n) / float64(prior.N)) * (float64(prior.Kernels) / float64(ks))
+	if nr, ok := est.(NormRescaler); ok {
+		s = nr.NormRescale(prior.N, prior.Kernels)
+	}
+	return prior.K * biasedScale(s, alpha), ks, nil
 }
 
 // biasedScale is s^a with the same fast paths biasedWeight uses, so the

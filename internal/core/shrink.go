@@ -28,7 +28,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -69,9 +68,6 @@ type ShrinkOptions struct {
 // coin is re-examined).
 func ShrinkDraw(evicted dataset.Dataset, est DensityEstimator, opts ShrinkOptions) (*Sample, NormState, error) {
 	var zero NormState
-	if est == nil {
-		return nil, zero, errors.New("core: nil density estimator")
-	}
 	if opts.Prior == nil {
 		return nil, zero, errors.New("core: ShrinkDraw requires a prior sample")
 	}
@@ -82,9 +78,6 @@ func ShrinkDraw(evicted dataset.Dataset, est DensityEstimator, opts ShrinkOption
 		return nil, zero, fmt.Errorf("core: prior has %d indices for %d points", len(opts.Prior.Indices), len(opts.Prior.Points))
 	}
 	prior := opts.PriorNorm
-	if prior.N <= 0 || prior.Kernels <= 0 || prior.K <= 0 {
-		return nil, zero, fmt.Errorf("core: degenerate prior norm state %+v", prior)
-	}
 	m := opts.EvictCount
 	if m <= 0 {
 		return nil, zero, fmt.Errorf("core: EvictCount %d, want positive", m)
@@ -96,16 +89,13 @@ func ShrinkDraw(evicted dataset.Dataset, est DensityEstimator, opts ShrinkOption
 	if evicted.Len() != m {
 		return nil, zero, fmt.Errorf("core: evicted view holds %d rows, EvictCount is %d", evicted.Len(), m)
 	}
-	ce, ok := est.(centersEstimator)
-	if !ok {
-		return nil, zero, errors.New("core: ShrinkDraw requires an estimator exposing Centers and N")
+	e, err := newEngine(evicted, est, opts.Options)
+	if err != nil {
+		return nil, zero, err
 	}
-	floor := opts.FloorDensity
-	if floor < 0 {
-		return nil, zero, errors.New("core: negative FloorDensity")
-	}
-	if floor == 0 {
-		floor = defaultFloor(est)
+	kbase, ks, err := carriedNorm(est, prior, n, opts.Alpha)
+	if err != nil {
+		return nil, zero, err
 	}
 
 	rec := opts.Obs
@@ -115,25 +105,16 @@ func ShrinkDraw(evicted dataset.Dataset, est DensityEstimator, opts ShrinkOption
 	// The one pass: D_evict = Σ_{evicted} f'(x)^a under the post-eviction
 	// estimator.
 	nspan := rec.StartSpan("shrink_draw/normalize")
-	d, err := exactNorm(opts.Ctx, evicted, est, opts.Options, floor, nil, rec, opts.Progress)
+	d, err := e.exactNorm(false)
 	nspan.AddPoints(int64(m))
 	nspan.End()
 	if err != nil {
 		return nil, zero, err
 	}
 
-	ks := len(ce.Centers())
-	if ks == 0 {
-		return nil, zero, errors.New("core: estimator has no centers")
-	}
-	s := (float64(n) / float64(prior.N)) * (float64(prior.Kernels) / float64(ks))
-	if nr, ok := est.(NormRescaler); ok {
-		s = nr.NormRescale(prior.N, prior.Kernels)
-	}
-	kbase := prior.K * biasedScale(s, opts.Alpha)
 	kNew := kbase - d
-	if kNew <= 0 || math.IsInf(kNew, 0) || math.IsNaN(kNew) {
-		return nil, zero, fmt.Errorf("core: degenerate shrunk normalizer k_a = %v (k_base %v − D_evict %v)", kNew, kbase, d)
+	if err := checkNorm(kNew); err != nil {
+		return nil, zero, fmt.Errorf("%w (k_base %v − D_evict %v)", err, kbase, d)
 	}
 
 	// Keep exactly the survivors: sample points whose index falls inside

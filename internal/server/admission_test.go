@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -141,10 +142,15 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 	}
 	const n = 4
 	order := make(chan int, n)
+	// released counts a waiter out only after its rel() has run, so the
+	// drain check below cannot see the last slot still held.
+	var released sync.WaitGroup
+	released.Add(n)
 	for i := 0; i < n; i++ {
 		i := i
 		gc := newGateCtx()
 		go func() {
+			defer released.Done()
 			rel, werr := a.Enter(gc)
 			if werr != nil {
 				order <- -1
@@ -164,6 +170,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 			t.Fatalf("admission order: got %d, want %d", got, want)
 		}
 	}
+	released.Wait()
 	if a.InFlight() != 0 || a.Queued() != 0 {
 		t.Errorf("in flight %d queued %d after drain, want 0, 0", a.InFlight(), a.Queued())
 	}

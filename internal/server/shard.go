@@ -25,14 +25,15 @@ import (
 // rests on four locally-checkable facts: (1) workers build the estimator
 // from (fingerprint-verified view, params, seed) exactly as buildEstimator
 // does, so every worker holds the identical estimator and derives the
-// identical density floor; (2) per-block partial k_a sums are re-added
-// in global block order (shard.MergeNorm), reproducing ExactNorm's
-// addition order; (3) the coin pass reconstructs each block's RNG stream
-// from (base, block index) and runs Draw's own selection loop
-// (core.DrawBlocks); (4) selections are concatenated in global block
-// order. Sharded builds are always exact (two passes) — DriftTol's
-// incremental extends never run here, because an extended artifact
-// depends on append lineage a stateless worker does not share.
+// identical density floor; (2) the per-block partial k_a sums come from
+// core's block engine (core.NormPartials is its weigh step) and are
+// folded in global block order by core.FoldNorm, the fold the
+// single-node draw uses; (3) the coin pass is the engine's flip step
+// (core.DrawBlocks), the one Draw runs, with each block's RNG stream
+// derived from (base, block index); (4) selections are concatenated in
+// global block order. Sharded builds are always exact (two passes) —
+// DriftTol's incremental extends never run here, because an extended
+// artifact depends on append lineage a stateless worker does not share.
 
 // shardExecutor implements shard.Executor over the server's registry and
 // artifact cache — the compute surface behind both the in-process worker
@@ -270,6 +271,9 @@ func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *H
 		return nil, 0, err
 	}
 	span.AddPoints(int64(n))
-	ns := core.NormState{K: sm.Norm, N: n, Kernels: p.Kernels}
+	// The workers' estimator holds min(kernels, n) centres, kde.Build's
+	// reservoir rule; buildSample records that count (est.NumKernels()),
+	// and an artifact stored under the same key must too.
+	ns := core.NormState{K: sm.Norm, N: n, Kernels: min(p.Kernels, n)}
 	return &sampleArtifact{s: sm, ns: ns}, sampleBytes(sm), nil
 }

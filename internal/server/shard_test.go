@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -245,5 +247,49 @@ func TestShardTraceTree(t *testing.T) {
 		if attempts[phase] == 0 {
 			t.Errorf("phase %q has no RPC attempts nested under it; events %v", phase, paths)
 		}
+	}
+}
+
+// TestShardArtifactKernels: a sharded build records the kernel count its
+// workers' estimator holds, not the requested one. kde.Build keeps
+// min(kernels, n) centres, so with n < kernels the local and the sharded
+// artifact must carry the same NormState and encode to the same DBSS1
+// bytes — both are stored under one cache key, and a replica extending
+// from either rescales its normalizer by that count.
+func TestShardArtifactKernels(t *testing.T) {
+	const n = 300
+	q := sampleRequest{Dataset: "pts", Alpha: 1, Size: 50, Kernels: 1000, Seed: 5}
+	p, err := q.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg Config) ([]byte, core.NormState) {
+		t.Helper()
+		srv, _, _ := newTestServer(t, cfg, n)
+		h, err := srv.Registry().Acquire("pts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		art, _, err := srv.sampleAt(context.Background(), nil, h, q, p, h.Generation())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := core.MarshalSample(art.s, art.ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, art.ns
+	}
+	local, localNS := build(Config{Parallelism: 2})
+	sharded, shardedNS := build(Config{Parallelism: 2, ShardWorkers: 2})
+	if localNS.Kernels != n {
+		t.Fatalf("local artifact records %d kernels, want min(1000, %d)", localNS.Kernels, n)
+	}
+	if shardedNS != localNS {
+		t.Errorf("sharded NormState %+v, local %+v", shardedNS, localNS)
+	}
+	if !bytes.Equal(sharded, local) {
+		t.Errorf("sharded artifact encodes to %d bytes that differ from the local %d", len(sharded), len(local))
 	}
 }

@@ -301,9 +301,10 @@ func (c *Coordinator) onLaunch() func(i int, hedge bool) {
 }
 
 // Norm runs phase one: scatter the block groups, gather per-block partial
-// normalizers, and merge them in global block order into the exact k_a.
-// n is the dataset length at p's generation; the block layout is the one
-// core.Draw derives from (n, p.BlockSize).
+// normalizers, and fold them in global block order into the exact k_a
+// with core.FoldNorm, the fold the single-node draw uses. n is the dataset
+// length at p's generation; the block layout is the one core.Draw derives
+// from (n, p.BlockSize).
 func (c *Coordinator) Norm(ctx context.Context, p Params, n int) (float64, error) {
 	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
 	groups := c.groups(p.Dataset, numBlocks)
@@ -342,7 +343,7 @@ func (c *Coordinator) Norm(ctx context.Context, p Params, n int) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	norm := MergeNorm(partials)
+	norm := core.FoldNorm(partials)
 	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
 		return 0, fmt.Errorf("shard: degenerate merged normalizer k_a = %v", norm)
 	}

@@ -88,15 +88,3 @@ func DecodeF64(s string) (float64, error) {
 	}
 	return math.Float64frombits(bits), nil
 }
-
-// MergeNorm sums per-block partial normalizers laid out in global block
-// order, left to right — the same addition order as core.ExactNorm's
-// final reduction, so for partials produced by core.NormPartials the
-// result equals the single-node k_a bit-for-bit (0 ULP).
-func MergeNorm(partials []float64) float64 {
-	var k float64
-	for _, p := range partials {
-		k += p
-	}
-	return k
-}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification gate (see README.md, "Testing"). Everything here must
 # pass before a change lands: formatting, static checks, a full build, the
-# complete test suite, the race detector over the packages that run
+# complete test suite, the benchmark module's vet and tests, the race
+# detector over the packages that run
 # concurrent code (the parallel execution layer, its two biggest consumers,
 # and the observability layer's shared Recorder, plus the serving layer's
 # registry/cache/admission), and the observability
@@ -13,6 +14,11 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module (bench/go.mod, the repository replaced
+# by ../), so the lines above never build it: vet it and run its tests —
+# a quick traced run whose digests are checked against a reference server,
+# plus its unit tests — against the code it drives.
+(cd bench && go vet ./... && go test ./...)
 go test -race ./internal/parallel/... ./internal/core/... ./internal/kde/... ./internal/obs/... ./internal/faults/... ./internal/server/... ./internal/dataset/... ./internal/shard/... ./internal/loadgen/... ./internal/stream/...
 # Chaos smoke: the seeded fault-injection suite in short mode (12 seeds) —
 # goroutine leaks, admission slot leaks, cache accounting drift, and any
