@@ -296,6 +296,73 @@ func TestAppendIncrementalWorkerParity(t *testing.T) {
 	}
 }
 
+// TestAppendExtendedKeyedByLineage: an extended artifact depends on the
+// append history, not only on the rows, so it must never answer a
+// lookup for an exact build of the same rows. Replica A (DriftTol 0.3)
+// extends generation 1; the same rows registered under another name on
+// A, and registered whole on replica B (DriftTol 0) sharing A's disk
+// tier, must both get the bytes of a server that never saw the append.
+func TestAppendExtendedKeyedByLineage(t *testing.T) {
+	const n, m = 2000, 150
+	full := testPoints(n+m, 2, 11)
+	body := func(name string) map[string]any {
+		b := map[string]any{}
+		for k, v := range sampleBody {
+			b[k] = v
+		}
+		b["dataset"] = name
+		return b
+	}
+	sample := func(url, name string) (string, []byte) {
+		t.Helper()
+		resp, raw := postJSON(t, url+"/v1/sample", body(name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sample %s: %d: %s", name, resp.StatusCode, raw)
+		}
+		return resp.Header.Get("X-DBS-Cache"), raw
+	}
+	register := func(srv *Server, name string, pts []geom.Point) {
+		t.Helper()
+		if err := srv.Registry().RegisterDataset(name, dataset.MustInMemory(clonePts(pts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(cfg Config, name string, pts []geom.Point) (*Server, *httptest.Server) {
+		t.Helper()
+		srv := New(cfg)
+		register(srv, name, pts)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+	exact := func(name string) []byte {
+		t.Helper()
+		_, ts := serve(Config{Parallelism: 2}, name, full)
+		_, raw := sample(ts.URL, name)
+		return raw
+	}
+
+	dir := t.TempDir()
+	srvA, a := serve(Config{Parallelism: 2, DriftTol: 0.3, Disk: mustDiskTier(t, dir)}, "pts", full[:n])
+	sample(a.URL, "pts")
+	if resp, raw := postJSON(t, a.URL+"/v1/datasets/pts/append", appendBody(clonePts(full[n:]))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d: %s", resp.StatusCode, raw)
+	}
+	if _, ext := sample(a.URL, "pts"); bytes.Equal(ext, exact("pts")) {
+		t.Fatal("generation 1 on replica A was not extended; the test needs an extended artifact")
+	}
+
+	register(srvA, "copy", full)
+	if out, got := sample(a.URL, "copy"); !bytes.Equal(got, exact("copy")) {
+		t.Errorf("same rows under another name on replica A (X-DBS-Cache %s): got the extended sample, want the exact one", out)
+	}
+
+	_, b := serve(Config{Parallelism: 2, Disk: mustDiskTier(t, dir)}, "pts", full)
+	if out, got := sample(b.URL, "pts"); !bytes.Equal(got, exact("pts")) {
+		t.Errorf("replica B at DriftTol 0 (X-DBS-Cache %s): got replica A's extended sample from the shared disk tier, want the exact one", out)
+	}
+}
+
 // TestAppendChaos replays an append-then-sample sequence under seeded
 // fault schedules hitting the append stage and both delta build stages.
 // Whatever the schedule does, a successful response must be identical to
