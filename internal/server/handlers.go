@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"mime"
 	"net/http"
@@ -459,29 +460,46 @@ func seedStreams(seed uint64) (estRNG, drawRNG *stats.RNG) {
 	return st[0], st[1]
 }
 
-// exactAt reports whether generation g of h must be built exactly (a full
-// build over the generation's view) rather than extended from generation
-// g-1. The decision is core.RebuildSchedule over the generation lengths —
-// a pure function of (lengths, DriftTol), so every replica, and a replica
+// lineage is the cache-key suffix of generation g's artifacts. It is
+// empty when g builds exactly — a full build over the generation's view,
+// which depends on the rows alone — and otherwise names the append
+// history an extension of generation g-1 also depends on: the last exact
+// generation and a hash of every generation length from it to g. So an
+// extended artifact never answers a lookup for an exact build of the
+// same rows, on this replica or on one sharing its disk tier. The
+// decision is core.RebuildSchedule over the generation lengths — a pure
+// function of (lengths, DriftTol), so every replica, and a replica
 // restarted mid-lineage, schedules the same way. With DriftTol ≤ 0 (the
 // default) everything is exact and incremental builds never run.
-func (s *Server) exactAt(h *Handle, g uint64) bool {
+func (s *Server) lineage(h *Handle, g uint64) string {
 	if h.Windowed() {
 		// A windowed generation's rows are not a superset of the prior
 		// generation's (eviction dropped the front), so the extend path
 		// does not apply; windows always build exactly — which is what
 		// makes a windowed response byte-identical to the same rows
 		// registered fresh.
-		return true
+		return ""
 	}
 	if g == 0 || h.Appendable() == nil || s.cfg.DriftTol <= 0 {
-		return true
+		return ""
 	}
 	counts := make([]int, g+1)
 	for j := range counts {
 		counts[j] = h.GenLen(uint64(j))
 	}
-	return core.RebuildSchedule(counts, s.cfg.DriftTol)[g]
+	exact := core.RebuildSchedule(counts, s.cfg.DriftTol)
+	if exact[g] {
+		return ""
+	}
+	e := g
+	for !exact[e] {
+		e--
+	}
+	sum := fnv.New64a()
+	for _, c := range counts[e:] {
+		fmt.Fprintf(sum, "%d,", c)
+	}
+	return fmt.Sprintf("|lineage=%d:%016x", e, sum.Sum64())
 }
 
 // genSeed decorrelates an incremental stage's randomness from the base
@@ -520,22 +538,22 @@ func (s *Server) artifact(rec *obs.Recorder, event, key string, g uint64, build 
 // allows, extends the prior generation's estimator — recursively, with
 // work proportional to the delta. exactOnly (the shard worker, which
 // must derive the estimator from the generation's content alone, not
-// from the coordinator's append lineage) never extends: an exact build
-// the schedule would have extended gets its own "|exact" key. Cached
-// estimators hold the server-level recorder (attached once — a shared
-// artifact must not point at one request's recorder), so their
-// kernel-evaluation counters aggregate across requests.
+// from the coordinator's append lineage) never extends, so its exact
+// build keeps the bare key. Cached estimators hold the server-level
+// recorder (attached once — a shared artifact must not point at one
+// request's recorder), so their kernel-evaluation counters aggregate
+// across requests.
 func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64, exactOnly bool) (*kde.Estimator, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	key := p.key(fp)
-	if exactOnly && !s.exactAt(h, g) {
-		key += "|exact"
+	lin := ""
+	if !exactOnly {
+		lin = s.lineage(h, g)
 	}
-	v, out, err := s.artifact(rec, "cache/est", key, g, func() (any, int64, error) {
-		if exactOnly || s.exactAt(h, g) {
+	v, out, err := s.artifact(rec, "cache/est", p.key(fp)+lin, g, func() (any, int64, error) {
+		if lin == "" {
 			return s.buildEstimator(ctx, rec, h, p, g)
 		}
 		return s.extendEstimator(ctx, rec, h, p, g)
@@ -680,25 +698,38 @@ type sampleArtifact struct {
 	ns core.NormState
 }
 
+// sampleLineage is the lineage suffix of generation g's sample key for q,
+// and whether the shard coordinator builds the sample. Sharded builds
+// are always exact, so they keep the bare key; every other build, a
+// OnePass draw over an extended estimator included, carries g's lineage.
+func (s *Server) sampleLineage(h *Handle, q sampleRequest, g uint64) (lin string, sharded bool) {
+	if s.coord != nil && !q.OnePass && !h.Windowed() {
+		return "", true
+	}
+	return s.lineage(h, g), false
+}
+
 // sampleAt returns the sample artifact for generation g, keyed by the
-// generation's content fingerprint; a hit runs no dataset pass at all. A
-// miss picks one build: sharded scatter-gather (bit-identical to the
-// local build, so it shares the key; OnePass stays local, having no exact
-// normalizer to merge, and so do windowed handles, whose rows the shard
-// executor would not see), an exact two-pass build, or — where the drift
-// schedule allows and the request is not OnePass — an extension of the
-// prior generation's artifact with passes over the delta only, O(|delta|)
-// regardless of the dataset size.
+// generation's content fingerprint and its lineage (sampleLineage); a
+// hit runs no dataset pass at all. A miss picks one build: sharded
+// scatter-gather (bit-identical to the exact local build, so it shares
+// the key; OnePass stays local, having no exact normalizer to merge, and
+// so do windowed handles, whose rows the shard executor would not see),
+// an exact two-pass build, or — where the drift schedule allows and the
+// request is not OnePass — an extension of the prior generation's
+// artifact with passes over the delta only, O(|delta|) regardless of the
+// dataset size.
 func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (*sampleArtifact, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	v, out, err := s.artifact(rec, "cache/sample", q.key(fp, p), g, func() (any, int64, error) {
+	lin, sharded := s.sampleLineage(h, q, g)
+	v, out, err := s.artifact(rec, "cache/sample", q.key(fp, p)+lin, g, func() (any, int64, error) {
 		switch {
-		case s.coord != nil && !q.OnePass && !h.Windowed():
+		case sharded:
 			return s.buildSampleSharded(ctx, rec, h, q, p, g)
-		case q.OnePass || s.exactAt(h, g):
+		case q.OnePass || lin == "":
 			return s.buildSample(ctx, rec, h, q, p, g)
 		default:
 			return s.extendSample(ctx, rec, h, q, p, g)
@@ -908,7 +939,8 @@ func (s *Server) degradeSample(rec *obs.Recorder, w http.ResponseWriter, req sam
 	}
 	a0 := req
 	a0.Alpha = 0
-	v, out, _ := s.artifact(rec, "cache/sample", a0.key(fp, p), g, nil)
+	lin, _ := s.sampleLineage(h, a0, g)
+	v, out, _ := s.artifact(rec, "cache/sample", a0.key(fp, p)+lin, g, nil)
 	if v == nil {
 		return false
 	}
