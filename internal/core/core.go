@@ -108,14 +108,13 @@ type sampleArena struct {
 	dims   int
 	wps    []dataset.WeightedPoint
 	coords []float64
-	idxs   []int64
 }
 
 const arenaChunk = 1024
 
-func (a *sampleArena) alloc(k int) ([]dataset.WeightedPoint, []float64, []int64) {
+func (a *sampleArena) alloc(k int) ([]dataset.WeightedPoint, []float64) {
 	if k == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	a.mu.Lock()
 	if k > cap(a.wps)-len(a.wps) {
@@ -137,32 +136,21 @@ func (a *sampleArena) alloc(k int) ([]dataset.WeightedPoint, []float64, []int64)
 	}
 	coords := a.coords[len(a.coords) : len(a.coords)+cs : len(a.coords)+cs]
 	a.coords = a.coords[:len(a.coords)+cs]
-	if k > cap(a.idxs)-len(a.idxs) {
-		size := arenaChunk
-		if k > size {
-			size = k
-		}
-		a.idxs = make([]int64, 0, size)
-	}
-	idxs := a.idxs[len(a.idxs) : len(a.idxs)+k : len(a.idxs)+k]
-	a.idxs = a.idxs[:len(a.idxs)+k]
 	a.mu.Unlock()
-	return wps, coords, idxs
+	return wps, coords
 }
 
 // fillBlockSample copies the selected points of one block out of the scan
-// buffer into arena-carved storage and builds their weighted entries plus
-// their dataset indices (start is the block's global offset).
-func fillBlockSample(arena *sampleArena, pts []geom.Point, sc *coinScratch, count, start int) ([]dataset.WeightedPoint, []int64) {
-	wps, coords, idxs := arena.alloc(count)
+// buffer into arena-carved storage and builds their weighted entries.
+func fillBlockSample(arena *sampleArena, pts []geom.Point, sc *coinScratch, count int) []dataset.WeightedPoint {
+	wps, coords := arena.alloc(count)
 	d := arena.dims
 	for k := 0; k < count; k++ {
 		dst := coords[k*d : (k+1)*d : (k+1)*d]
 		copy(dst, pts[sc.idx[k]])
 		wps[k] = dataset.WeightedPoint{P: geom.Point(dst), W: 1 / sc.probs[k]}
-		idxs[k] = int64(start) + int64(sc.idx[k])
 	}
-	return wps, idxs
+	return wps
 }
 
 // centersEstimator is optionally implemented by estimators that expose
@@ -172,20 +160,6 @@ func fillBlockSample(arena *sampleArena, pts []geom.Point, sc *coinScratch, coun
 type centersEstimator interface {
 	Centers() []geom.Point
 	N() int
-}
-
-// NormRescaler is optionally implemented by estimators that know how a
-// point's density changes when the estimator is extended (or shrunk) from
-// a prior state: NormRescale returns s such that f'(x) ≈ s·f(x) on the
-// surviving prefix, given the prior state's represented size and kernel
-// count. ExtendDraw and ShrinkDraw consult it in place of the KDE default
-// s = (n'/N)·(ks/ks'). Estimators whose densities are absolute counts
-// independent of the represented size — the streaming sketch estimator —
-// return 1: evicting or appending points leaves a surviving point's
-// estimate (approximately) unchanged, so the prior normalizer carries
-// over at face value.
-type NormRescaler interface {
-	NormRescale(priorN, priorKernels int) float64
 }
 
 // Options configure one biased-sampling run.
@@ -280,17 +254,6 @@ type Sample struct {
 	// Saturated counts points whose inclusion probability was clipped at
 	// 1. When zero, E[len(Points)] equals the target size exactly.
 	Saturated int
-
-	// Indices, when non-nil, holds the dataset index of each sampled
-	// point, parallel to Points (both are in dataset index order). Draw
-	// and ExtendDraw fill it; ShrinkDraw consumes it to identify evicted
-	// sample points without a dataset pass. It is nil on samples whose
-	// provenance does not carry indices — a sharded merge assembled from
-	// wire blocks, or a sample decoded from a serialized artifact — and
-	// the codec deliberately does not persist it. Nil propagates: an
-	// ExtendDraw over a prior without indices returns a sample without
-	// them.
-	Indices []int64
 }
 
 // PlainPoints returns just the sampled points, for algorithms that do not
@@ -381,7 +344,7 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	passes++
 
 	out := &Sample{Norm: norm, DataPasses: passes}
-	out.gather(blocks, true)
+	out.gather(blocks)
 	span.AddPoints(int64(n))
 	rec.Gauge(obs.GaugeSampleNorm).Set(norm)
 	rec.Gauge(obs.GaugeSampleDataPasses).Set(float64(passes))

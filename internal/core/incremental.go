@@ -120,7 +120,6 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if err != nil {
 		return nil, zero, err
 	}
-	e.origin = opts.DeltaStart
 	kbase, ks, err := carriedNorm(est, prior, n, opts.Alpha)
 	if err != nil {
 		return nil, zero, err
@@ -153,23 +152,16 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	tspan := rec.StartSpan("extend_draw/thin")
 	thin := stats.StreamAt(base, 0)
 	out := &Sample{Norm: kNew, DataPasses: 2, Points: make([]dataset.WeightedPoint, 0, len(opts.Prior.Points))}
-	if opts.Prior.Indices != nil {
-		out.Indices = make([]int64, 0, len(opts.Prior.Indices))
-	}
-	for i, wp := range opts.Prior.Points {
+	for _, wp := range opts.Prior.Points {
 		if thin.Bernoulli(r) {
 			out.Points = append(out.Points, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
-			if out.Indices != nil {
-				out.Indices = append(out.Indices, opts.Prior.Indices[i])
-			}
 		}
 	}
 	rec.Counter(obs.CtrCoinFlips).Add(int64(len(opts.Prior.Points)))
 	tspan.End()
 
 	// Pass 2 over the delta: the usual inclusion coin against k_a', delta
-	// block b drawing from stream 1+b. Block starts are window-relative;
-	// the engine's origin makes a selection's index DeltaStart + offset.
+	// block b drawing from stream 1+b.
 	sspan := rec.StartSpan("extend_draw/sample")
 	blocks, err := e.flip(kNew, base, 1)
 	sspan.AddPoints(int64(m))
@@ -177,7 +169,7 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if err != nil {
 		return nil, zero, err
 	}
-	out.gather(blocks, out.Indices != nil)
+	out.gather(blocks)
 	span.AddPoints(int64(m))
 	rec.Counter(obs.CtrIncDraws).Inc()
 	rec.Gauge(obs.GaugeSampleNorm).Set(kNew)
@@ -193,15 +185,14 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 }
 
 // carriedNorm is k_base = K·s^a: the prior normalizer K carried over to
-// est, the estimator after the prior's dataset grew or shrank to n
-// points. The KDE default is s = (n/N)·(ks/ks'): the per-kernel mass
-// scales with the represented size and inversely with the kernel count,
-// while the kernel sum at a surviving point is dominated by the old
-// centers, so Σ_{prior} f'(x)^a ≈ s^a · Σ_{prior} f(x)^a = K·s^a. The
-// error of this approximation is the drift an incremental step
-// contributes. An estimator implementing NormRescaler supplies s itself.
-// ks', est's kernel count, is returned for the successor NormState; a
-// degenerate prior state is an error.
+// est, the estimator after the prior's dataset grew to n points, with
+// s = (n/N)·(ks/ks'): the per-kernel mass scales with the represented
+// size and inversely with the kernel count, while the kernel sum at a
+// surviving point is dominated by the old centers, so
+// Σ_{prior} f'(x)^a ≈ s^a · Σ_{prior} f(x)^a = K·s^a. The error of this
+// approximation is the drift an incremental step contributes. ks', est's
+// kernel count, is returned for the successor NormState; a degenerate
+// prior state is an error.
 func carriedNorm(est DensityEstimator, prior NormState, n int, alpha float64) (float64, int, error) {
 	if prior.N <= 0 || prior.Kernels <= 0 || prior.K <= 0 {
 		return 0, 0, fmt.Errorf("core: degenerate prior norm state %+v", prior)
@@ -215,9 +206,6 @@ func carriedNorm(est DensityEstimator, prior NormState, n int, alpha float64) (f
 		return 0, 0, errors.New("core: estimator has no centers")
 	}
 	s := (float64(n) / float64(prior.N)) * (float64(prior.Kernels) / float64(ks))
-	if nr, ok := est.(NormRescaler); ok {
-		s = nr.NormRescale(prior.N, prior.Kernels)
-	}
 	return prior.K * biasedScale(s, alpha), ks, nil
 }
 

@@ -100,7 +100,6 @@ func TestDrawMatchesReference(t *testing.T) {
 // block by block, k_a' = K·s^a + Σ_delta w with the KDE rescaling
 // s = (n'/N)·(ks/ks'), the prior thinned at r = K·s^a/k_a' from stream 0
 // of one SplitsValues draw, and delta block b flipped from stream 1+b.
-// Indices of delta selections are global: deltaStart + offset.
 func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Sample, ns NormState, alpha, floor float64, b, blockSize int, rng *stats.RNG) *Sample {
 	weight := func(f float64) float64 { return math.Pow(math.Max(f, floor), alpha) }
 	delta := pts[deltaStart:]
@@ -126,10 +125,9 @@ func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Samp
 	r := kbase / norm
 	streams := rng.SplitsValues(1+len(blocks), nil)
 	out := &Sample{Norm: norm, DataPasses: 2}
-	for i, wp := range prior.Points {
+	for _, wp := range prior.Points {
 		if streams[0].Bernoulli(r) {
 			out.Points = append(out.Points, dataset.WeightedPoint{P: wp.P, W: wp.W / r})
-			out.Indices = append(out.Indices, prior.Indices[i])
 		}
 	}
 	for i, blk := range blocks {
@@ -141,7 +139,6 @@ func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Samp
 			}
 			if streams[1+i].Bernoulli(prob) {
 				out.Points = append(out.Points, dataset.WeightedPoint{P: p, W: 1 / prob})
-				out.Indices = append(out.Indices, int64(deltaStart+i*blockSize+j))
 			}
 		}
 	}
@@ -149,7 +146,7 @@ func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Samp
 }
 
 // TestExtendDrawMatchesReference pins ExtendDraw to refExtend bit for bit
-// — points, weights, indices, Norm and Saturated — over an appended
+// — points, weights, Norm and Saturated — over an appended
 // in-memory dataset (the delta's weights are kept between the passes) and
 // the same rows file-backed (they are recomputed), across exponents and
 // worker counts. It is what notices a delta block flipping its coins from
@@ -214,16 +211,7 @@ func TestExtendDrawMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("alpha=%v %T workers=%d", alpha, ds, workers)
-				sameSample(t, want, got, label)
-				if len(got.Indices) != len(want.Indices) {
-					t.Fatalf("%s: %d indices, want %d", label, len(got.Indices), len(want.Indices))
-				}
-				for i := range want.Indices {
-					if got.Indices[i] != want.Indices[i] {
-						t.Fatalf("%s: index %d = %d, want %d", label, i, got.Indices[i], want.Indices[i])
-					}
-				}
+				sameSample(t, want, got, fmt.Sprintf("alpha=%v %T workers=%d", alpha, ds, workers))
 			}
 		}
 	}

@@ -25,16 +25,13 @@ import (
 )
 
 // BlockSample is one block's contribution to a draw: the selected
-// weighted points of global block Block in index order, their dataset
-// indices, and the block's count of probabilities clipped at 1.
-// Concatenating the BlockSamples of blocks 0..NumBlocks-1 in block order
-// reproduces Draw's Points and Indices, and summing Saturated reproduces
-// Draw's Saturated. Indices never cross the shard wire: a sharded merge
-// carries Indices == nil.
+// weighted points of global block Block in index order and the block's
+// count of probabilities clipped at 1. Concatenating the BlockSamples of
+// blocks 0..NumBlocks-1 in block order reproduces Draw's Points, and
+// summing Saturated reproduces Draw's Saturated.
 type BlockSample struct {
 	Block     int
 	Points    []dataset.WeightedPoint
-	Indices   []int64
 	Saturated int
 }
 

@@ -21,12 +21,11 @@ func init() {
 // budgets. Every method feeds the same density-biased sampler (a=1) over
 // the 30%-noise workload; the score is how many of the 10 planted
 // clusters CURE recovers from the sample. Memory is what the density
-// state costs: the sketch rows (plus probe reservoirs) for the streaming
-// estimators, kernel centers + bandwidth for KDE (the kd-tree roughly
-// doubles this), and the bucket table for the grid. The streaming
-// estimators build their state in ONE forward pass over the stream and
-// additionally support eviction (sliding windows) — the others need the
-// dataset at rest.
+// state costs: the sketch rows (plus the probe reservoir) for the
+// streaming estimators, kernel centers + bandwidth for KDE (the kd-tree
+// roughly doubles this), and the bucket table for the grid. The
+// streaming estimators build their state in ONE forward pass over the
+// stream — the others need the dataset at rest.
 func expStream(cfg Config) (*Table, error) {
 	total := 100000
 	if cfg.Quick {
@@ -43,7 +42,7 @@ func expStream(cfg Config) (*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("2-d, %d base points + 30%% noise, a=1, target sample %d, %d trial(s)", total, b, tr),
 			"bytes = density state actually allocated at that budget (KDE excludes its kd-tree)",
-			"sketch and ASG build in one stream pass and support window eviction; KDE and grid need the data at rest",
+			"sketch and ASG build in one stream pass; KDE and grid need the data at rest",
 		},
 	}
 

@@ -1,22 +1,15 @@
-// Package stream provides bounded-memory density estimation over growing
-// and sliding-window datasets: a Count-Min sketch of grid-cell occupancy
-// (optionally averaged over shifted grids, after Wells & Ting's averaged
-// shifted histograms) that maintains cell counts, the density field f, and
-// the normalizer k_a in one pass with O(width × depth) memory — and a
-// windowed sampler that keeps a density-biased sample live over the most
-// recent points by extending on append (core.ExtendDraw) and shrinking on
-// eviction (core.ShrinkDraw), with drift-scheduled exact rebuilds.
+// Package stream provides bounded-memory density estimation over a
+// stream of points: a Count-Min sketch of grid-cell occupancy (optionally
+// averaged over shifted grids, after Wells & Ting's averaged shifted
+// histograms) that maintains cell counts and the density field f in one
+// forward pass with O(width × depth) memory.
 package stream
 
 import "fmt"
 
-// CMSketch is a Count-Min sketch over uint64 keys with plain linear
-// updates — deliberately NOT the conservative-update variant. Linear rows
-// make Remove an exact inverse of Add: removing exactly the keys
-// previously added returns every counter to its prior state, which the
-// sliding-window estimator relies on when it evicts a generation.
-// Count reads the minimum over rows (clamped at zero), so estimates
-// overshoot only by hash collisions, never undershoot.
+// CMSketch is a Count-Min sketch over uint64 keys. Count reads the
+// minimum over rows, so estimates overshoot only by hash collisions,
+// never undershoot.
 type CMSketch struct {
 	width, depth int
 	rows         [][]int64
@@ -67,27 +60,14 @@ func (s *CMSketch) Add(key uint64) {
 	}
 }
 
-// Remove decrements key's counter in every row — the exact inverse of a
-// prior Add of the same key. Removing a key that was never added skews the
-// sketch; callers must only remove observed keys.
-func (s *CMSketch) Remove(key uint64) {
-	for r := 0; r < s.depth; r++ {
-		s.rows[r][s.pos(r, key)]--
-	}
-}
-
-// Count estimates key's multiplicity: the minimum over rows, clamped at
-// zero. Never an undercount of the true multiplicity when only observed
-// keys have been removed.
+// Count estimates key's multiplicity: the minimum over rows, never an
+// undercount of the true multiplicity.
 func (s *CMSketch) Count(key uint64) int64 {
 	min := s.rows[0][s.pos(0, key)]
 	for r := 1; r < s.depth; r++ {
 		if c := s.rows[r][s.pos(r, key)]; c < min {
 			min = c
 		}
-	}
-	if min < 0 {
-		return 0
 	}
 	return min
 }

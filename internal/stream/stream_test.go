@@ -1,11 +1,9 @@
 package stream
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/stats"
 )
@@ -13,14 +11,13 @@ import (
 // The estimator must satisfy core's full estimator surface.
 var (
 	_ core.DensityEstimator = (*Estimator)(nil)
-	_ core.NormRescaler     = (*Estimator)(nil)
 	_ interface {
 		Centers() []geom.Point
 		N() int
 	} = (*Estimator)(nil)
 )
 
-func TestCMSketchExactRemove(t *testing.T) {
+func TestCMSketchNeverUndercounts(t *testing.T) {
 	sk, err := NewCMSketch(256, 4, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +28,6 @@ func TestCMSketchExactRemove(t *testing.T) {
 		keys[i] = rng.Uint64() % 64 // heavy collisions on purpose
 		sk.Add(keys[i])
 	}
-	// Counts never undercount true multiplicity.
 	mult := map[uint64]int64{}
 	for _, k := range keys {
 		mult[k]++
@@ -39,23 +35,6 @@ func TestCMSketchExactRemove(t *testing.T) {
 	for k, m := range mult {
 		if got := sk.Count(k); got < m {
 			t.Fatalf("key %d count %d < true %d", k, got, m)
-		}
-	}
-	// Removing exactly the added keys is an exact inverse: all counters
-	// return to zero.
-	for _, k := range keys {
-		sk.Remove(k)
-	}
-	for k := range mult {
-		if got := sk.Count(k); got != 0 {
-			t.Fatalf("after full removal key %d count %d, want 0", k, got)
-		}
-	}
-	for r, row := range sk.rows {
-		for i, c := range row {
-			if c != 0 {
-				t.Fatalf("row %d counter %d = %d after full removal", r, i, c)
-			}
 		}
 	}
 }
@@ -67,15 +46,6 @@ func TestCMSketchValidation(t *testing.T) {
 	if _, err := NewCMSketch(16, 0, 1); err == nil {
 		t.Error("zero depth accepted")
 	}
-}
-
-func mustDataset(t *testing.T, pts []geom.Point) *dataset.InMemory {
-	t.Helper()
-	ds, err := dataset.NewInMemory(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
 }
 
 // denseSparse returns points with 90% in a tight blob and 10% spread out.
@@ -118,264 +88,52 @@ func TestEstimatorDensityOrderingBothBackends(t *testing.T) {
 		if dense <= sparse {
 			t.Errorf("%s: dense density %v <= sparse %v", backend.name, dense, sparse)
 		}
-		if e.NormRescale(1, 1) != 1 {
-			t.Errorf("%s: NormRescale != 1", backend.name)
-		}
-		if e.NormEstimate(1, 0) <= 0 {
-			t.Errorf("%s: NormEstimate not positive", backend.name)
-		}
 	}
 }
 
-// TestEstimatorEvictExactInverse: observing A then B and evicting A leaves
-// the density field identical to observing B alone — the linear sketch
-// rows make eviction an exact inverse, for both backends.
-func TestEstimatorEvictExactInverse(t *testing.T) {
-	rng := stats.NewRNG(23)
-	genA := denseSparse(2000, rng)
-	genB := denseSparse(3000, rng)
-	for _, asg := range []bool{false, true} {
-		mk := New
-		if asg {
-			mk = NewASG
-		}
-		both, err := mk(geom.UnitCube(2), Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := both.Observe(genA); err != nil {
-			t.Fatal(err)
-		}
-		if err := both.Observe(genB); err != nil {
-			t.Fatal(err)
-		}
-		evicted := mustDataset(t, genA)
-		if err := both.EvictOldest(evicted); err != nil {
-			t.Fatal(err)
-		}
-
-		only, err := mk(geom.UnitCube(2), Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := only.Observe(genB); err != nil {
-			t.Fatal(err)
-		}
-
-		if both.N() != only.N() {
-			t.Fatalf("asg=%v: N %d vs %d", asg, both.N(), only.N())
-		}
-		probe := stats.NewRNG(77)
-		for i := 0; i < 500; i++ {
-			p := geom.Point{probe.Float64(), probe.Float64()}
-			if a, b := both.Density(p), only.Density(p); a != b {
-				t.Fatalf("asg=%v: density after evict %v != fresh %v at %v", asg, a, b, p)
-			}
-		}
-	}
-}
-
-func TestEstimatorEvictValidation(t *testing.T) {
+// TestEstimatorObserveRejectsWholeBatch: a batch holding a point of the
+// wrong dimension is refused before any of its points reach the
+// sketches or the probe reservoir, so the estimator reads as if the
+// batch never arrived.
+func TestEstimatorObserveRejectsWholeBatch(t *testing.T) {
 	e, err := New(geom.UnitCube(2), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EvictOldest(mustDataset(t, denseSparse(5, stats.NewRNG(1)))); err == nil {
-		t.Error("evict with no generations accepted")
+	bad := []geom.Point{{0.5, 0.5}, {0.5, 0.5}, {0.1, 0.2, 0.3}}
+	if err := e.Observe(bad); err == nil {
+		t.Fatal("batch with a 3-d point accepted by a 2-d estimator")
 	}
-	if err := e.Observe(denseSparse(10, stats.NewRNG(2))); err != nil {
-		t.Fatal(err)
+	if got := e.Density(geom.Point{0.5, 0.5}); got != 0 {
+		t.Errorf("density after a rejected batch = %v, want 0", got)
 	}
-	if err := e.EvictOldest(mustDataset(t, denseSparse(5, stats.NewRNG(3)))); err == nil {
-		t.Error("evicted view length mismatch accepted")
+	if e.N() != 0 || len(e.Centers()) != 0 {
+		t.Errorf("after a rejected batch N = %d with %d probes, want 0 and 0", e.N(), len(e.Centers()))
 	}
 }
 
-// TestEstimatorMemoryBounded: sketch memory is O(width × depth), and with
-// a bounded window the probe storage is bounded too — streaming 20x more
-// points through must not grow the estimator.
+// TestEstimatorMemoryBounded: sketch memory is O(width × depth) and the
+// probe storage is one fixed-size reservoir — streaming 20x more points
+// through must not grow the estimator.
 func TestEstimatorMemoryBounded(t *testing.T) {
-	// Track generations outside the estimator so eviction can hand the
-	// evicted points back (the estimator keeps only their sketch marks).
-	measure := func(gens int) int {
+	measure := func(batches int) int {
 		e, err := New(geom.UnitCube(2), Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := stats.NewRNG(31)
-		var live [][]geom.Point
-		for g := 0; g < gens; g++ {
-			pts := denseSparse(500, rng)
-			if err := e.Observe(pts); err != nil {
+		for g := 0; g < batches; g++ {
+			if err := e.Observe(denseSparse(500, rng)); err != nil {
 				t.Fatal(err)
-			}
-			live = append(live, pts)
-			for e.Generations() > 4 {
-				if err := e.EvictOldest(mustDataset(t, live[0])); err != nil {
-					t.Fatal(err)
-				}
-				live = live[1:]
 			}
 		}
 		return e.Bytes()
 	}
 	short, long := measure(5), measure(100)
 	if long > short {
-		t.Errorf("estimator grew with stream length: %d bytes after 100 gens, %d after 5", long, short)
+		t.Errorf("estimator grew with stream length: %d bytes after 100 batches, %d after 5", long, short)
 	}
 	if sketchOnly := 8 * (1 << 14) * 4; short < sketchOnly {
 		t.Errorf("Bytes %d under counter floor %d", short, sketchOnly)
-	}
-}
-
-// TestWindowedLineage drives the sliding-window sampler through appends
-// and evictions and pins the lineage bookkeeping: the norm state tracks
-// the live window, sample indices stay window-relative, and an exact
-// rebuild resets drift with k_a equal to the exact normalizer.
-func TestWindowedLineage(t *testing.T) {
-	est, err := New(geom.UnitCube(2), Options{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWindowed(est, WindowedOptions{
-		Alpha:        1,
-		TargetSize:   200,
-		WindowPoints: 2000,
-		RebuildTol:   1e9, // never rebuild on drift: isolate the incremental path
-		Seed:         41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(17)
-	for step := 0; step < 8; step++ {
-		if err := w.Append(denseSparse(600, rng)); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if w.Norm().N != w.Len() {
-			t.Fatalf("step %d: norm covers %d, window has %d", step, w.Norm().N, w.Len())
-		}
-		smp := w.Sample()
-		if smp.Indices == nil || len(smp.Indices) != len(smp.Points) {
-			t.Fatalf("step %d: indices out of sync", step)
-		}
-		for _, idx := range smp.Indices {
-			if idx < 0 || idx >= int64(w.Len()) {
-				t.Fatalf("step %d: index %d outside window [0, %d)", step, idx, w.Len())
-			}
-		}
-	}
-	if w.Shrinks() == 0 {
-		t.Fatal("no evictions happened; window bound not exercised")
-	}
-	if w.Len() < 2000 || w.Len() >= 2600 {
-		t.Fatalf("window length %d outside generation-granular bound [2000, 2600)", w.Len())
-	}
-	if w.Norm().Drift <= 0 {
-		t.Fatal("incremental lineage accumulated no drift")
-	}
-
-	// Force an exact rebuild by appending with a zero drift budget, and
-	// verify k_a matches the exact normalizer over the live window.
-	w.opts.RebuildTol = 1e-12
-	if err := w.Append(denseSparse(600, rng)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Rebuilds() < 2 { // bootstrap + drift-forced
-		t.Fatalf("rebuilds = %d, want the drift budget to force one", w.Rebuilds())
-	}
-	if got := w.Norm().Drift; got != 0 {
-		t.Fatalf("drift after rebuild = %v, want 0", got)
-	}
-	view, err := w.Window()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ExactNorm(view, est, 1, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(w.Norm().K-want) / want; rel > 1e-9 {
-		t.Fatalf("rebuilt k_a = %v, exact = %v (rel %v)", w.Norm().K, want, rel)
-	}
-}
-
-// TestWindowedWorkerParity: the whole maintenance pipeline — extend,
-// shrink, rebuild — is bit-identical at parallelism 1 and 8.
-func TestWindowedWorkerParity(t *testing.T) {
-	runSchedule := func(par int) *Windowed {
-		est, err := New(geom.UnitCube(2), Options{Seed: 19})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWindowed(est, WindowedOptions{
-			Alpha:        1,
-			TargetSize:   150,
-			WindowPoints: 1500,
-			RebuildTol:   0.3,
-			Parallelism:  par,
-			Seed:         53,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRNG(29)
-		for step := 0; step < 10; step++ {
-			if err := w.Append(denseSparse(400, rng)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return w
-	}
-	a, b := runSchedule(1), runSchedule(8)
-	if a.Norm() != b.Norm() {
-		t.Fatalf("norm state diverged across workers: %+v vs %+v", a.Norm(), b.Norm())
-	}
-	as, bs := a.Sample(), b.Sample()
-	if len(as.Points) != len(bs.Points) {
-		t.Fatalf("sample sizes diverged: %d vs %d", len(as.Points), len(bs.Points))
-	}
-	for i := range as.Points {
-		if !as.Points[i].P.Equal(bs.Points[i].P) || as.Points[i].W != bs.Points[i].W ||
-			as.Indices[i] != bs.Indices[i] {
-			t.Fatalf("sample point %d diverged across workers", i)
-		}
-	}
-}
-
-// TestWindowedExpectedSize: the live sample's size stays near the target b
-// through extends, shrinks, and rebuilds.
-func TestWindowedExpectedSize(t *testing.T) {
-	const b = 250
-	var total, steps int
-	for trial := 0; trial < 3; trial++ {
-		est, err := New(geom.UnitCube(2), Options{Seed: 61 + uint64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWindowed(est, WindowedOptions{
-			Alpha:        1,
-			TargetSize:   b,
-			WindowPoints: 3000,
-			RebuildTol:   0.25,
-			Seed:         101 + uint64(trial),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRNG(71 + uint64(trial))
-		for step := 0; step < 12; step++ {
-			if err := w.Append(denseSparse(700, rng)); err != nil {
-				t.Fatal(err)
-			}
-			total += len(w.Sample().Points)
-			steps++
-		}
-	}
-	mean := float64(total) / float64(steps)
-	// Shrinks decay E[|S|] below b until the next rebuild repairs it;
-	// allow a generous band around the target.
-	if mean < 0.6*b || mean > 1.4*b {
-		t.Errorf("mean live sample size %v, want within 40%% of %v", mean, float64(b))
 	}
 }
