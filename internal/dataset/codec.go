@@ -27,6 +27,10 @@ import (
 //	offset 16: count*dims float64s, row major
 const binaryMagic = "DBS1"
 
+// maxReserveRows caps the point slice ReadBinary reserves before reading
+// any row (4096 slice headers, 96 KiB).
+const maxReserveRows = 4096
+
 // WriteBinary streams ds into w in the binary format (one pass).
 func WriteBinary(w io.Writer, ds Dataset) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -88,7 +92,11 @@ func ReadBinary(r io.Reader) (*InMemory, error) {
 	if count == 0 {
 		return nil, errors.New("dataset: empty binary dataset")
 	}
-	pts := make([]geom.Point, 0, count)
+	// The header's count is untrusted: reserve no more rows up front than
+	// a small body could fill, and let append grow the slice as rows
+	// actually arrive, so a short body claiming 2^40 points fails on its
+	// first missing row instead of asking for terabytes.
+	pts := make([]geom.Point, 0, min(count, maxReserveRows))
 	row := make([]byte, 8*dims)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, row); err != nil {

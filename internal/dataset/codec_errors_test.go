@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -63,6 +64,27 @@ func TestReadBinaryImplausibleDims(t *testing.T) {
 	binary.LittleEndian.PutUint64(hdr[8:16], 1)
 	if _, err := ReadBinary(bytes.NewReader(hdr)); err == nil {
 		t.Error("implausible dims accepted")
+	}
+}
+
+// A 16-byte upload whose header claims 2^40 points must fail on its first
+// missing row without reserving memory for the claimed count: sizing the
+// point slice from the header asked for 24 TiB, and a 2^30 claim ended a
+// serving process with a fatal out-of-memory no handler can recover.
+func TestReadBinaryHugeCountHeader(t *testing.T) {
+	hdr := make([]byte, 16)
+	copy(hdr, binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], 1)
+	binary.LittleEndian.PutUint64(hdr[8:16], 1<<40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("16-byte body claiming 2^40 points accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("decoding a 16-byte body allocated %d bytes, want < 8 MiB", grew)
 	}
 }
 
