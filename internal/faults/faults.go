@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -147,7 +148,7 @@ func (in *Injector) Point(site string) *Point {
 	defer in.mu.Unlock()
 	p := in.points[site]
 	if p == nil {
-		p = &Point{in: in, site: site, hash: SiteHash(site)}
+		p = &Point{in: in, site: site, hash: stats.FNV1a(site)}
 		in.points[site] = p
 	}
 	return p
@@ -164,31 +165,6 @@ func (in *Injector) Injected() int64 {
 func (in *Injector) note() {
 	in.injected.Add(1)
 	in.cfg.Rec.Counter(obs.CtrFaultsInjected).Inc()
-}
-
-// SiteHash is the stable 64-bit FNV-1a hash mixed into each site's
-// decision stream, so distinct sites draw independent schedules from one
-// seed.
-func SiteHash(site string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-const golden = 0x9e3779b97f4a7c15
-
-// mix64 is the SplitMix64 finalizer (same construction as stats.RNG):
-// a bijective avalanche over the combined (seed, site, op) word.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Point is one named injection site. Each operation (a Scan call, a
@@ -242,7 +218,7 @@ func (p *Point) next() (Kind, uint64, uint64) {
 	if op < uint64(cfg.Skip) {
 		return KindNone, 0, op
 	}
-	h := mix64(cfg.Seed ^ p.hash ^ mix64(op+golden))
+	h := stats.Mix64(cfg.Seed ^ p.hash ^ stats.Mix64(op+stats.Golden))
 	u := float64(h>>11) / (1 << 53)
 	var kind Kind
 	switch {
@@ -262,7 +238,7 @@ func (p *Point) next() (Kind, uint64, uint64) {
 	if kind != KindDelay {
 		p.firedErr.Add(1)
 	}
-	return kind, mix64(h ^ golden), op
+	return kind, stats.Mix64(h ^ stats.Golden), op
 }
 
 // frac maps auxiliary bits onto [0, 1).

@@ -102,7 +102,7 @@ func (s *Server) runStage(ctx context.Context, rec *obs.Recorder, stage string, 
 		}
 		rec.Counter(obs.CtrRetries).Inc()
 		if rng == nil {
-			rng = stats.NewRNG(seed ^ faults.SiteHash(stage))
+			rng = stats.NewRNG(seed ^ stats.FNV1a(stage))
 		}
 		back := float64(s.cfg.RetryBackoff << uint(i))
 		d := time.Duration((0.5 + 0.5*rng.Float64()) * back)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // statusWriter records the status code and body bytes a handler wrote,
@@ -172,19 +173,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mix64 is the SplitMix64 finalizer, the same avalanche used by
-// internal/stats and internal/faults.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-const golden = 0x9e3779b97f4a7c15
-
 // IDSource generates trace IDs: 16 hex digits from a SplitMix64
 // stream. With a non-zero seed the sequence is deterministic — the
 // test and chaos mode, so a failing trace can be named by (seed,
@@ -213,8 +201,8 @@ func NewIDSource(seed uint64) *IDSource {
 // Next returns the next ID in the stream.
 func (s *IDSource) Next() string {
 	s.mu.Lock()
-	s.state += golden
-	id := mix64(s.state)
+	s.state += stats.Golden
+	id := stats.Mix64(s.state)
 	s.mu.Unlock()
 	return fmt.Sprintf("%016x", id)
 }
@@ -234,13 +222,9 @@ func SampleID(id string, rate float64) bool {
 	v, err := strconv.ParseUint(id, 16, 64)
 	if err != nil {
 		// Non-hex IDs (external callers): hash the string instead.
-		v = 14695981039346656037
-		for i := 0; i < len(id); i++ {
-			v ^= uint64(id[i])
-			v *= 1099511628211
-		}
+		v = stats.FNV1a(id)
 	}
-	u := float64(mix64(v^golden)>>11) / (1 << 53)
+	u := float64(stats.Mix64(v^stats.Golden)>>11) / (1 << 53)
 	return u < rate
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // Coordinator counters, joining the /metrics catalogue.
@@ -132,7 +133,7 @@ func (c *Coordinator) groups(ds string, numBlocks int) []group {
 		// Candidates: the owner, then its ring successors. Keyed off the
 		// owner's name so every block in the group shares one fallback
 		// order.
-		succ := c.ring.Successors(ringMix(hashString(c.ring.Names()[owner])), c.replicas)
+		succ := c.ring.Successors(stats.Mix64(stats.FNV1a(c.ring.Names()[owner])), c.replicas)
 		cands := make([]Shard, 0, c.replicas)
 		seen := map[int]bool{owner: true}
 		cands = append(cands, c.byName[c.ring.Names()[owner]])

@@ -19,41 +19,22 @@
 // change bytes, because every replica computes the identical answer.
 package shard
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/stats"
+)
 
 // defaultVnodes is the virtual-node count per shard name. 64 keeps the
 // largest/smallest ownership ratio tight enough for block placement while
 // the ring stays a few KiB.
 const defaultVnodes = 64
 
-// ringGolden is the splitmix increment (same constant as stats/faults);
-// ringMix is the SplitMix64 finalizer used to hash vnodes and block keys.
-const ringGolden = 0x9e3779b97f4a7c15
-
-func ringMix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// hashString is 64-bit FNV-1a, the repository's stable string hash.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // BlockKey places global block b of the named dataset on the ring. The key
 // depends on the dataset name, not its content fingerprint, so placement
 // survives appends: a new generation adds blocks without moving old ones.
 func BlockKey(dataset string, b int) uint64 {
-	return ringMix(hashString(dataset) ^ ringMix(uint64(b)+ringGolden))
+	return stats.Mix64(stats.FNV1a(dataset) ^ stats.Mix64(uint64(b)+stats.Golden))
 }
 
 type vnode struct {
@@ -86,9 +67,9 @@ func NewRing(names []string, vnodes int) *Ring {
 	}
 	r := &Ring{names: uniq, vnodes: make([]vnode, 0, len(uniq)*vnodes)}
 	for i, n := range r.names {
-		base := hashString(n)
+		base := stats.FNV1a(n)
 		for v := 0; v < vnodes; v++ {
-			r.vnodes = append(r.vnodes, vnode{hash: ringMix(base ^ ringMix(uint64(v)*ringGolden+ringGolden)), node: i})
+			r.vnodes = append(r.vnodes, vnode{hash: stats.Mix64(base ^ stats.Mix64(uint64(v)*stats.Golden+stats.Golden)), node: i})
 		}
 	}
 	sort.Slice(r.vnodes, func(a, b int) bool {

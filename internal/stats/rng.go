@@ -35,7 +35,7 @@ func NewRNG(seed uint64) *RNG {
 
 // seededRNG is NewRNG by value.
 func seededRNG(seed uint64) RNG {
-	r := RNG{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15}
+	r := RNG{hi: seed, lo: seed ^ Golden}
 	// Warm the state so nearby seeds diverge immediately.
 	for i := 0; i < 4; i++ {
 		r.Uint64()
@@ -62,7 +62,7 @@ func (r *RNG) Splits(n int) []*RNG {
 	base := r.Uint64()
 	out := make([]*RNG, n)
 	for i := range out {
-		out[i] = NewRNG(mix64(base + uint64(i)*0x9e3779b97f4a7c15))
+		out[i] = NewRNG(Mix64(base + uint64(i)*Golden))
 	}
 	return out
 }
@@ -95,19 +95,7 @@ func (r *RNG) SplitsValues(n int, out []RNG) []RNG {
 // single-node sampler would flip for its blocks, without materializing the
 // other shards' streams.
 func StreamAt(base uint64, i int) RNG {
-	return seededRNG(mix64(base + uint64(i)*0x9e3779b97f4a7c15))
-}
-
-// mix64 is the SplitMix64 finalizer: a bijective avalanche function that
-// turns the weakly related seeds base + i·golden into statistically
-// independent ones.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	return seededRNG(Mix64(base + uint64(i)*Golden))
 }
 
 // Uint64 returns the next 64 random bits.

@@ -114,7 +114,7 @@ func build(domain geom.Rect, opts Options) (*Estimator, error) {
 		sketches:  make([]*CMSketch, opts.Shifts),
 		cellVol:   vol / math.Pow(float64(opts.CellsPerDim), float64(d)),
 		maxProbes: opts.Probes,
-		rng:       stats.NewRNG(mix64(opts.Seed ^ 0x57ea3)),
+		rng:       stats.NewRNG(stats.Mix64(opts.Seed ^ 0x57ea3)),
 	}
 	for s := range e.sketches {
 		sk, err := NewCMSketch(opts.Width, opts.Depth, opts.Seed+uint64(s))

@@ -5,7 +5,11 @@
 // forward pass with O(width × depth) memory.
 package stream
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // CMSketch is a Count-Min sketch over uint64 keys. Count reads the
 // minimum over rows, so estimates overshoot only by hash collisions,
@@ -32,25 +36,14 @@ func NewCMSketch(width, depth int, seed uint64) (*CMSketch, error) {
 	x := seed
 	for r := 0; r < depth; r++ {
 		s.rows[r] = make([]int64, width)
-		x += 0x9e3779b97f4a7c15
-		s.seeds[r] = mix64(x)
+		x += stats.Golden
+		s.seeds[r] = stats.Mix64(x)
 	}
 	return s, nil
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed bijection
-// used for row hashing and per-step seed derivation.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 func (s *CMSketch) pos(row int, key uint64) int {
-	return int(mix64(key^s.seeds[row]) % uint64(s.width))
+	return int(stats.Mix64(key^s.seeds[row]) % uint64(s.width))
 }
 
 // Add increments key's counter in every row.
