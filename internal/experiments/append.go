@@ -106,15 +106,7 @@ func appendExp(cfg Config) (*Table, error) {
 
 		incNs, err := timeMin(iters, func(rng *stats.RNG) error {
 			st := rng.Splits(2)
-			dk := ks * m / n
-			if dk < 1 {
-				dk = 1
-			}
-			centers, rerr := dataset.Reservoir(delta, dk, st[0])
-			if rerr != nil {
-				return rerr
-			}
-			est, xerr := prior.Extend(centers, n+m)
+			est, xerr := prior.ExtendDelta(delta, st[0])
 			if xerr != nil {
 				return xerr
 			}

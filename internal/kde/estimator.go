@@ -421,6 +421,21 @@ func (e *Estimator) Extend(deltaCenters []geom.Point, n int) (*Estimator, error)
 	return ne, nil
 }
 
+// ExtendDelta extends e over delta, the m points its dataset of N() points
+// grew by, keeping the centers-per-point rate: it reservoir-samples
+// round(ks·m/N()) centers from delta, clamped to [1, min(ks, m)] for ks
+// kernels, in one pass over delta and none over the prefix, and returns
+// Extend(centers, N()+m).
+func (e *Estimator) ExtendDelta(delta dataset.Dataset, rng *stats.RNG) (*Estimator, error) {
+	ks, m := len(e.centers), delta.Len()
+	dk := int(math.Round(float64(ks) * float64(m) / float64(e.n)))
+	centers, err := dataset.Reservoir(delta, min(max(dk, 1), ks, m), rng)
+	if err != nil {
+		return nil, err
+	}
+	return e.Extend(centers, e.n+m)
+}
+
 // N returns the dataset size the estimator represents (its total integral).
 func (e *Estimator) N() int { return e.n }
 

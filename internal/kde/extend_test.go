@@ -112,3 +112,36 @@ func TestExtendValidation(t *testing.T) {
 		t.Error("n=0 accepted")
 	}
 }
+
+// TestExtendDeltaCenterRule pins the one delta-center rule the server's
+// extend step and the append experiment share: round(ks·m/n) centers
+// reservoir-sampled from the delta, clamped to [1, min(ks, m)], over a
+// dataset grown to n+m points.
+func TestExtendDeltaCenterRule(t *testing.T) {
+	for _, tc := range []struct {
+		n, ks, m, want int
+	}{
+		{25000, 500, 250, 5},   // the append experiment's 1% delta
+		{25000, 500, 1250, 25}, // and its 5% delta
+		{2000, 64, 10, 1},      // round(0.32) = 0, clamped up to 1
+		{2000, 64, 47, 2},      // round(1.504) = 2, not truncated to 1
+		{100, 50, 400, 50},     // round(200) clamped to ks
+		{40, 20, 3, 2},         // round(1.5) = 2 ≤ m
+		{10, 10, 3, 3},         // round(3) = m
+	} {
+		rng := stats.NewRNG(uint64(tc.n + tc.m))
+		prior, err := Build(dataset.MustInMemory(gaussianBlob(tc.n, geom.Point{0, 0}, 1, rng)), Options{NumKernels: tc.ks}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := dataset.MustInMemory(gaussianBlob(tc.m, geom.Point{2, 2}, 0.5, rng))
+		ext, err := prior.ExtendDelta(delta, stats.NewRNG(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ext.NumKernels() - prior.NumKernels(); got != tc.want || ext.N() != tc.n+tc.m {
+			t.Errorf("n=%d ks=%d m=%d: %d delta centers over N=%d, want %d over %d",
+				tc.n, tc.ks, tc.m, got, ext.N(), tc.want, tc.n+tc.m)
+		}
+	}
+}
