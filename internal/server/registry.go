@@ -18,6 +18,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -49,13 +50,30 @@ type regEntry struct {
 	refs    int  // live Acquires, guarded by Registry.mu
 	removed bool // unregistered; dropped when refs reaches 0
 
-	// openMu guards lazy open and the cached fingerprint; it is separate
-	// from Registry.mu so a slow first open or fingerprint pass never
-	// blocks registry operations on other datasets.
+	// openMu guards lazy open, the cached fingerprints and the stream
+	// state; it is separate from Registry.mu so a slow first open or
+	// fingerprint pass never blocks registry operations on other datasets.
 	openMu sync.Mutex
 	ds     dataset.Dataset
 	fp     uint64
 	fpDone bool
+
+	// Stream state, which lives and dies with the registration: whether
+	// the entry is a stream (fed through the stream append route; only
+	// streams get windows), when each generation was appended (duration
+	// windows resolve against these watermarks), and the newest window's
+	// fingerprint.
+	stream   bool
+	genTimes map[uint64]time.Time
+	winFP    *windowFP
+}
+
+// windowFP memoizes the content fingerprint of rows [start, end) of
+// generation gen, end being the generation's length.
+type windowFP struct {
+	gen   uint64
+	start int
+	fp    uint64
 }
 
 // NewRegistry returns an empty registry. parallelism bounds the workers
@@ -79,13 +97,23 @@ func (r *Registry) RegisterPath(name, path string) error {
 // RegisterDataset registers name over an already-materialized dataset
 // (an upload).
 func (r *Registry) RegisterDataset(name string, ds dataset.Dataset) error {
-	if err := validName(name); err != nil {
+	return r.register(&regEntry{name: name, mem: ds, ds: ds})
+}
+
+// RegisterStream registers name over ds as the first batch of a stream,
+// appended at now: requests over it compute over its sliding window.
+func (r *Registry) RegisterStream(name string, ds dataset.Dataset, now time.Time) error {
+	return r.register(&regEntry{name: name, mem: ds, ds: ds, stream: true, genTimes: map[uint64]time.Time{0: now}})
+}
+
+func (r *Registry) register(e *regEntry) error {
+	if err := validName(e.name); err != nil {
 		return err
 	}
-	if ds == nil || ds.Len() == 0 {
-		return fmt.Errorf("server: dataset %q: empty", name)
+	if e.ds == nil || e.ds.Len() == 0 {
+		return fmt.Errorf("server: dataset %q: empty", e.name)
 	}
-	return r.add(&regEntry{name: name, mem: ds, ds: ds})
+	return r.add(e)
 }
 
 func validName(name string) error {
@@ -132,7 +160,6 @@ type Handle struct {
 // points registered as a fresh dataset.
 type handleWindow struct {
 	start, end int
-	fp         func() (uint64, error) // lazy, memoized by the owner
 }
 
 // Acquire resolves name, lazily opening path-backed entries, and returns a
@@ -176,9 +203,6 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 // view of the generation pinned at Acquire.
 func (h *Handle) Dataset() dataset.Dataset { return h.ds }
 
-// Name returns the registered name.
-func (h *Handle) Name() string { return h.e.name }
-
 // Appendable returns the underlying growable dataset, or nil when the
 // leased dataset cannot grow.
 func (h *Handle) Appendable() dataset.Appendable { return h.app }
@@ -195,24 +219,78 @@ func (h *Handle) GenLen(g uint64) int {
 	return h.app.GenLen(g)
 }
 
-// ApplyWindow restricts the handle's pinned generation to [start, end).
-// fp lazily supplies the window's content fingerprint (the caller
-// memoizes it). Only the serving layer's window logic calls this, once,
-// right after Acquire.
-func (h *Handle) ApplyWindow(start, end int, fp func() (uint64, error)) error {
+// MarkAppend watermarks generation g with the time it was appended. With
+// stream set (the stream append route) it makes the entry a stream;
+// otherwise only an entry that already is one records it, so a stream
+// kept fresh through either append route ages correctly.
+func (h *Handle) MarkAppend(g uint64, now time.Time, stream bool) {
+	e := h.e
+	e.openMu.Lock()
+	defer e.openMu.Unlock()
+	if !stream && !e.stream {
+		return
+	}
+	if e.genTimes == nil {
+		e.genTimes = make(map[uint64]time.Time)
+	}
+	e.stream = true
+	e.genTimes[g] = now
+}
+
+// WindowStart resolves where generation g's sliding window starts: 0
+// (the whole generation) unless the handle leases a stream. points > 0
+// keeps the newest points rows; a non-zero cutoff then drops every
+// generation appended before it — generation-granular, and the newest
+// generation is always kept, even when stale. Generations with no
+// watermark (appended before this server started, or before the dataset
+// became a stream) count as stale. The tighter bound wins.
+func (h *Handle) WindowStart(g uint64, points int, cutoff time.Time) int {
+	if h.app == nil || (points <= 0 && cutoff.IsZero()) {
+		return 0
+	}
+	e := h.e
+	e.openMu.Lock()
+	defer e.openMu.Unlock()
+	if !e.stream {
+		return 0
+	}
+	start := 0
+	if end := h.GenLen(g); points > 0 && end > points {
+		start = end - points
+	}
+	if cutoff.IsZero() {
+		return start
+	}
+	first := g // everything stale: the newest generation only
+	for j := uint64(0); j < g; j++ {
+		if t, ok := e.genTimes[j]; ok && !t.Before(cutoff) {
+			first = j
+			break
+		}
+	}
+	if first > 0 {
+		start = max(start, h.GenLen(first-1))
+	}
+	return start
+}
+
+// ApplyWindow restricts the handle's pinned generation to rows [start,
+// end of generation). Only the serving layer's window logic calls this,
+// once, right after Acquire.
+func (h *Handle) ApplyWindow(start int) error {
 	if h.app == nil {
 		return fmt.Errorf("server: dataset %q is not appendable; cannot window", h.e.name)
 	}
-	if start < 0 || end <= start || end > h.GenLen(h.gen) {
-		return fmt.Errorf("server: window [%d, %d) out of generation %d's [0, %d)",
-			start, end, h.gen, h.GenLen(h.gen))
+	end := h.GenLen(h.gen)
+	if start < 0 || end <= start {
+		return fmt.Errorf("server: window [%d, %d) out of generation %d's [0, %d)", start, end, h.gen, end)
 	}
 	view, err := dataset.Window(h.app, start, end)
 	if err != nil {
 		return err
 	}
 	h.ds = view // Dataset() sees the window too
-	h.win = &handleWindow{start: start, end: end, fp: fp}
+	h.win = &handleWindow{start: start, end: end}
 	return nil
 }
 
@@ -264,7 +342,7 @@ func (h *Handle) Fingerprint() (uint64, error) { return h.FingerprintAt(h.gen) }
 // contents can never change.
 func (h *Handle) FingerprintAt(g uint64) (uint64, error) {
 	if h.win != nil && g == h.gen {
-		return h.win.fp()
+		return h.windowFingerprint()
 	}
 	if h.app != nil {
 		return h.app.GenFingerprint(g, h.r.parallelism)
@@ -280,6 +358,29 @@ func (h *Handle) FingerprintAt(g uint64) (uint64, error) {
 		e.fp, e.fpDone = fp, true
 	}
 	return e.fp, nil
+}
+
+// windowFingerprint returns the content fingerprint of the window's rows:
+// one O(window) pass, memoized on the entry for the newest window only,
+// which every request between two slides shares.
+func (h *Handle) windowFingerprint() (uint64, error) {
+	e, w := h.e, h.win
+	e.openMu.Lock()
+	m := e.winFP
+	e.openMu.Unlock()
+	if m != nil && m.gen == h.gen && m.start == w.start {
+		return m.fp, nil
+	}
+	fp, err := dataset.Fingerprint(h.ds, h.r.parallelism)
+	if err != nil {
+		return 0, err
+	}
+	e.openMu.Lock()
+	if e.winFP == nil || e.winFP.gen <= h.gen {
+		e.winFP = &windowFP{gen: h.gen, start: w.start, fp: fp}
+	}
+	e.openMu.Unlock()
+	return fp, nil
 }
 
 // Release returns the lease. The handle must not be used afterwards.

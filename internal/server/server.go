@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -281,12 +280,10 @@ type Server struct {
 	coord   *shard.Coordinator
 	shardEx *shardExecutor
 
-	// Stream bookkeeping for sliding windows: per-stream generation
-	// append times (duration windows) and memoized window fingerprints.
-	// nowFn is the clock duration windows read; tests pin it.
-	streamMu sync.Mutex
-	streams  map[string]*streamState
-	nowFn    func() time.Time
+	// nowFn is the clock stream appends are watermarked with and
+	// duration windows read; tests pin it. The stream state itself lives
+	// on the registry entry, so it goes with DELETE.
+	nowFn func() time.Time
 }
 
 // New builds a Server from cfg.
@@ -304,7 +301,6 @@ func New(cfg Config) *Server {
 		traces:    NewRing(cfg.TraceRing),
 		slowTrace: NewRing(cfg.TraceRing),
 		traceOn:   cfg.tracingEnabled(),
-		streams:   make(map[string]*streamState),
 		nowFn:     time.Now,
 	}
 	if cfg.AccessLog != nil {

@@ -16,18 +16,18 @@ import (
 // This file is the serving layer's two halves of the sharded protocol:
 // the worker side (shardExecutor + the /internal/shard RPC handlers,
 // mounted on every server so any dbsserve can serve as a shard worker)
-// and the coordinator side (buildSampleSharded, the sharded replacement
-// for buildSample when ShardWorkers/ShardPeers are configured).
+// and the coordinator side (buildSampleSharded, sampleAt's build step for
+// exact draws when ShardWorkers/ShardPeers are configured).
 //
 // The parity contract: a sharded /v1/sample response is byte-identical
 // to the single-node response for the same request, at every shard
 // count, worker count, replica count, and with hedging on or off. It
 // rests on four locally-checkable facts: (1) workers build the estimator
-// from (fingerprint-verified view, params, seed) exactly as buildEstimator
-// does, so every worker holds the identical estimator and derives the
-// identical density floor; (2) the per-block partial k_a sums come from
-// core's block engine (core.NormPartials is its weigh step) and are
-// folded in global block order by core.FoldNorm, the fold the
+// from (fingerprint-verified view, params, seed) exactly as estimatorAt's
+// exact build does, so every worker holds the identical estimator and
+// derives the identical density floor; (2) the per-block partial k_a sums
+// come from core's block engine (core.NormPartials is its weigh step)
+// and are folded in global block order by core.FoldNorm, the fold the
 // single-node draw uses; (3) the coin pass is the engine's flip step
 // (core.DrawBlocks), the one Draw runs, with each block's RNG stream
 // derived from (base, block index); (4) selections are concatenated in
@@ -79,7 +79,7 @@ func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Da
 		h.Release()
 		return fail(err)
 	}
-	est, _, err := s.estimatorAt(ctx, rec, h, ep, p.Generation, true)
+	est, _, err := s.estimatorAt(ctx, rec, h, ep, p.Generation, "")
 	if err != nil {
 		h.Release()
 		return fail(err)
@@ -214,10 +214,11 @@ func (s *Server) handleShardDraw(ctx context.Context, r *http.Request) (any, err
 	return s.shardEx.Draw(ctx, &req)
 }
 
-// buildSampleSharded is buildSample's scatter-gather twin: phase one
+// buildSampleSharded is the scatter-gather build of the exact sample for
+// generation g, whose fingerprint fp the caller already holds: phase one
 // merges per-shard partial normalizers into the exact global k_a, phase
 // two fans the coin flips out against it and concatenates selections in
-// global block order. The RNG derivation matches buildSample exactly
+// global block order. The RNG derivation matches the local core.Draw exactly
 // (same seed streams, same one draw for the stream base), so the
 // artifact — and therefore the response bytes — is identical to the
 // single-node build. Fan-out wait is observed into HistShardSeconds per
@@ -226,12 +227,8 @@ func (s *Server) handleShardDraw(ctx context.Context, r *http.Request) (any, err
 // fallback and hedging live in the coordinator; a fan-out that exhausts
 // every replica surfaces as a transient error (503 upstream), and a
 // degenerate or short response can never merge silently.
-func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (any, int64, error) {
+func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g, fp uint64) (any, int64, error) {
 	view, err := h.ViewAt(g)
-	if err != nil {
-		return nil, 0, err
-	}
-	fp, err := h.FingerprintAt(g)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -272,7 +269,7 @@ func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *H
 	}
 	span.AddPoints(int64(n))
 	// The workers' estimator holds min(kernels, n) centres, kde.Build's
-	// reservoir rule; buildSample records that count (est.NumKernels()),
+	// reservoir rule; the local draw records that count (est.NumKernels()),
 	// and an artifact stored under the same key must too.
 	ns := core.NormState{K: sm.Norm, N: n, Kernels: min(p.Kernels, n)}
 	return &sampleArtifact{s: sm, ns: ns}, sampleBytes(sm), nil
