@@ -5,7 +5,8 @@
 # detector over the packages that run
 # concurrent code (the parallel execution layer, its two biggest consumers,
 # and the observability layer's shared Recorder, plus the serving layer's
-# registry/cache/admission), and the observability
+# registry/cache/admission), 10 s fuzz smokes over the disk-tier
+# artifact decoder and the dataset upload decoders, and the observability
 # overhead guard over the enabled and the traced Recorder (OBS_GUARD
 # gates the timing assertion; see obs_guard_test.go and BENCH_obs.json
 # for the budget).
@@ -39,8 +40,9 @@ go test -race -run 'Chaos|Shard' -short ./internal/server/
 # Streaming smoke: the sliding-window suite — window-evict determinism
 # (windowed /v1/sample byte-identical to registering the window's rows
 # fresh, workers 1 and 8), window-pinned cache keys across appends, the
-# duration window's fake-clock aging, and the mmap window pin lifetime —
-# under the race detector. The sketch estimator's tests in
+# duration window's fake-clock aging, the mmap window pin lifetime, and a
+# deleted stream's state going with it (a stream re-created under its name
+# misses with its own window's bytes) — under the race detector. The sketch estimator's tests in
 # internal/stream already ran under the race line above.
 go test -race -run 'Stream|Window' -short ./internal/server/ ./internal/dataset/
 # Multi-tenant admission smoke: the weighted-fair queue (starvation,
@@ -55,6 +57,12 @@ go test -race -run 'WFQ|Tenant|Degraded|DiskTier|RetryAfter|AccessLog' ./interna
 # seed corpus holds one real estimator and one real sample, each whole
 # and truncated (internal/server/testdata/fuzz/FuzzDiskTierLoad).
 go test -run '^$' -fuzz '^FuzzDiskTierLoad$' -fuzztime 10s -parallel 2 ./internal/server/
+# Fuzz smoke: arbitrary bytes as a dataset upload (the DBS1 and CSV
+# decoders behind POST /v1/datasets and both append routes) must decode to
+# an error — never a panic or a header-sized allocation — or to points
+# that round-trip: DBS1 re-encodes to a prefix of the input, CSV re-reads
+# bit for bit (internal/dataset/testdata/fuzz/FuzzReadUpload).
+go test -run '^$' -fuzz '^FuzzReadUpload$' -fuzztime 10s -parallel 2 ./internal/dataset/
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
