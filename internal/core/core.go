@@ -291,6 +291,7 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 	if err != nil {
 		return nil, err
 	}
+	defer e.release()
 
 	rec := opts.Obs
 	span := rec.StartSpan("draw")
@@ -399,7 +400,8 @@ func ExactNormParallel(ds dataset.Dataset, est DensityEstimator, alpha, floor fl
 
 // approxNorm estimates k_a from the estimator's own centers. The centers
 // are (approximately) a uniform sample of the dataset, so
-// k_a ≈ (n/ks) Σ_{c ∈ centers} f(c)^a.
+// k_a ≈ (n/ks) Σ_{c ∈ centers} f(c)^a. At a = 0 every f(c)^a is 1, so no
+// center density is evaluated; the sum of ks ones is exact.
 func approxNorm(ce centersEstimator, alpha, floor float64) (float64, error) {
 	est, ok := ce.(DensityEstimator)
 	if !ok {
@@ -410,8 +412,12 @@ func approxNorm(ce centersEstimator, alpha, floor float64) (float64, error) {
 		return 0, errors.New("core: estimator has no centers")
 	}
 	var sum float64
-	for _, c := range centers {
-		sum += biasedWeight(est.Density(c), alpha, floor)
+	if alpha == 0 {
+		sum = float64(len(centers))
+	} else {
+		for _, c := range centers {
+			sum += biasedWeight(est.Density(c), alpha, floor)
+		}
 	}
 	return sum * float64(ce.N()) / float64(len(centers)), nil
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/kde"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -110,6 +113,87 @@ func TestAlphaZeroIsUniform(t *testing.T) {
 	for _, wp := range s.Points {
 		if math.Abs(wp.W-10) > 1e-9 {
 			t.Fatalf("uniform weight = %v, want 10", wp.W)
+		}
+	}
+}
+
+// densityCounter wraps an estimator and counts every density it
+// evaluates, through either interface.
+type densityCounter struct {
+	*kde.Estimator
+	evals atomic.Int64
+}
+
+func (c *densityCounter) Density(p geom.Point) float64 {
+	c.evals.Add(1)
+	return c.Estimator.Density(p)
+}
+
+func (c *densityCounter) DensityBatch(pts []geom.Point, out []float64) {
+	c.evals.Add(int64(len(pts)))
+	c.Estimator.DensityBatch(pts, out)
+}
+
+// f^0 = 1 whatever f is, so an a = 0 draw evaluates no density on any
+// path: not at a data point, not at a center for the default floor or
+// the one-pass normalizer. It adds nothing to kde_kernel_evals_total.
+// Each path's a = 1 run shows both counters do see evaluations.
+func TestAlphaZeroEvaluatesNoDensity(t *testing.T) {
+	fx := newIncrementalFixture(t, 3000, 600, 120, 200, 0, 21)
+	n := fx.full.Len()
+	opts := func(alpha float64) Options {
+		return Options{Alpha: alpha, TargetSize: 200, BlockSize: 512, Parallelism: 2}
+	}
+	paths := []struct {
+		name string
+		run  func(est DensityEstimator, alpha float64) error
+	}{
+		{"exact", func(est DensityEstimator, alpha float64) error {
+			_, err := Draw(fx.full, est, opts(alpha), stats.NewRNG(1))
+			return err
+		}},
+		{"onepass", func(est DensityEstimator, alpha float64) error {
+			o := opts(alpha)
+			o.OnePass = true
+			_, err := Draw(fx.full, est, o, stats.NewRNG(1))
+			return err
+		}},
+		{"extend", func(est DensityEstimator, alpha float64) error {
+			_, _, err := ExtendDraw(fx.full, est, ExtendOptions{
+				Options: opts(alpha), DeltaStart: fx.n, Prior: fx.prior, PriorNorm: fx.priorNS,
+			}, stats.NewRNG(1))
+			return err
+		}},
+		{"sharded", func(est DensityEstimator, alpha float64) error {
+			o := opts(alpha)
+			blocks := make([]int, parallel.NumBlocks(n, o.BlockSize))
+			for i := range blocks {
+				blocks[i] = i
+			}
+			parts, err := NormPartials(fx.full, est, o, blocks)
+			if err == nil {
+				_, err = DrawBlocks(fx.full, est, o, FoldNorm(parts), 1, blocks)
+			}
+			return err
+		}},
+	}
+	for _, p := range paths {
+		for _, alpha := range []float64{0, 1} {
+			rec := obs.New()
+			fx.ext.SetRecorder(rec)
+			c := &densityCounter{Estimator: fx.ext}
+			err := p.run(c, alpha)
+			fx.ext.SetRecorder(nil)
+			if err != nil {
+				t.Fatalf("%s a=%v: %v", p.name, alpha, err)
+			}
+			kernels, points := rec.Counter(obs.CtrKernelEvals).Value(), c.evals.Load()
+			if alpha == 0 && (kernels != 0 || points != 0) {
+				t.Errorf("%s a=0: %d kernel evaluations over %d densities, want none", p.name, kernels, points)
+			}
+			if alpha != 0 && (kernels == 0 || points == 0) {
+				t.Errorf("%s a=%v: %d kernel evaluations over %d densities — the counters see nothing", p.name, alpha, kernels, points)
+			}
 		}
 	}
 }

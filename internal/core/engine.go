@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -45,16 +46,23 @@ type engine struct {
 	listed bool
 	blocks []int
 	// kept holds the weights a keeping weigh stored at their dataset
-	// offsets; flip reuses them instead of re-weighing.
-	kept []float64
+	// offsets; flip reuses them instead of re-weighing. It is carved from
+	// keptBuf, taken from keptPool and handed back by release.
+	kept    []float64
+	keptBuf *[]float64
 }
+
+// keptPool recycles the kept weight caches: n float64s per exact
+// in-memory draw, the largest allocation a miss would otherwise make.
+var keptPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
 var errNilEstimator = errors.New("core: nil density estimator")
 
 // newEngine checks what every sampler shares — a non-nil estimator and a
 // non-negative FloorDensity — and resolves a zero floor from the
 // estimator, so identical estimators yield identical floors on every
-// shard. Each step of the returned engine is one counted full pass.
+// shard. At a = 0 no weight depends on the floor (biasedWeight), so none
+// is resolved. Each step of the returned engine is one counted full pass.
 func newEngine(ds dataset.Dataset, est DensityEstimator, opts Options) (*engine, error) {
 	if est == nil {
 		return nil, errNilEstimator
@@ -63,7 +71,7 @@ func newEngine(ds dataset.Dataset, est DensityEstimator, opts Options) (*engine,
 	if floor < 0 {
 		return nil, errors.New("core: negative FloorDensity")
 	}
-	if floor == 0 {
+	if floor == 0 && opts.Alpha != 0 {
 		floor = defaultFloor(est)
 	}
 	return &engine{ds: ds, est: est, opts: opts, floor: floor, points: ds.Len()}, nil
@@ -126,8 +134,16 @@ func (e *engine) visit(fn func(slot, block, start int, pts []geom.Point) error) 
 }
 
 // weighBlock fills w with the biased weights of pts and returns their sum
-// in index order. It is the only place a density becomes a weight.
+// in index order. It is the only place a density becomes a weight. At
+// a = 0 every weight is 1 whatever f is (biasedWeight), so the uniform
+// rung evaluates no density; the sum of len(w) ones is exact.
 func (e *engine) weighBlock(pts []geom.Point, w []float64) float64 {
+	if e.opts.Alpha == 0 {
+		for i := range w {
+			w[i] = 1
+		}
+		return float64(len(w))
+	}
 	evalDensities(e.est, pts, w)
 	var k float64
 	for i, f := range w {
@@ -146,10 +162,16 @@ func (e *engine) weighBlock(pts []geom.Point, w []float64) float64 {
 // weight is a pure function of its point, so kept and recomputed weights
 // are bit-identical; streaming datasets keep the constant-memory
 // recomputation. Blocks write disjoint ranges of kept, so it needs no
-// lock.
+// lock. The cache comes from keptPool; the caller hands it back with
+// release once flip has returned.
 func (e *engine) weigh(keep bool) ([]float64, error) {
 	if sl, ok := e.ds.(dataset.Sliceable); keep && ok && len(sl.Points()) >= e.ds.Len() {
-		e.kept = make([]float64, e.ds.Len())
+		n := e.ds.Len()
+		e.keptBuf = keptPool.Get().(*[]float64)
+		if cap(*e.keptBuf) < n {
+			*e.keptBuf = make([]float64, n)
+		}
+		e.kept = (*e.keptBuf)[:n]
 	}
 	partials := make([]float64, e.slots())
 	err := e.visit(func(slot, _, start int, pts []geom.Point) error {
@@ -168,6 +190,17 @@ func (e *engine) weigh(keep bool) ([]float64, error) {
 		return nil, err
 	}
 	return partials, nil
+}
+
+// release returns the kept weight cache to keptPool. Both visits wait for
+// every worker before returning (dataset.ScanBlocksCfg, parallel.DoCtxObs),
+// so once weigh and flip have returned — cancelled or not — nothing
+// touches the cache any more.
+func (e *engine) release() {
+	if e.keptBuf != nil {
+		keptPool.Put(e.keptBuf)
+		e.kept, e.keptBuf = nil, nil
+	}
 }
 
 // exactNorm is weigh plus the block-order fold: the exact k_a of the

@@ -120,6 +120,7 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	if err != nil {
 		return nil, zero, err
 	}
+	defer e.release()
 	kbase, ks, err := carriedNorm(est, prior, n, opts.Alpha)
 	if err != nil {
 		return nil, zero, err
