@@ -372,9 +372,10 @@ func TestChaosDiskServe(t *testing.T) {
 	flaky := &flakyDataset{InMemory: dataset.MustInMemory(testPoints(600, 2, 11))}
 	srv := New(Config{
 		Parallelism: 2,
-		// Fits one request's artifacts (estimator + sample ~7 KiB), so
-		// the second identity evicts the first from memory.
-		CacheBytes:   8 << 10,
+		// Fits one request's artifacts (estimator + sample ~13 KiB, the
+		// sample's body-tail bound included), so the second identity
+		// evicts the first from memory.
+		CacheBytes:   16 << 10,
 		Disk:         mustDiskTier(t, t.TempDir()),
 		Retry:        1,
 		RetryBackoff: 100 * time.Microsecond,

@@ -129,7 +129,9 @@ func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bo
 }
 
 // decodeArtifact picks the codec by the payload's magic: DBSK1 is an
-// estimator, anything else must be a DBSS1 sample.
+// estimator, anything else must be a DBSS1 sample. A loaded sample is
+// charged its tail bound like a built one (sampleBytes) and encodes its
+// tail on its first write.
 func decodeArtifact(payload []byte, rec *obs.Recorder) (any, int64, error) {
 	if bytes.HasPrefix(payload, []byte("DBSK1")) {
 		est, err := kde.UnmarshalEstimator(payload)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,9 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -640,12 +643,16 @@ func estimatorBytes(est *kde.Estimator) int64 {
 	return ks*d*8 + ks*48 + d*16 + 512
 }
 
+// sampleBytes is a sample artifact's accounted size: its points (the
+// coordinates and a WeightedPoint header each) and the bound on the body
+// tail it stores (sampleTailBound), charged whether or not the tail has
+// been encoded yet.
 func sampleBytes(sm *core.Sample) int64 {
-	if len(sm.Points) == 0 {
-		return 256
+	coords := 0
+	for _, wp := range sm.Points {
+		coords += len(wp.P)
 	}
-	d := int64(len(sm.Points[0].P))
-	return int64(len(sm.Points))*(d*8+56) + 256
+	return int64(coords*8+len(sm.Points)*56+256) + sampleTailBound(len(sm.Points), coords)
 }
 
 type sampleRequest struct {
@@ -680,10 +687,24 @@ func (q sampleRequest) key(fp uint64, p estParams) string {
 
 // sampleArtifact is what the sample cache stores: the sample plus the
 // normalizer bookkeeping (core.NormState) a later generation needs to
-// extend it incrementally.
+// extend it incrementally, and the success body after the dataset name,
+// encoded once on first use (tail).
 type sampleArtifact struct {
 	s  *core.Sample
 	ns core.NormState
+
+	once    sync.Once
+	body    []byte
+	bodyErr error
+}
+
+// tail returns the artifact's /v1/sample body after `{"dataset":<name>`,
+// encoding it on the first call. The cache key fixes alpha and the
+// fingerprint, so every caller passes the same pair and one encoding
+// serves every miss, hit, disk load and degraded answer.
+func (a *sampleArtifact) tail(alpha float64, fp uint64) ([]byte, error) {
+	a.once.Do(func() { a.body, a.bodyErr = sampleTail(alpha, fp, a.s) })
+	return a.body, a.bodyErr
 }
 
 // sampleLineage is the lineage suffix of generation g's sample key for q,
@@ -779,22 +800,6 @@ func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q s
 	return v.(*sampleArtifact), out, nil
 }
 
-type samplePoint struct {
-	P geom.Point `json:"p"`
-	W float64    `json:"w"`
-}
-
-type sampleResponse struct {
-	Dataset     string        `json:"dataset"`
-	Fingerprint string        `json:"fingerprint"`
-	Alpha       float64       `json:"alpha"`
-	Norm        float64       `json:"norm"`
-	DataPasses  int           `json:"data_passes"`
-	Saturated   int           `json:"saturated"`
-	Count       int           `json:"count"`
-	Points      []samplePoint `json:"points"`
-}
-
 func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
 	var req sampleRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -828,28 +833,134 @@ func (s *Server) handleSample(ctx context.Context, rec *obs.Recorder, w http.Res
 	}
 	fp, _ := h.Fingerprint()
 	markCache(w, out)
-	writeSampleResponse(w, req.Dataset, req.Alpha, fp, art.s)
+	writeSampleResponse(w, req.Dataset, art, req.Alpha, fp)
 }
 
-// writeSampleResponse writes the /v1/sample success body: a pure
-// function of (dataset name, alpha, fingerprint, sample), shared by the
-// full pipeline and the degrade ladder so a degraded response is
-// byte-identical to an ordinary a=0 response.
-func writeSampleResponse(w http.ResponseWriter, name string, alpha float64, fp uint64, sm *core.Sample) {
-	pts := make([]samplePoint, len(sm.Points))
-	for i, wp := range sm.Points {
-		pts[i] = samplePoint{P: wp.P, W: wp.W}
+var sampleBodyHead = []byte(`{"dataset":`)
+
+// writeSampleResponse writes the /v1/sample success body, a pure function
+// of (dataset name, alpha, fingerprint, sample): `{"dataset":`, the
+// JSON-quoted name, then the artifact's stored tail. It is the one write
+// path of every miss, memory hit, disk load and degrade-ladder answer, so
+// a degraded response is byte-identical to an ordinary a=0 response and a
+// hit formats no float.
+func writeSampleResponse(w http.ResponseWriter, name string, art *sampleArtifact, alpha float64, fp uint64) {
+	tail, err := art.tail(alpha, fp)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	writeJSON(w, http.StatusOK, sampleResponse{
-		Dataset:     name,
-		Fingerprint: fmt.Sprintf("%016x", fp),
-		Alpha:       alpha,
-		Norm:        sm.Norm,
-		DataPasses:  sm.DataPasses,
-		Saturated:   sm.Saturated,
-		Count:       len(pts),
-		Points:      pts,
-	})
+	quoted, _ := json.Marshal(name) // a string always marshals
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sampleBodyHead)
+	w.Write(quoted)
+	w.Write(tail)
+}
+
+// The most bytes encoding/json writes for one float64 and one int:
+// "-0.0000012345678901234567" (17 digits in fixed notation, just above
+// 1e-6) and "-9223372036854775808".
+const (
+	maxJSONFloat = 25
+	maxJSONInt   = 20
+)
+
+// sampleTailBound is the most bytes sampleTail writes for n points with
+// coords coordinates in all: the fixed keys, two floats and three ints,
+// then per point its keys, weight and coordinates, each with its
+// separator (a nil point's "null" fits within its brackets' bound).
+func sampleTailBound(n, coords int) int64 {
+	head := len(`,"fingerprint":"0123456789abcdef","alpha":,"norm":,"data_passes":,"saturated":,"count":,"points":[]}`+"\n") +
+		2*maxJSONFloat + 3*maxJSONInt
+	point := len(`{"p":null,"w":},`) + maxJSONFloat
+	return int64(head + n*point + coords*(maxJSONFloat+1))
+}
+
+// tailScratch recycles sampleTail's encoding buffers, so each tail is
+// allocated once, at its own length rather than at its bound.
+var tailScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// sampleTail encodes the /v1/sample success body after its dataset name:
+// exactly the bytes json.Marshal writes for the rest of the response
+// object, then the newline writeJSON appends. A non-finite value fails
+// with the error json.Marshal reports for the first one in field order.
+func sampleTail(alpha float64, fp uint64, sm *core.Sample) ([]byte, error) {
+	coords := 0
+	for _, wp := range sm.Points {
+		coords += len(wp.P)
+	}
+	sc := tailScratch.Get().(*[]byte)
+	defer tailScratch.Put(sc)
+	b := slices.Grow((*sc)[:0], int(sampleTailBound(len(sm.Points), coords)))
+	var err error
+	float := func(f float64) {
+		if err == nil {
+			b, err = appendJSONFloat(b, f)
+		}
+	}
+	b = append(b, `,"fingerprint":"`...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[fp>>shift&0xf])
+	}
+	b = append(b, `","alpha":`...)
+	float(alpha)
+	b = append(b, `,"norm":`...)
+	float(sm.Norm)
+	b = append(b, `,"data_passes":`...)
+	b = strconv.AppendInt(b, int64(sm.DataPasses), 10)
+	b = append(b, `,"saturated":`...)
+	b = strconv.AppendInt(b, int64(sm.Saturated), 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(len(sm.Points)), 10)
+	b = append(b, `,"points":[`...)
+	for i, wp := range sm.Points {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"p":`...)
+		if wp.P == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for j, v := range wp.P {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				float(v)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, `,"w":`...)
+		float(wp.W)
+		b = append(b, '}')
+	}
+	b = append(b, "]}\n"...)
+	*sc = b
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in fixed notation from 1e-6 up to
+// 1e21 and in exponent notation outside it, with the exponent's leading
+// zero dropped ("1e-7", "1e+21").
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // tryDegradeSample is the overload degrade ladder: a /v1/sample shed by
@@ -904,7 +1015,7 @@ func (s *Server) degradeSample(rec *obs.Recorder, w http.ResponseWriter, req sam
 		w.Header().Set(DegradedHeader, "a0")
 	}
 	markCache(w, out)
-	writeSampleResponse(w, req.Dataset, 0, fp, v.(*sampleArtifact).s)
+	writeSampleResponse(w, req.Dataset, v.(*sampleArtifact), 0, fp)
 	return true
 }
 
