@@ -6,10 +6,11 @@
 # concurrent code (the parallel execution layer, its two biggest consumers,
 # and the observability layer's shared Recorder, plus the serving layer's
 # registry/cache/admission), 10 s fuzz smokes over the disk-tier
-# artifact decoder and the dataset upload decoders, and the observability
-# overhead guard over the enabled and the traced Recorder (OBS_GUARD
-# gates the timing assertion; see obs_guard_test.go and BENCH_obs.json
-# for the budget).
+# artifact decoder, the dataset upload decoders and the assembled
+# /v1/sample body, the observability overhead guard over the enabled and
+# the traced Recorder (OBS_GUARD gates the timing assertion; see
+# obs_guard_test.go and BENCH_obs.json for the budget), and the
+# allocation gates of the draw and of a cache hit.
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -63,6 +64,12 @@ go test -run '^$' -fuzz '^FuzzDiskTierLoad$' -fuzztime 10s -parallel 2 ./interna
 # that round-trip: DBS1 re-encodes to a prefix of the input, CSV re-reads
 # bit for bit (internal/dataset/testdata/fuzz/FuzzReadUpload).
 go test -run '^$' -fuzz '^FuzzReadUpload$' -fuzztime 10s -parallel 2 ./internal/dataset/
+# Fuzz smoke: the /v1/sample body assembled from a stored tail —
+# `{"dataset":`, the quoted name, the tail — must equal encoding/json's
+# bytes for the same response (status, headers, body) for any dataset
+# name and float, including the non-finite values json.Marshal refuses
+# (internal/server/testdata/fuzz/FuzzSampleBody).
+go test -run '^$' -fuzz '^FuzzSampleBody$' -fuzztime 10s -parallel 2 ./internal/server/
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
@@ -72,8 +79,12 @@ go run ./cmd/dbsload -quick > /dev/null
 # logging every span occurrence, must each stay within budget of the
 # untraced draw, judged by the median of 31 interleaved paired ratios.
 OBS_GUARD=1 go test -run TestObsOverheadGuard .
-# Allocation-regression guard: steady-state Draw must perform zero
-# per-block heap allocations (testing.AllocsPerRun over 512 blocks; see
-# internal/core/allocs_test.go and DESIGN.md, "Memory layout & zero-copy
-# scans").
-go test -run TestDrawSteadyStateAllocs ./internal/core/
+# Allocation-regression guards: steady-state Draw must perform zero
+# per-block heap allocations (testing.AllocsPerRun over 512 blocks) and,
+# with its weight cache pooled, allocate fewer than 8 bytes per point
+# (see internal/core/allocs_test.go and DESIGN.md, "Memory layout &
+# zero-copy scans"); a /v1/sample cache hit writes its stored body, so
+# what it allocates must not grow with the sample (b = 10 against
+# b = 1000, internal/server/body_test.go).
+go test -run 'TestDrawSteadyStateAllocs|TestDrawWeightCacheAllocs' ./internal/core/
+go test -run TestSampleHitAllocs ./internal/server/
