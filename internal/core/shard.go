@@ -13,14 +13,25 @@
 // Both are the block engine's two steps over a listed visit (engine.go),
 // the same steps Draw runs over a full pass: parity is enforced
 // structurally, not by keeping two copies in sync.
+//
+// ProposeBlocks and ResolveBlocks draw the same sample in one round of
+// worker calls instead of two: a worker weighs its blocks once and ships
+// each block's partial, its weight range and a superset of its selections;
+// the coordinator keeps the selections against the merged k_a, and only a
+// block whose coins Bernoulli does not draw once per point goes to
+// DrawBlocks (DESIGN.md §5h).
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -118,4 +129,214 @@ func DrawBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, norm flo
 	defer span.End()
 	span.AddPoints(int64(e.points))
 	return e.flip(norm, base, 0)
+}
+
+// BlockCandidates is one block's part of a one-round sharded draw
+// (ProposeBlocks): the block's partial k_a, its smallest and largest
+// weight, and its candidates — the global dataset index, the weight and
+// the coin's uniform variate u of every point whose coin could come up
+// heads against the merged normalizer — in increasing index order.
+type BlockCandidates struct {
+	Block      int
+	Partial    float64
+	MinW, MaxW float64
+	Index      []int
+	W, U       []float64
+}
+
+// proposePool recycles the weights ProposeBlocks keeps between its two
+// steps, one float64 per listed point. It is not keptPool: a worker's
+// buffer covers only its own blocks, and a short buffer handed back to
+// keptPool would make the next in-memory Draw allocate its n-float cache
+// afresh.
+var proposePool = sync.Pool{New: func() interface{} { return new([]float64) }}
+
+// ProposeBlocks is the worker step of a one-round sharded draw over the
+// given global blocks, which must be strictly increasing. It weighs each
+// block once (the span norm_partials), keeping the weights, and folds its
+// own partials with FoldNorm into L. Weights are non-negative and
+// rounding is monotone, so each step of that sub-fold is at most the same
+// step of the fold over every block of the dataset: L ≤ k_a as floats,
+// with no margin, and therefore b·w/L ≥ b·w/k_a for every weight w. It
+// then walks block i's coin stream stats.StreamAt(base, i), drawing one
+// Float64 u per point — exactly what Bernoulli draws when 0 < p < 1 — and
+// keeps (index, w, u) wherever u < b·w/L: a superset of the points the
+// exact draw selects. Results are ordered like blocks.
+func ProposeBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, base uint64, blocks []int) ([]BlockCandidates, error) {
+	if opts.TargetSize <= 0 {
+		return nil, errors.New("core: TargetSize must be positive")
+	}
+	for i := 1; i < len(blocks); i++ {
+		if blocks[i] <= blocks[i-1] {
+			return nil, fmt.Errorf("core: blocks not strictly increasing at %d", i)
+		}
+	}
+	e, err := newEngine(ds, est, opts)
+	if err == nil {
+		err = e.list(blocks)
+	}
+	if err != nil {
+		return nil, err
+	}
+	span := opts.Obs.StartSpan("norm_partials")
+	defer span.End()
+	span.AddPoints(int64(e.points))
+
+	n := ds.Len()
+	offs := make([]int, len(blocks)+1)
+	for j, b := range blocks {
+		start, end := parallel.BlockRange(b, n, opts.BlockSize)
+		offs[j+1] = offs[j] + end - start
+	}
+	buf := proposePool.Get().(*[]float64)
+	defer proposePool.Put(buf)
+	if cap(*buf) < e.points {
+		*buf = make([]float64, e.points)
+	}
+	kept := (*buf)[:e.points]
+
+	out := make([]BlockCandidates, len(blocks))
+	partials := make([]float64, len(blocks))
+	err = e.visit(func(slot, block, _ int, pts []geom.Point) error {
+		w := kept[offs[slot]:offs[slot+1]]
+		partials[slot] = e.weighBlock(pts, w)
+		lo, hi := w[0], w[0]
+		for _, x := range w[1:] {
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+		out[slot] = BlockCandidates{Block: block, Partial: partials[slot], MinW: lo, MaxW: hi}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	lower := FoldNorm(partials)
+	b := float64(opts.TargetSize)
+	err = parallel.DoCtxObs(opts.Ctx, len(out), opts.Parallelism, opts.Obs, func(j int) error {
+		c := &out[j]
+		w := kept[offs[j]:offs[j+1]]
+		start, _ := parallel.BlockRange(c.Block, n, opts.BlockSize)
+		// The scratch records each candidate's offset and its u.
+		sc := getCoinScratch(len(w))
+		defer coinScratchPool.Put(sc)
+		brng := stats.StreamAt(base, c.Block)
+		count := 0
+		for i, x := range w {
+			if u := brng.Float64(); u < b*x/lower {
+				sc.idx[count] = int32(i)
+				sc.probs[count] = u
+				count++
+			}
+		}
+		c.Index, c.W, c.U = make([]int, count), make([]float64, count), make([]float64, count)
+		for k, i := range sc.idx[:count] {
+			c.Index[k], c.W[k], c.U[k] = start+int(i), w[i], sc.probs[k]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Check is the rule a block's candidates must meet before ResolveBlocks
+// uses them, n and blockSize laying the blocks out as Draw does: an
+// in-range block, a partial that is not negative (L ≤ k_a rests on it),
+// parallel arrays, strictly increasing indices inside the block, every u
+// in [0, 1) and every w finite and within [MinW, MaxW]. The shard
+// coordinator applies it to every reply, so a malformed one fails its
+// attempt instead of merging.
+func (c *BlockCandidates) Check(n, blockSize int) error {
+	if numBlocks := parallel.NumBlocks(n, blockSize); c.Block < 0 || c.Block >= numBlocks {
+		return fmt.Errorf("block index %d out of range [0,%d)", c.Block, numBlocks)
+	}
+	if c.Partial < 0 {
+		return fmt.Errorf("block %d: negative partial %v", c.Block, c.Partial)
+	}
+	if len(c.W) != len(c.Index) || len(c.U) != len(c.Index) {
+		return fmt.Errorf("block %d: %d indices, %d weights, %d variates", c.Block, len(c.Index), len(c.W), len(c.U))
+	}
+	start, end := parallel.BlockRange(c.Block, n, blockSize)
+	prev := start - 1
+	for k, i := range c.Index {
+		if i <= prev || i >= end {
+			return fmt.Errorf("block %d: index %d not increasing inside [%d,%d)", c.Block, i, start, end)
+		}
+		prev = i
+		if u := c.U[k]; !(u >= 0 && u < 1) {
+			return fmt.Errorf("block %d: variate %v outside [0,1)", c.Block, u)
+		}
+		if w := c.W[k]; math.IsInf(w, 0) || !(w >= c.MinW && w <= c.MaxW) {
+			return fmt.Errorf("block %d: weight %v outside [%v,%v]", c.Block, w, c.MinW, c.MaxW)
+		}
+	}
+	return nil
+}
+
+// ResolveBlocks is the coordinator step of a one-round sharded draw over
+// cands, every block's candidates (each meeting Check), given the merged
+// normalizer norm, the FoldNorm of their partials. A block whose coins
+// Bernoulli draws once per point — every probability b·w/norm strictly
+// between 0 and 1, which, the expression being monotone in w, is
+// b·MinW/norm > 0 and b·MaxW/norm < 1 — is drawn here: its candidates
+// with u < b·w/norm, flipCoins's expression, are kept with weight 1/prob
+// and their rows copied from ds, and as nothing in it clips, its
+// Saturated is 0. It returns those blocks' selections in the order of
+// cands and, in the same order, the blocks left for DrawBlocks, where a
+// probability clips at 1 or underflows to 0 and Bernoulli draws nothing.
+// It counts coins and selections into opts.Obs as flip does; DrawBlocks
+// counts the blocks it is left.
+func ResolveBlocks(ds dataset.Dataset, opts Options, norm float64, cands []BlockCandidates) (resolved []BlockSample, redraw []int, err error) {
+	if opts.TargetSize <= 0 {
+		return nil, nil, errors.New("core: TargetSize must be positive")
+	}
+	if err := checkNorm(norm); err != nil {
+		return nil, nil, err
+	}
+	n := ds.Len()
+	for i := range cands {
+		if err := cands[i].Check(n, opts.BlockSize); err != nil {
+			return nil, nil, fmt.Errorf("core: %v", err)
+		}
+	}
+	rec := opts.Obs
+	cCoins := rec.Counter(obs.CtrCoinFlips)
+	cSampled := rec.Counter(obs.CtrSampled)
+	arena := &sampleArena{dims: ds.Dims()}
+	b := float64(opts.TargetSize)
+	for i := range cands {
+		c := &cands[i]
+		if !(b*c.MinW/norm > 0 && b*c.MaxW/norm < 1) {
+			redraw = append(redraw, c.Block)
+			continue
+		}
+		start, end := parallel.BlockRange(c.Block, n, opts.BlockSize)
+		sc := getCoinScratch(len(c.Index))
+		count := 0
+		for k, idx := range c.Index {
+			if prob := b * c.W[k] / norm; c.U[k] < prob {
+				sc.idx[count] = int32(idx - start)
+				sc.probs[count] = prob
+				count++
+			}
+		}
+		var pts []geom.Point
+		if count > 0 {
+			if pts, err = blockPoints(ds, start, end); err != nil {
+				coinScratchPool.Put(sc)
+				return nil, nil, err
+			}
+		}
+		resolved = append(resolved, BlockSample{Block: c.Block, Points: fillBlockSample(arena, pts, sc, count)})
+		coinScratchPool.Put(sc)
+		cCoins.Add(int64(end - start))
+		cSampled.Add(int64(count))
+	}
+	return resolved, redraw, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
@@ -210,5 +212,223 @@ func TestShardDrawValidation(t *testing.T) {
 	}
 	if _, err := DrawBlocks(ds, est, Options{Alpha: 0.5, BlockSize: 128}, 1, 1, []int{0}); err == nil {
 		t.Error("zero TargetSize accepted")
+	}
+}
+
+// oneRound runs the one-round sharded draw the way the shard coordinator
+// does, over a round-robin partition of the blocks: each shard proposes
+// its blocks, the partials fold in global block order, ResolveBlocks
+// decides every block it can and DrawBlocks draws the rest. It returns the
+// gathered sample and the blocks that took the second round.
+func oneRound(t *testing.T, ds dataset.Dataset, est DensityEstimator, opts Options, base uint64, shards int) (*Sample, []int) {
+	t.Helper()
+	numBlocks := parallel.NumBlocks(ds.Len(), opts.BlockSize)
+	cands := make([]BlockCandidates, numBlocks)
+	for _, blocks := range partition(numBlocks, shards) {
+		got, err := ProposeBlocks(ds, est, opts, base, blocks)
+		if err != nil {
+			t.Fatalf("ProposeBlocks: %v", err)
+		}
+		for i, b := range blocks {
+			if got[i].Block != b {
+				t.Fatalf("proposal %d is for block %d, want %d", i, got[i].Block, b)
+			}
+			cands[b] = got[i]
+		}
+	}
+	partials := make([]float64, numBlocks)
+	for b := range cands {
+		partials[b] = cands[b].Partial
+	}
+	norm := FoldNorm(partials)
+	resolved, redraw, err := ResolveBlocks(ds, opts, norm, cands)
+	if err != nil {
+		t.Fatalf("ResolveBlocks: %v", err)
+	}
+	perBlock := make([]BlockSample, numBlocks)
+	for _, bs := range resolved {
+		perBlock[bs.Block] = bs
+	}
+	if len(redraw) > 0 {
+		drawn, err := DrawBlocks(ds, est, opts, norm, base, redraw)
+		if err != nil {
+			t.Fatalf("DrawBlocks: %v", err)
+		}
+		for _, bs := range drawn {
+			perBlock[bs.Block] = bs
+		}
+	}
+	out := &Sample{Norm: norm, DataPasses: 2}
+	out.gather(perBlock)
+	return out, redraw
+}
+
+// sameBits fails unless got equals want bit for bit: Norm, Saturated,
+// DataPasses and every point and weight.
+func sameBits(t *testing.T, want, got *Sample, label string) {
+	t.Helper()
+	if math.Float64bits(got.Norm) != math.Float64bits(want.Norm) {
+		t.Fatalf("%s: norm %x, want %x", label, math.Float64bits(got.Norm), math.Float64bits(want.Norm))
+	}
+	if got.Saturated != want.Saturated || got.DataPasses != want.DataPasses {
+		t.Fatalf("%s: saturated %d passes %d, want %d and %d", label, got.Saturated, got.DataPasses, want.Saturated, want.DataPasses)
+	}
+	if len(got.Points) != len(want.Points) {
+		t.Fatalf("%s: %d points, want %d", label, len(got.Points), len(want.Points))
+	}
+	for i := range got.Points {
+		if !got.Points[i].P.Equal(want.Points[i].P) || math.Float64bits(got.Points[i].W) != math.Float64bits(want.Points[i].W) {
+			t.Fatalf("%s: point %d = %+v, want %+v", label, i, got.Points[i], want.Points[i])
+		}
+	}
+}
+
+// TestOneRoundMatchesDraw: the one-round sharded draw reproduces Draw bit
+// for bit — points, weights, Norm and Saturated — across exponents, shard
+// counts and worker counts, on in-memory and file-backed data (where the
+// coordinator's rows come from range scans).
+func TestOneRoundMatchesDraw(t *testing.T) {
+	setup := stats.NewRNG(405)
+	mem, _ := twoBlobs(2000, 1000, setup)
+	est := buildKDE(t, mem, 120, setup)
+	path := filepath.Join(t.TempDir(), "blobs.dbs")
+	if err := dataset.SaveBinary(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	file, err := dataset.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 77
+	for _, ds := range []dataset.Dataset{mem, file} {
+		for _, alpha := range []float64{-1.5, -0.5, 0, 0.5, 1} {
+			opts := Options{Alpha: alpha, TargetSize: 400, BlockSize: 256}
+			want, err := Draw(ds, est, opts, stats.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := DrawStreamBase(stats.NewRNG(seed))
+			for _, shards := range []int{1, 2, 3, 8} {
+				for _, workers := range []int{1, 8} {
+					opts.Parallelism = workers
+					got, redraw := oneRound(t, ds, est, opts, base, shards)
+					label := fmt.Sprintf("%T alpha=%v shards=%d workers=%d", ds, alpha, shards, workers)
+					sameBits(t, want, got, label)
+					if want.Saturated == 0 && len(redraw) != 0 {
+						t.Errorf("%s: nothing clips, yet blocks %v took the second round", label, redraw)
+					}
+				}
+			}
+		}
+	}
+}
+
+// columnDensity reads a point's density from its second coordinate, so a
+// test places every weight exactly.
+type columnDensity struct{}
+
+func (columnDensity) Density(p geom.Point) float64 { return p[1] }
+
+// TestResolveBlocksRedrawsUndecidedBlocks: a block with a probability
+// clipped at 1 and a block whose smallest probability underflows to 0 —
+// the two cases in which Bernoulli draws no variate — are exactly the
+// blocks ResolveBlocks leaves for DrawBlocks, and the merged sample still
+// matches Draw.
+func TestResolveBlocksRedrawsUndecidedBlocks(t *testing.T) {
+	const blockSize, clip, under = 128, 3, 7
+	rng := stats.NewRNG(63)
+	pts := make([]geom.Point, 2500)
+	for i := range pts {
+		pts[i] = geom.Point{rng.Float64(), 1 + rng.Float64()}
+	}
+	pts[clip*blockSize+17][1] = 4000
+	pts[under*blockSize+5][1] = 5e-324
+	ds := dataset.MustInMemory(pts)
+	opts := Options{Alpha: 1, TargetSize: 300, BlockSize: blockSize, FloorDensity: 5e-324}
+	want, err := Draw(ds, columnDensity{}, opts, stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Saturated != 1 || 300*5e-324/want.Norm != 0 {
+		t.Fatalf("layout: saturated %d, smallest probability %v; want 1 and 0", want.Saturated, 300*5e-324/want.Norm)
+	}
+	for _, shards := range []int{1, 2, 3, 8} {
+		got, redraw := oneRound(t, ds, columnDensity{}, opts, DrawStreamBase(stats.NewRNG(11)), shards)
+		sameBits(t, want, got, fmt.Sprintf("shards=%d", shards))
+		if len(redraw) != 2 || redraw[0] != clip || redraw[1] != under {
+			t.Errorf("shards=%d: second round for blocks %v, want [%d %d]", shards, redraw, clip, under)
+		}
+	}
+}
+
+// TestOneRoundValidation pins what ProposeBlocks and ResolveBlocks refuse:
+// unordered or repeated blocks, a non-positive target, degenerate norms
+// and every malformed candidate list Check rejects.
+func TestOneRoundValidation(t *testing.T) {
+	rng := stats.NewRNG(5)
+	ds, _ := twoBlobs(200, 200, rng)
+	est := buildKDE(t, ds, 40, rng)
+	good := Options{Alpha: 0.5, TargetSize: 50, BlockSize: 128}
+	for name, blocks := range map[string][]int{"unordered": {1, 0}, "repeated": {2, 2}, "out of range": {99}} {
+		if _, err := ProposeBlocks(ds, est, good, 1, blocks); err == nil {
+			t.Errorf("ProposeBlocks accepted %s blocks %v", name, blocks)
+		}
+	}
+	if _, err := ProposeBlocks(ds, est, Options{Alpha: 0.5, BlockSize: 128}, 1, []int{0}); err == nil {
+		t.Error("ProposeBlocks accepted a zero TargetSize")
+	}
+	cands, err := ProposeBlocks(ds, est, good, 1, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, norm := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, _, err := ResolveBlocks(ds, good, norm, cands); err == nil {
+			t.Errorf("ResolveBlocks accepted norm %v", norm)
+		}
+	}
+	if _, _, err := ResolveBlocks(ds, Options{BlockSize: 128}, 100, cands); err == nil {
+		t.Error("ResolveBlocks accepted a zero TargetSize")
+	}
+	c := cands[1]
+	if len(c.Index) < 2 {
+		t.Fatalf("block 1 has %d candidates; the cases below need 2", len(c.Index))
+	}
+	clone := func() BlockCandidates {
+		d := c
+		d.Index = append([]int(nil), c.Index...)
+		d.W = append([]float64(nil), c.W...)
+		d.U = append([]float64(nil), c.U...)
+		return d
+	}
+	bad := map[string]func(d *BlockCandidates){
+		"block out of range": func(d *BlockCandidates) { d.Block = 4 },
+		"negative partial":   func(d *BlockCandidates) { d.Partial = -1 },
+		"short weights":      func(d *BlockCandidates) { d.W = d.W[:len(d.W)-1] },
+		"short variates":     func(d *BlockCandidates) { d.U = d.U[1:] },
+		"index outside":      func(d *BlockCandidates) { d.Index[0] = 0 },
+		"index repeated":     func(d *BlockCandidates) { d.Index[1] = d.Index[0] },
+		"variate of 1":       func(d *BlockCandidates) { d.U[0] = 1 },
+		"negative variate":   func(d *BlockCandidates) { d.U[0] = -0.5 },
+		"NaN variate":        func(d *BlockCandidates) { d.U[0] = math.NaN() },
+		"weight above max":   func(d *BlockCandidates) { d.W[0] = math.Nextafter(d.MaxW, math.Inf(1)) },
+		"weight below min":   func(d *BlockCandidates) { d.W[0] = math.Nextafter(d.MinW, 0) },
+		"infinite weight":    func(d *BlockCandidates) { d.W[0], d.MaxW = math.Inf(1), math.Inf(1) },
+	}
+	for name, mutate := range bad {
+		d := clone()
+		mutate(&d)
+		if err := d.Check(ds.Len(), good.BlockSize); err == nil {
+			t.Errorf("Check accepted %s", name)
+		}
+		broken := append([]BlockCandidates(nil), cands...)
+		broken[1] = d
+		if _, _, err := ResolveBlocks(ds, good, 100, broken); err == nil {
+			t.Errorf("ResolveBlocks accepted %s", name)
+		}
+	}
+	for i := range cands {
+		if err := cands[i].Check(ds.Len(), good.BlockSize); err != nil {
+			t.Errorf("Check rejected ProposeBlocks's own block %d: %v", cands[i].Block, err)
+		}
 	}
 }

@@ -42,14 +42,15 @@ const (
 // could rotate out of.
 //
 // HistShardSeconds is the coordinator's downstream fan-out wait, per
-// phase ("partials", "draw"). It is deliberately separate from
+// round ("partials", and "draw" when blocks fall back), observed by the
+// coordinator (shard.HistSeconds). It is deliberately separate from
 // HistStageSeconds: a sharded build spends its time waiting on workers,
 // and folding that wait into the "build" stages would make coordinator-
 // local latency indistinguishable from downstream shard latency.
 const (
 	HistRequestSeconds = "server_request_seconds" // label: route
 	HistStageSeconds   = "server_stage_seconds"   // label: stage
-	HistShardSeconds   = "server_shard_seconds"   // label: stage (partials|draw)
+	HistShardSeconds   = shard.HistSeconds        // label: stage (partials|draw)
 
 	// HistQueueSeconds is the admission queue wait, observed only for
 	// requests that actually queued (a fast-path admit contributes

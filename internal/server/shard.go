@@ -26,12 +26,14 @@ import (
 // from (fingerprint-verified view, params, seed) exactly as estimatorAt's
 // exact build does, so every worker holds the identical estimator and
 // derives the identical density floor; (2) the per-block partial k_a sums
-// come from core's block engine (core.NormPartials is its weigh step)
-// and are folded in global block order by core.FoldNorm, the fold the
-// single-node draw uses; (3) the coin pass is the engine's flip step
-// (core.DrawBlocks), the one Draw runs, with each block's RNG stream
-// derived from (base, block index); (4) selections are concatenated in
-// global block order. Sharded builds are always exact (two passes) —
+// come from core's block engine (core.ProposeBlocks weighs with its weigh
+// step) and are folded in global block order by core.FoldNorm, the fold
+// the single-node draw uses; (3) each block's coins come from the stream
+// derived from (base, block index): core.ResolveBlocks keeps the
+// worker's candidates with flipCoins's expression wherever Bernoulli
+// draws once per point, and every other block is flipped by the engine's
+// flip step (core.DrawBlocks), the one Draw runs; (4) selections are
+// concatenated in global block order. Sharded builds are always exact —
 // DriftTol's incremental extends never run here, because an extended
 // artifact depends on append lineage a stateless worker does not share.
 
@@ -95,8 +97,9 @@ func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Da
 	return view, est, opts, h.Release, nil
 }
 
-// Partials implements shard.Executor: the per-block partial k_a sums of
-// phase one, hex-encoded bit patterns on the wire.
+// Partials implements shard.Executor: round one of the exact draw, each
+// block's partial k_a, weight range and coin candidates
+// (core.ProposeBlocks).
 func (e *shardExecutor) Partials(ctx context.Context, req *shard.PartialsRequest) (*shard.PartialsResponse, error) {
 	if err := e.checkIdentity(req.Shard); err != nil {
 		return nil, err
@@ -106,19 +109,16 @@ func (e *shardExecutor) Partials(ctx context.Context, req *shard.PartialsRequest
 		return nil, err
 	}
 	defer release()
-	parts, err := core.NormPartials(view, est, opts, req.Blocks)
+	cands, err := core.ProposeBlocks(view, est, opts, req.Base, req.Blocks)
 	if err != nil {
 		return nil, err
 	}
-	resp := &shard.PartialsResponse{Partials: make([]string, len(parts))}
-	for i, v := range parts {
-		resp.Partials[i] = shard.EncodeF64(v)
-	}
-	return resp, nil
+	return shard.PartialsReply(cands), nil
 }
 
-// Draw implements shard.Executor: phase two's per-block coin flips
-// against the coordinator's exact merged normalizer and stream base.
+// Draw implements shard.Executor: the fallback round's per-block coin
+// flips against the coordinator's exact merged normalizer and stream
+// base, for the blocks round one could not decide.
 func (e *shardExecutor) Draw(ctx context.Context, req *shard.DrawRequest) (*shard.DrawResponse, error) {
 	if err := e.checkIdentity(req.Shard); err != nil {
 		return nil, err
@@ -215,18 +215,20 @@ func (s *Server) handleShardDraw(ctx context.Context, r *http.Request) (any, err
 }
 
 // buildSampleSharded is the scatter-gather build of the exact sample for
-// generation g, whose fingerprint fp the caller already holds: phase one
-// merges per-shard partial normalizers into the exact global k_a, phase
-// two fans the coin flips out against it and concatenates selections in
-// global block order. The RNG derivation matches the local core.Draw exactly
-// (same seed streams, same one draw for the stream base), so the
-// artifact — and therefore the response bytes — is identical to the
-// single-node build. Fan-out wait is observed into HistShardSeconds per
-// phase, not into the build-stage histogram: /healthz separates time
-// spent waiting on workers from coordinator-local work. Replica
-// fallback and hedging live in the coordinator; a fan-out that exhausts
-// every replica surfaces as a transient error (503 upstream), and a
-// degenerate or short response can never merge silently.
+// generation g, whose fingerprint fp the caller already holds: the
+// coordinator's Sample takes the stream base, gathers every block's
+// partial and coin candidates in one round, merges the exact global k_a,
+// keeps the selections itself from its own view and sends only the
+// blocks it cannot decide out again. The RNG derivation matches the local
+// core.Draw exactly (same seed streams, same one draw for the stream
+// base), so the artifact — and therefore the response bytes — is
+// identical to the single-node build. The coordinator observes each
+// round's fan-out wait into HistShardSeconds, not into the build-stage
+// histogram: /healthz separates time spent waiting on workers from
+// coordinator-local work. Replica fallback and hedging live in the
+// coordinator; a fan-out that exhausts every replica surfaces as a
+// transient error (503 upstream), and a degenerate or short response can
+// never merge silently.
 func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g, fp uint64) (any, int64, error) {
 	view, err := h.ViewAt(g)
 	if err != nil {
@@ -246,24 +248,10 @@ func (s *Server) buildSampleSharded(ctx context.Context, rec *obs.Recorder, h *H
 	span := rec.StartSpan("server/build/sample_sharded")
 	defer span.End()
 
-	t0 := time.Now()
-	norm, err := s.coord.Norm(ctx, prm, n)
-	s.rec.Histogram(HistShardSeconds, obs.Label{Key: "stage", Value: "partials"}).
-		Observe(time.Since(t0).Seconds())
-	if err != nil {
-		return nil, 0, err
-	}
-
 	// One draw of the request's draw stream, exactly where core.Draw
-	// would consume it — the base every worker reconstructs its block
-	// streams from.
+	// would consume it — the base every block's coin stream derives from.
 	_, drawRNG := seedStreams(p.Seed)
-	base := core.DrawStreamBase(drawRNG)
-
-	t1 := time.Now()
-	sm, err := s.coord.Draw(ctx, prm, n, view.Dims(), norm, base)
-	s.rec.Histogram(HistShardSeconds, obs.Label{Key: "stage", Value: "draw"}).
-		Observe(time.Since(t1).Seconds())
+	sm, err := s.coord.Sample(ctx, prm, view, core.DrawStreamBase(drawRNG))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -16,7 +16,8 @@ import (
 
 // shardChaosReqs is the request mix each shard-chaos schedule replays:
 // two sample identities plus a repeat, so the artifact cache and the
-// scatter-gather path are both exercised.
+// scatter-gather path are both exercised, and a uniform draw of all 600
+// points, whose probabilities all clip, so the fallback round runs too.
 var shardChaosReqs = []struct {
 	name string
 	body map[string]any
@@ -24,6 +25,7 @@ var shardChaosReqs = []struct {
 	{"sampleA", map[string]any{"dataset": "pts", "alpha": 1.0, "size": 60, "kernels": 32, "seed": 101}},
 	{"sampleB", map[string]any{"dataset": "pts", "alpha": 0.5, "size": 60, "kernels": 32, "seed": 202}},
 	{"sampleA2", map[string]any{"dataset": "pts", "alpha": 1.0, "size": 60, "kernels": 32, "seed": 101}},
+	{"sampleAll", map[string]any{"dataset": "pts", "alpha": 0.0, "size": 600, "kernels": 32, "seed": 303}},
 }
 
 func shardChaosConfig(inj *faults.Injector) Config {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/shard"
 )
 
@@ -84,11 +86,45 @@ func TestShardParityAcrossModes(t *testing.T) {
 	})
 }
 
+// shardedN is the dataset size of the one-round shape tests: four scan
+// blocks, which the ring gives to both of two in-process workers, so a
+// miss round one decides makes exactly two RPCs.
+const shardedN = 13000
+
+// blockGroups is how many block groups a coordinator over workers
+// in-process shards scatters dataset name's n points into: the RPC count
+// of one round.
+func blockGroups(t *testing.T, workers int, name string, n int) int {
+	t.Helper()
+	names := make([]string, workers)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+	}
+	ring := shard.NewRing(names, 0)
+	owners := map[int]bool{}
+	for b := 0; b < parallel.NumBlocks(n, 0); b++ {
+		owners[ring.Owner(shard.BlockKey(name, b))] = true
+	}
+	return len(owners)
+}
+
+// fallbackBody asks for a uniform (a = 0) sample of all n points: every
+// probability b/k_0 = 1 clips, Bernoulli draws nothing, and every block
+// takes the fallback round.
+func fallbackBody(n int) map[string]any {
+	return map[string]any{"dataset": "pts", "alpha": 0.0, "size": n, "kernels": 64, "seed": 42}
+}
+
 // TestShardHealthz: a sharded request populates the shard_latency
-// section of /healthz with both phases, distinguishing downstream
-// fan-out wait from coordinator-local route latency.
+// section of /healthz with both rounds, distinguishing downstream
+// fan-out wait from coordinator-local route latency. A miss that round
+// one decides reports only the partials stage, after one RPC per block
+// group; a request whose blocks fall back adds the draw stage.
 func TestShardHealthz(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Parallelism: 2, ShardWorkers: 2}, 2000)
+	if g := blockGroups(t, 2, "pts", shardedN); g != 2 {
+		t.Fatalf("layout: %d block groups, want 2", g)
+	}
+	srv, ts, _ := newTestServer(t, Config{Parallelism: 2, ShardWorkers: 2}, shardedN)
 	resp, body := postJSON(t, ts.URL+"/v1/sample", sampleBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sample: %d: %s", resp.StatusCode, body)
@@ -96,6 +132,21 @@ func TestShardHealthz(t *testing.T) {
 	var h struct {
 		Latency      map[string]LatencySummary `json:"latency"`
 		ShardLatency map[string]LatencySummary `json:"shard_latency"`
+	}
+	getJSON(t, ts.URL+"/healthz", &h)
+	if sum := h.ShardLatency["partials"]; sum.Count != 1 {
+		t.Errorf("one-round miss: partials count = %d, want 1", sum.Count)
+	}
+	if sum, ok := h.ShardLatency["draw"]; ok {
+		t.Errorf("one-round miss reported a draw stage: %+v", sum)
+	}
+	if got := srv.rec.Counter(shard.CtrRPCs).Value(); got != 2 {
+		t.Errorf("one-round miss made %d RPCs, want 2", got)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/sample", fallbackBody(shardedN))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fallback sample: %d: %s", resp.StatusCode, body)
 	}
 	getJSON(t, ts.URL+"/healthz", &h)
 	for _, stage := range []string{"partials", "draw"} {
@@ -109,6 +160,47 @@ func TestShardHealthz(t *testing.T) {
 	}
 	if _, ok := h.Latency["/v1/sample"]; !ok {
 		t.Error("route latency lost its /v1/sample entry on a sharded server")
+	}
+}
+
+// TestShardMissCounts: a sharded miss on in-process workers evaluates
+// each density once and flips each coin once, so it adds exactly what
+// the same single-node miss adds to the kernel-evaluation, coin, sampled
+// and saturated counters, and it makes one RPC per block group.
+func TestShardMissCounts(t *testing.T) {
+	ctrs := []string{obs.CtrKernelEvals, obs.CtrCoinFlips, obs.CtrSampled, obs.CtrSaturated}
+	raw, err := json.Marshal(sampleBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss := func(cfg Config) (map[string]int64, *Server) {
+		t.Helper()
+		srv, _, _ := newTestServer(t, cfg, shardedN)
+		// Served in-process, so the request's counters have merged into
+		// the server's by the time ServeHTTP returns.
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sample", bytes.NewReader(raw)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("sample: %d: %s", w.Code, w.Body)
+		}
+		out := map[string]int64{}
+		for _, name := range ctrs {
+			out[name] = srv.rec.Counter(name).Value()
+		}
+		return out, srv
+	}
+	local, _ := miss(Config{Parallelism: 2})
+	sharded, srv := miss(Config{Parallelism: 2, ShardWorkers: 2})
+	for _, name := range ctrs {
+		if sharded[name] != local[name] {
+			t.Errorf("%s: sharded miss adds %d, single-node %d", name, sharded[name], local[name])
+		}
+	}
+	if local[obs.CtrKernelEvals] == 0 || local[obs.CtrCoinFlips] != shardedN {
+		t.Errorf("single-node miss counted %d kernel evaluations and %d coins", local[obs.CtrKernelEvals], local[obs.CtrCoinFlips])
+	}
+	if got, want := srv.rec.Counter(shard.CtrRPCs).Value(), int64(blockGroups(t, 2, "pts", shardedN)); got != want {
+		t.Errorf("sharded miss made %d RPCs, want one per block group (%d)", got, want)
 	}
 }
 
@@ -199,52 +291,80 @@ func TestShardAppendParity(t *testing.T) {
 }
 
 // TestShardTraceTree: with tracing on, a sharded request's trace nests
-// every RPC attempt shard/<op>/rpc/<shard> under its phase span
+// every RPC attempt shard/<op>/rpc/<shard> under its round's span
 // shard/<op>, and logs the in-process workers' compute (norm_partials,
 // draw_blocks) as events of their own, not folded into the
-// coordinator's phase spans.
+// coordinator's round spans. A miss round one decides has no fallback
+// round: no shard/draw, no draw_blocks, and one attempt per block group.
 func TestShardTraceTree(t *testing.T) {
 	srv := New(Config{Parallelism: 2, ShardWorkers: 2, TraceSample: 1, TraceSeed: 1})
-	if err := srv.Registry().RegisterDataset("pts", dataset.MustInMemory(testPoints(2000, 2, 11))); err != nil {
+	if err := srv.Registry().RegisterDataset("pts", dataset.MustInMemory(testPoints(shardedN, 2, 11))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	resp, body := postJSON(t, ts.URL+"/v1/sample", sampleBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sample: %d: %s", resp.StatusCode, body)
+	trace := func(body map[string]any) obs.Snapshot {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/v1/sample", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sample: %d: %s", resp.StatusCode, data)
+		}
+		for _, snap := range getTraces(t, ts.URL).Recent {
+			if snap.ID == resp.Header.Get(TraceHeader) {
+				return snap
+			}
+		}
+		t.Fatalf("no trace %q retained", resp.Header.Get(TraceHeader))
+		return obs.Snapshot{}
 	}
-	tr := getTraces(t, ts.URL)
-	if len(tr.Recent) != 1 {
-		t.Fatalf("recent traces = %d, want 1", len(tr.Recent))
+	attempts := func(snap obs.Snapshot) map[string]int { // phase -> attempts nested under it
+		out := map[string]int{}
+		var walk func(spans []obs.SpanJSON, phase string)
+		walk = func(spans []obs.SpanJSON, phase string) {
+			for _, sp := range spans {
+				in := phase
+				if !sp.Synthetic && (sp.Path == "shard/partials" || sp.Path == "shard/draw") {
+					in = sp.Path
+				}
+				if strings.Contains(sp.Path, "/rpc/") {
+					if in == "" || !strings.HasPrefix(sp.Path, in+"/rpc/") {
+						t.Errorf("RPC attempt %q is not nested under its phase span (enclosing phase %q)", sp.Path, in)
+					}
+					out[in]++
+				}
+				walk(sp.Children, in)
+			}
+		}
+		walk(snap.Spans, "")
+		return out
 	}
-	snap := tr.Recent[0]
-	paths := eventPaths(snap)
+
+	one := trace(sampleBody)
+	paths := eventPaths(one)
+	for _, want := range []string{"shard/partials", "norm_partials"} {
+		if paths[want] == 0 {
+			t.Errorf("one-round trace missing %q event; got %v", want, paths)
+		}
+	}
+	for _, absent := range []string{"shard/draw", "draw_blocks"} {
+		if paths[absent] != 0 {
+			t.Errorf("one-round trace has %d %q events", paths[absent], absent)
+		}
+	}
+	if got := attempts(one); got["shard/partials"] != 2 || got["shard/draw"] != 0 {
+		t.Errorf("one-round trace attempts %v, want 2 under shard/partials and none under shard/draw", got)
+	}
+
+	snap := trace(fallbackBody(shardedN))
+	paths = eventPaths(snap)
 	for _, want := range []string{"shard/partials", "shard/draw", "norm_partials", "draw_blocks"} {
 		if paths[want] == 0 {
 			t.Errorf("trace missing %q event; got %v", want, paths)
 		}
 	}
-	attempts := map[string]int{} // phase -> attempts nested under it
-	var walk func(spans []obs.SpanJSON, phase string)
-	walk = func(spans []obs.SpanJSON, phase string) {
-		for _, sp := range spans {
-			in := phase
-			if !sp.Synthetic && (sp.Path == "shard/partials" || sp.Path == "shard/draw") {
-				in = sp.Path
-			}
-			if strings.Contains(sp.Path, "/rpc/") {
-				if in == "" || !strings.HasPrefix(sp.Path, in+"/rpc/") {
-					t.Errorf("RPC attempt %q is not nested under its phase span (enclosing phase %q)", sp.Path, in)
-				}
-				attempts[in]++
-			}
-			walk(sp.Children, in)
-		}
-	}
-	walk(snap.Spans, "")
+	nested := attempts(snap)
 	for _, phase := range []string{"shard/partials", "shard/draw"} {
-		if attempts[phase] == 0 {
+		if nested[phase] == 0 {
 			t.Errorf("phase %q has no RPC attempts nested under it; events %v", phase, paths)
 		}
 	}

@@ -294,6 +294,18 @@ func TestAccessLogLine(t *testing.T) {
 		t.Fatalf("sharded sample: %d: %s", resp.StatusCode, body)
 	}
 	stages := accessLogLine(t, &buf).Stages
+	if stages["shard/partials"] <= 0 {
+		t.Errorf("sharded stage breakdown missing %q: %v", "shard/partials", stages)
+	}
+	if _, ok := stages["shard/draw"]; ok {
+		t.Errorf("a miss round one decides logged a fallback round: %v", stages)
+	}
+	// A request whose blocks all fall back runs both rounds.
+	buf.Reset()
+	if resp, body := postJSON(t, sts.URL+"/v1/sample", fallbackBody(1500)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded fallback sample: %d: %s", resp.StatusCode, body)
+	}
+	stages = accessLogLine(t, &buf).Stages
 	for _, stage := range []string{"shard/partials", "shard/draw"} {
 		if stages[stage] <= 0 {
 			t.Errorf("sharded stage breakdown missing %q: %v", stage, stages)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -23,6 +22,11 @@ const (
 	CtrHedges    = "shard_hedges_total"
 	CtrFallbacks = "shard_fallbacks_total"
 	CtrRPCErrors = "shard_rpc_errors_total"
+
+	// HistSeconds is each round's fan-out wait, labelled stage
+	// ("partials" for round one, "draw" for the fallback round). The
+	// serving layer reports it as its own server_shard_seconds.
+	HistSeconds = "server_shard_seconds"
 )
 
 // Config assembles a Coordinator.
@@ -51,10 +55,12 @@ type Config struct {
 }
 
 // Coordinator scatters a sampling run's scan blocks across shard workers
-// and gathers a result bit-identical to the single-node build: phase one
-// collects per-block partial normalizers and merges them in global block
-// order into the exact k_a; phase two ships (k_a, stream base) out and
-// concatenates the per-block selections in global block order.
+// and gathers a result bit-identical to the single-node build (Sample):
+// round one collects each block's partial normalizer and coin candidates
+// and merges the partials in global block order into the exact k_a; only
+// blocks whose coins round one cannot decide go out again, with
+// (k_a, stream base), and the per-block selections concatenate in global
+// block order.
 type Coordinator struct {
 	shards   []Shard
 	byName   map[string]Shard
@@ -157,13 +163,18 @@ func canceledErr(cause error) error {
 // hedged runs one group's RPC against its candidate list: the primary
 // immediately, the next candidate when the hedge budget expires with no
 // answer (a hedge) or when an attempt fails (a fallback), first success
-// wins. Losing attempts are canceled through the shared context. The
-// result is candidate-order independent by construction — every
-// candidate computes the identical bytes — so hedging changes latency,
-// never content.
+// wins. Losing attempts are canceled through the shared context, and
+// hedged waits for every attempt it launched before returning: an
+// in-process attempt records into the Recorder its context carries, which
+// the serving layer merges once the request is done, so no attempt may
+// outlive the call. The result is candidate-order independent by
+// construction — every candidate computes the identical bytes — so
+// hedging changes latency, never content.
 func hedged[T any](ctx context.Context, cands []Shard, budget time.Duration, onLaunch func(i int, hedge bool), do func(ctx context.Context, sh Shard) (T, error)) (T, error) {
 	var zero T
 	ctx, cancel := context.WithCancel(ctx)
+	var running sync.WaitGroup
+	defer running.Wait()
 	defer cancel()
 	type attempt struct {
 		v   T
@@ -175,7 +186,9 @@ func hedged[T any](ctx context.Context, cands []Shard, budget time.Duration, onL
 		onLaunch(launched, hedge)
 		sh := cands[launched]
 		launched++
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			v, err := do(ctx, sh)
 			results <- attempt{v, err}
 		}()
@@ -301,70 +314,138 @@ func (c *Coordinator) onLaunch() func(i int, hedge bool) {
 	}
 }
 
-// Norm runs phase one: scatter the block groups, gather per-block partial
-// normalizers, and fold them in global block order into the exact k_a
-// with core.FoldNorm, the fold the single-node draw uses. n is the dataset
-// length at p's generation; the block layout is the one core.Draw derives
-// from (n, p.BlockSize).
-func (c *Coordinator) Norm(ctx context.Context, p Params, n int) (float64, error) {
+// Sample draws the exact sample of p's generation. view is the
+// coordinator's own copy of that generation, whose fingerprint every
+// worker verifies against p, and base is core.DrawStreamBase of the
+// request's draw stream, taken before any RPC.
+//
+// Round one (span shard/partials, fault site shard/rpc/partials) asks
+// each block group for core.ProposeBlocks: partials, weight ranges and
+// coin candidates. The partials fold in global block order into the exact
+// k_a with core.FoldNorm, the fold the single-node draw uses, and
+// core.ResolveBlocks keeps the selections of every block whose coins
+// Bernoulli draws once per point, copying the rows from view. Only the
+// other blocks — a probability clipped at 1 or underflowing to 0 — go out
+// again (span shard/draw, fault site shard/rpc/draw), to core.DrawBlocks
+// against (k_a, base). The result matches core.Draw for the same
+// (dataset, estimator parameters, seed) byte for byte: Norm is the exact
+// merged k_a, DataPasses is the exact algorithm's 2, and Saturated sums
+// the per-block clip counts.
+func (c *Coordinator) Sample(ctx context.Context, p Params, view dataset.Dataset, base uint64) (*core.Sample, error) {
+	n := view.Len()
 	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
 	groups := c.groups(p.Dataset, numBlocks)
+	cands, err := c.propose(ctx, p, n, base, groups)
+	if err != nil {
+		return nil, err
+	}
+	partials := make([]float64, numBlocks)
+	for b := range cands {
+		partials[b] = cands[b].Partial
+	}
+	// ResolveBlocks refuses a degenerate merged k_a.
+	norm := core.FoldNorm(partials)
+	opts := core.Options{TargetSize: p.Size, BlockSize: p.BlockSize, Obs: obs.FromContext(ctx)}
+	resolved, redraw, err := core.ResolveBlocks(view, opts, norm, cands)
+	if err != nil {
+		return nil, err
+	}
+	perBlock := make([]core.BlockSample, numBlocks)
+	for _, bs := range resolved {
+		perBlock[bs.Block] = bs
+	}
+	if len(redraw) > 0 {
+		if err := c.draw(ctx, p, n, view.Dims(), norm, base, only(groups, redraw, numBlocks), perBlock); err != nil {
+			return nil, err
+		}
+	}
+	out := &core.Sample{Norm: norm, DataPasses: 2}
+	total := 0
+	for i := range perBlock {
+		total += len(perBlock[i].Points)
+	}
+	out.Points = make([]dataset.WeightedPoint, 0, total)
+	for i := range perBlock {
+		out.Points = append(out.Points, perBlock[i].Points...)
+		out.Saturated += perBlock[i].Saturated
+	}
+	return out, nil
+}
+
+// observe records one round's fan-out wait since t0 in HistSeconds.
+func (c *Coordinator) observe(stage string, t0 time.Time) {
+	c.rec.Histogram(HistSeconds, obs.Label{Key: "stage", Value: stage}).Observe(time.Since(t0).Seconds())
+}
+
+// propose runs round one: scatter the block groups with the stream base
+// and gather every block's validated candidates, indexed by block.
+func (c *Coordinator) propose(ctx context.Context, p Params, n int, base uint64, groups []group) ([]core.BlockCandidates, error) {
+	defer c.observe("partials", time.Now())
 	span := obs.FromContext(ctx).StartSpan("shard/partials")
 	span.AddPoints(int64(n))
 	defer span.End()
-	partials := make([]float64, numBlocks)
+	blockSize := parallel.BlockSize(p.BlockSize)
+	cands := make([]core.BlockCandidates, parallel.NumBlocks(n, blockSize))
 	err := scatter(ctx, groups, func(g group) error {
 		attempt := rpc(c, "partials", c.pPartials, g.blocks,
 			func(resp *PartialsResponse, frac float64) *PartialsResponse {
-				return &PartialsResponse{Partials: truncated(resp.Partials, frac)}
+				return &PartialsResponse{Blocks: truncated(resp.Blocks, frac)}
 			},
-			func(resp *PartialsResponse) error {
-				if len(resp.Partials) != len(g.blocks) {
-					return fmt.Errorf("got %d partials for %d blocks", len(resp.Partials), len(g.blocks))
-				}
-				return nil
-			})
+			func(resp *PartialsResponse) error { return validatePartials(resp, g.blocks, n, blockSize) })
 		resp, err := hedged(ctx, g.cands, c.hedge, c.onLaunch(), func(ctx context.Context, sh Shard) (*PartialsResponse, error) {
 			return attempt(ctx, sh, func(ctx context.Context) (*PartialsResponse, error) {
-				return sh.Partials(ctx, &PartialsRequest{Shard: sh.Name(), Params: p, Blocks: g.blocks})
+				return sh.Partials(ctx, &PartialsRequest{Shard: sh.Name(), Params: p, Blocks: g.blocks, Base: base})
 			})
 		})
 		if err != nil {
 			return err
 		}
-		for i, b := range g.blocks {
-			v, derr := DecodeF64(resp.Partials[i])
-			if derr != nil {
-				return &RPCError{Op: "partials", Err: derr}
-			}
-			partials[b] = v
+		for i := range resp.Blocks {
+			cands[g.blocks[i]] = resp.Blocks[i].candidates()
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	norm := core.FoldNorm(partials)
-	if norm <= 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return 0, fmt.Errorf("shard: degenerate merged normalizer k_a = %v", norm)
-	}
-	return norm, nil
+	return cands, nil
 }
 
-// Draw runs phase two: scatter (norm, stream base) with each group's
-// blocks, gather the per-block selections, and concatenate them in global
-// block order. The returned sample matches the single-node core.Draw for
-// the same (dataset, estimator parameters, seed) byte for byte: Norm is
-// the exact merged k_a, DataPasses is the exact algorithm's 2, and
-// Saturated sums the per-block clip counts.
-func (c *Coordinator) Draw(ctx context.Context, p Params, n, dims int, norm float64, base uint64) (*core.Sample, error) {
-	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
-	groups := c.groups(p.Dataset, numBlocks)
+// only restricts groups to the listed blocks, dropping the groups left
+// with none; each keeps its candidate list.
+func only(groups []group, blocks []int, numBlocks int) []group {
+	want := make([]bool, numBlocks)
+	for _, b := range blocks {
+		want[b] = true
+	}
+	var out []group
+	for _, g := range groups {
+		var sub []int
+		for _, b := range g.blocks {
+			if want[b] {
+				sub = append(sub, b)
+			}
+		}
+		if len(sub) > 0 {
+			out = append(out, group{blocks: sub, cands: g.cands})
+		}
+	}
+	return out
+}
+
+// draw runs the fallback round: scatter (norm, stream base) with each
+// group's blocks and store the per-block selections in perBlock.
+func (c *Coordinator) draw(ctx context.Context, p Params, n, dims int, norm float64, base uint64, groups []group, perBlock []core.BlockSample) error {
+	defer c.observe("draw", time.Now())
 	span := obs.FromContext(ctx).StartSpan("shard/draw")
-	span.AddPoints(int64(n))
 	defer span.End()
-	perBlock := make([]BlockDraw, numBlocks)
-	err := scatter(ctx, groups, func(g group) error {
+	for _, g := range groups {
+		for _, b := range g.blocks {
+			start, end := parallel.BlockRange(b, n, p.BlockSize)
+			span.AddPoints(int64(end - start))
+		}
+	}
+	return scatter(ctx, groups, func(g group) error {
 		attempt := rpc(c, "draw", c.pDraw, g.blocks,
 			func(resp *DrawResponse, frac float64) *DrawResponse {
 				return &DrawResponse{Blocks: truncated(resp.Blocks, frac)}
@@ -381,28 +462,35 @@ func (c *Coordinator) Draw(ctx context.Context, p Params, n, dims int, norm floa
 		if err != nil {
 			return err
 		}
-		for i, b := range g.blocks {
-			perBlock[b] = resp.Blocks[i]
+		for i, bd := range resp.Blocks {
+			wps := make([]dataset.WeightedPoint, len(bd.Points))
+			for j, row := range bd.Points {
+				wps[j] = dataset.WeightedPoint{P: geom.Point(row), W: bd.Weights[j]}
+			}
+			perBlock[g.blocks[i]] = core.BlockSample{Block: bd.Block, Points: wps, Saturated: bd.Saturated}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// validatePartials checks one round-one reply against the blocks that
+// were requested: the exact block list, then core's rule for each
+// block's candidates (BlockCandidates.Check). Anything short or
+// inconsistent fails the attempt.
+func validatePartials(resp *PartialsResponse, blocks []int, n, blockSize int) error {
+	if len(resp.Blocks) != len(blocks) {
+		return fmt.Errorf("got %d block partials for %d blocks", len(resp.Blocks), len(blocks))
 	}
-	out := &core.Sample{Norm: norm, DataPasses: 2}
-	total := 0
-	for i := range perBlock {
-		total += len(perBlock[i].Points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	for i := range perBlock {
-		bd := &perBlock[i]
-		for j, row := range bd.Points {
-			out.Points = append(out.Points, dataset.WeightedPoint{P: geom.Point(row), W: bd.Weights[j]})
+	for i := range resp.Blocks {
+		if resp.Blocks[i].Block != blocks[i] {
+			return fmt.Errorf("block partial %d is for block %d, want %d", i, resp.Blocks[i].Block, blocks[i])
 		}
-		out.Saturated += bd.Saturated
+		c := resp.Blocks[i].candidates()
+		if err := c.Check(n, blockSize); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // validateDraw structurally checks one draw response against the blocks

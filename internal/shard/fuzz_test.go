@@ -1,0 +1,81 @@
+package shard
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/parallel"
+)
+
+// The request FuzzShardReply decodes every reply against: 40 points in
+// blocks of 8, row i = (i, 1 + i mod 5) so that columnDensity weighs it
+// by its second coordinate and its first names its index, b = 10, and a
+// group holding blocks 0, 2 and 3. The seed corpus holds real replies to
+// this request (coreExec, base 0x5eed).
+const (
+	fuzzN         = 40
+	fuzzBlockSize = 8
+	fuzzSize      = 10
+)
+
+var fuzzBlocks = []int{0, 2, 3}
+
+func fuzzData() *dataset.InMemory {
+	pts := make([]geom.Point, fuzzN)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i), float64(1 + i%5)}
+	}
+	return dataset.MustInMemory(pts)
+}
+
+// FuzzShardReply feeds arbitrary bytes, as a round-one reply and as a
+// fallback-round reply, through the coordinator's decoding and
+// validation. Neither may panic; a round-one reply that validates must
+// resolve to rows of its own blocks only; and the hex float encoding
+// must round-trip every bit pattern.
+func FuzzShardReply(f *testing.F) {
+	ds := fuzzData()
+	f.Add([]byte(`{"blocks":[]}`), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, bits uint64) {
+		if v, err := DecodeF64(EncodeF64(math.Float64frombits(bits))); err != nil || math.Float64bits(v) != bits {
+			t.Fatalf("bits %x came back as %x (%v)", bits, math.Float64bits(v), err)
+		}
+
+		// Client.post decodes a reply with a json.Decoder.
+		var pr PartialsResponse
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&pr) == nil && validatePartials(&pr, fuzzBlocks, fuzzN, fuzzBlockSize) == nil {
+			cands := make([]core.BlockCandidates, len(pr.Blocks))
+			partials := make([]float64, len(pr.Blocks))
+			for i := range pr.Blocks {
+				cands[i] = pr.Blocks[i].candidates()
+				partials[i] = cands[i].Partial
+			}
+			norm := core.FoldNorm(partials)
+			if !(norm > 0) || math.IsInf(norm, 0) {
+				norm = 1
+			}
+			resolved, _, err := core.ResolveBlocks(ds, core.Options{TargetSize: fuzzSize, BlockSize: fuzzBlockSize}, norm, cands)
+			if err != nil {
+				t.Fatalf("a validated reply failed to resolve: %v", err)
+			}
+			for _, bs := range resolved {
+				start, end := parallel.BlockRange(bs.Block, fuzzN, fuzzBlockSize)
+				for _, wp := range bs.Points {
+					if i := int(wp.P[0]); i < start || i >= end || !wp.P.Equal(ds.Points()[i]) {
+						t.Fatalf("block %d resolved to row %v outside [%d,%d)", bs.Block, wp.P, start, end)
+					}
+				}
+			}
+		}
+
+		var dr DrawResponse
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&dr) == nil {
+			_ = validateDraw(&dr, fuzzBlocks, ds.Dims())
+		}
+	})
+}

@@ -6,8 +6,9 @@
 # concurrent code (the parallel execution layer, its two biggest consumers,
 # and the observability layer's shared Recorder, plus the serving layer's
 # registry/cache/admission), 10 s fuzz smokes over the disk-tier
-# artifact decoder, the dataset upload decoders and the assembled
-# /v1/sample body, the observability overhead guard over the enabled and
+# artifact decoder, the dataset upload decoders, the assembled
+# /v1/sample body and the shard replies the coordinator decodes, the
+# observability overhead guard over the enabled and
 # the traced Recorder (OBS_GUARD gates the timing assertion; see
 # obs_guard_test.go and BENCH_obs.json for the budget), and the
 # allocation gates of the draw and of a cache hit.
@@ -70,6 +71,14 @@ go test -run '^$' -fuzz '^FuzzReadUpload$' -fuzztime 10s -parallel 2 ./internal/
 # name and float, including the non-finite values json.Marshal refuses
 # (internal/server/testdata/fuzz/FuzzSampleBody).
 go test -run '^$' -fuzz '^FuzzSampleBody$' -fuzztime 10s -parallel 2 ./internal/server/
+# Fuzz smoke: arbitrary bytes as a shard worker's round-one reply and as
+# its fallback-round reply, through the coordinator's decoding and
+# validation, must never panic; a round-one reply that validates must
+# resolve to rows of its own blocks only; and the hex float encoding
+# must round-trip every bit pattern. The seed corpus holds one real reply
+# of each kind, whole and truncated
+# (internal/shard/testdata/fuzz/FuzzShardReply).
+go test -run '^$' -fuzz '^FuzzShardReply$' -fuzztime 10s -parallel 2 ./internal/shard/
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
