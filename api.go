@@ -255,14 +255,6 @@ func FindOutliers(pts []Point, prm OutlierParams) ([]int, error) {
 	return outlier.Exact(pts, prm)
 }
 
-// FindOutliersCell detects all DB(p,k) outliers exactly with the Knorr-Ng
-// cell-based algorithm, which prunes whole regions at once and excels in
-// low dimensionality; above ~4 dimensions it transparently falls back to
-// the kd-tree method.
-func FindOutliersCell(pts []Point, prm OutlierParams) ([]int, error) {
-	return outlier.CellBased(pts, prm)
-}
-
 // OutlierResult reports an approximate detection run.
 type OutlierResult = outlier.Result
 

@@ -205,24 +205,6 @@ func TestFacadeNoiseTrim(t *testing.T) {
 	}
 }
 
-func TestFacadeCellOutliers(t *testing.T) {
-	rng := NewRNG(7)
-	pts := facadePoints(rng)
-	pts = append(pts, Point{0.97, 0.03})
-	prm := OutlierParams{K: 0.05, P: 1}
-	cell, err := FindOutliersCell(pts, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := FindOutliers(pts, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cell) != len(exact) {
-		t.Errorf("cell %d vs exact %d", len(cell), len(exact))
-	}
-}
-
 func TestFacadePartitionedClustering(t *testing.T) {
 	rng := NewRNG(8)
 	pts := facadePoints(rng)

@@ -105,12 +105,11 @@ func main() {
 			fatal("unknown kernel %q", *kernel)
 		}
 		est, err := kde.Build(ds, kde.Options{
-			NumKernels:  *kernels,
-			Kernel:      kern,
-			Parallelism: *par,
-			Ctx:         ctx,
-			Obs:         run.Rec,
-			Progress:    run.ProgressFunc("estimator"),
+			NumKernels: *kernels,
+			Kernel:     kern,
+			Ctx:        ctx,
+			Obs:        run.Rec,
+			Progress:   run.ProgressFunc("estimator"),
 		}, rng)
 		if err != nil {
 			fatal("building estimator: %v", err)

@@ -76,11 +76,10 @@ func main() {
 	switch *method {
 	case "biased":
 		est, err := kde.Build(ds, kde.Options{
-			NumKernels:  *kernels,
-			Parallelism: *par,
-			Ctx:         ctx,
-			Obs:         run.Rec,
-			Progress:    run.ProgressFunc("estimator"),
+			NumKernels: *kernels,
+			Ctx:        ctx,
+			Obs:        run.Rec,
+			Progress:   run.ProgressFunc("estimator"),
 		}, rng)
 		if err != nil {
 			fatal("building estimator: %v", err)

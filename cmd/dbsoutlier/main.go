@@ -96,11 +96,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "exact: %d DB(p=%d, k=%g) outliers\n", len(idx), prm.P, prm.K)
 	case "approx":
 		est, err := kde.Build(ds, kde.Options{
-			NumKernels:  *kernels,
-			Parallelism: *par,
-			Ctx:         ctx,
-			Obs:         run.Rec,
-			Progress:    run.ProgressFunc("estimator"),
+			NumKernels: *kernels,
+			Ctx:        ctx,
+			Obs:        run.Rec,
+			Progress:   run.ProgressFunc("estimator"),
 		}, rng)
 		if err != nil {
 			fatal("building estimator: %v", err)
@@ -116,11 +115,10 @@ func main() {
 			len(res.Outliers), res.NumCandidates, res.DataPasses)
 	case "estimate":
 		est, err := kde.Build(ds, kde.Options{
-			NumKernels:  *kernels,
-			Parallelism: *par,
-			Ctx:         ctx,
-			Obs:         run.Rec,
-			Progress:    run.ProgressFunc("estimator"),
+			NumKernels: *kernels,
+			Ctx:        ctx,
+			Obs:        run.Rec,
+			Progress:   run.ProgressFunc("estimator"),
 		}, rng)
 		if err != nil {
 			fatal("building estimator: %v", err)

@@ -31,7 +31,7 @@
 //	ds, _ := repro.FromPoints(points)
 //	est, _ := repro.BuildEstimator(ds, repro.EstimatorOptions{}, rng)
 //	s, _ := repro.BiasedSample(ds, est, repro.SampleOptions{Alpha: 1, Size: 1000}, rng)
-//	clusters, _ := repro.Cluster(s.Points(), repro.ClusterOptions{K: 10})
+//	clusters, _ := repro.ClusterSample(s.Points(), repro.ClusterOptions{K: 10})
 //
 // See the examples/ directory for runnable programs and EXPERIMENTS.md
 // for the paper-versus-measured record.

@@ -102,9 +102,6 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := Cluster(ds, Options{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := Cluster(ds, Options{K: 2, PageSize: -1}); err == nil {
-		t.Error("negative page size accepted")
-	}
 }
 
 func TestClusterFindsBlobCenters(t *testing.T) {
@@ -257,5 +254,19 @@ func TestHighDimensional(t *testing.T) {
 		if s.N < 900 || s.N > 1100 {
 			t.Errorf("unbalanced cluster N = %d", s.N)
 		}
+	}
+}
+
+// Add folds a point into the feature; the tests build features point by
+// point with it.
+func (c *CF) Add(p geom.Point) {
+	if c.N == 0 {
+		*c = NewCF(p)
+		return
+	}
+	c.N++
+	for i, v := range p {
+		c.LS[i] += v
+		c.SS += v * v
 	}
 }

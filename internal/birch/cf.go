@@ -35,19 +35,6 @@ func NewCF(p geom.Point) CF {
 	return CF{N: 1, LS: p.Clone(), SS: ss}
 }
 
-// Add folds a point into the feature.
-func (c *CF) Add(p geom.Point) {
-	if c.N == 0 {
-		*c = NewCF(p)
-		return
-	}
-	c.N++
-	for i, v := range p {
-		c.LS[i] += v
-		c.SS += v * v
-	}
-}
-
 // Merge folds another feature into c.
 func (c *CF) Merge(o CF) {
 	if o.N == 0 {
@@ -96,10 +83,4 @@ func (c *CF) MergedRadius(o CF) float64 {
 	m := CF{N: c.N, LS: c.LS.Clone(), SS: c.SS}
 	m.Merge(o)
 	return m.Radius()
-}
-
-// CentroidDistance returns the Euclidean distance between the centroids of
-// c and o (the D0 metric of the BIRCH paper).
-func (c *CF) CentroidDistance(o CF) float64 {
-	return geom.Distance(c.Centroid(), o.Centroid())
 }

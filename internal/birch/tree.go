@@ -8,23 +8,19 @@ import (
 	"repro/internal/geom"
 )
 
+// pageSize is the node size in bytes, the paper's setting. It determines
+// the branching factor from the entry size.
+const pageSize = 1024
+
 // Options configure a BIRCH run.
 type Options struct {
 	// K is the number of clusters the global phase produces. Required.
 	K int
 
-	// PageSize is the node size in bytes (default 1024, the paper's
-	// setting). It determines the branching factor from the entry size.
-	PageSize int
-
 	// MemoryBudget caps the CF-tree size in bytes. When tree growth
 	// exceeds it, the tree is rebuilt with a larger threshold. §4.2 sets
 	// this to the byte size of the competing sample. Default 256 KiB.
 	MemoryBudget int
-
-	// InitialThreshold is the starting absorption threshold T
-	// (default 0, the paper's setting).
-	InitialThreshold float64
 
 	// OutlierFraction enables BIRCH's leaf-outlier handling: leaf
 	// entries holding fewer than OutlierFraction times the average
@@ -243,16 +239,12 @@ func Cluster(ds dataset.Dataset, opts Options) (*Result, error) {
 	if ds.Len() == 0 {
 		return nil, errors.New("birch: empty dataset")
 	}
-	pageSize := opts.PageSize
-	if pageSize == 0 {
-		pageSize = 1024
-	}
 	memory := opts.MemoryBudget
 	if memory == 0 {
 		memory = 256 << 10
 	}
-	if pageSize <= 0 || memory <= 0 {
-		return nil, errors.New("birch: PageSize and MemoryBudget must be positive")
+	if memory <= 0 {
+		return nil, errors.New("birch: MemoryBudget must be positive")
 	}
 	d := ds.Dims()
 	branch := pageSize / entryBytes(d)
@@ -260,7 +252,7 @@ func Cluster(ds dataset.Dataset, opts Options) (*Result, error) {
 		branch = 4
 	}
 
-	tr := newTree(d, branch, opts.InitialThreshold)
+	tr := newTree(d, branch, 0) // the paper starts from threshold T = 0
 	rebuilds := 0
 	err := ds.Scan(func(p geom.Point) error {
 		tr.insert(NewCF(p))

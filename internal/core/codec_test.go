@@ -78,3 +78,23 @@ func TestSampleCodecErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzUnmarshalSample: arbitrary bytes as a DBSS1 payload must decode to
+// an error, never a panic, or to a (Sample, NormState) pair that
+// re-marshals to the same bytes. The seed corpus holds one real payload,
+// whole and truncated (testdata/fuzz/FuzzUnmarshalSample).
+func FuzzUnmarshalSample(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ns, err := UnmarshalSample(data)
+		if err != nil {
+			return
+		}
+		back, err := MarshalSample(s, ns)
+		if err != nil {
+			t.Fatalf("decoded sample does not marshal: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("decoded sample marshals to %d bytes differing from the %d decoded", len(back), len(data))
+		}
+	})
+}

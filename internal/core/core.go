@@ -354,10 +354,13 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 
 // flipCoins flips the inclusion coin for each biased weight against the
 // normalizer, recording the (index, prob) pairs of the selections into sc.
-// It is the single coin loop shared by the local draw and the sharded
-// per-block draw (DrawBlocks): both paths must consume brng identically —
-// including Bernoulli's property of consuming no state at p ≤ 0 or p ≥ 1 —
-// or the cross-mode bit-for-bit guarantee breaks.
+// It is the coin loop of the local draw and of the sharded fallback round
+// (DrawBlocks): both paths must consume brng identically — including
+// Bernoulli's property of consuming no state at p ≤ 0 or p ≥ 1 — or the
+// cross-mode bit-for-bit guarantee breaks. ResolveBlocks decides the
+// coins of the blocks it draws without this loop, by the same comparison
+// u < b·w/k_a that Bernoulli makes on the u each worker drew from the
+// same stream.
 func flipCoins(weights []float64, b, norm float64, brng *stats.RNG, sc *coinScratch) (count, sat int) {
 	for i := range weights {
 		prob := b * weights[i] / norm
@@ -420,17 +423,6 @@ func approxNorm(ce centersEstimator, alpha, floor float64) (float64, error) {
 		}
 	}
 	return sum * float64(ce.N()) / float64(len(centers)), nil
-}
-
-// InclusionProb returns the probability with which a point of density f
-// would be included, given the run parameters. Exposed for analysis and
-// for building inverse-probability weights outside Draw.
-func InclusionProb(f, alpha, floor, norm float64, targetSize int) float64 {
-	p := float64(targetSize) * biasedWeight(f, alpha, floor) / norm
-	if p > 1 {
-		return 1
-	}
-	return p
 }
 
 // biasedWeight computes f'(x) = max(f, floor)^a.

@@ -13,11 +13,11 @@
 // A visit is either one counted full pass over the dataset
 // (dataset.ScanBlocksCfg, which brings the data pass, the scan span, the
 // points-scanned counter and progress) or a listed set of global blocks,
-// as a shard worker serves them. Draw, ExactNorm, ExtendDraw, NormPartials
-// and DrawBlocks all run on it, so the single-node and the sharded sample
-// share every step the cross-mode byte-identity argument rests on: one
-// weight expression, one block-order fold (FoldNorm), one coin loop and
-// one stream derivation (DESIGN.md §5h).
+// as a shard worker serves them. Draw, ExactNorm, ExtendDraw, NormPartials,
+// ProposeBlocks and DrawBlocks all run on it, so the single-node and the
+// sharded sample share every step the cross-mode byte-identity argument
+// rests on: one weight expression, one block-order fold (FoldNorm), one
+// coin rule and one stream derivation (DESIGN.md §5h).
 package core
 
 import (
@@ -268,9 +268,10 @@ func (s *Sample) gather(blocks []BlockSample) {
 
 // FoldNorm sums per-block partial normalizers laid out in global block
 // order, left to right. It is the one way partials become k_a: the
-// engine's exact pass folds its own, and the shard coordinator folds
-// NormPartials gathered from many workers, so the merged normalizer
-// equals the single-node one to the last bit. Floating-point addition is
+// engine's exact pass folds its own, a shard worker folds its own blocks'
+// into ProposeBlocks's lower bound, and the shard coordinator folds the
+// ProposeBlocks partials gathered from every worker, so the merged
+// normalizer equals the single-node one to the last bit. Floating-point addition is
 // not associative; the order is the contract.
 func FoldNorm(partials []float64) float64 {
 	var k float64

@@ -81,3 +81,15 @@ func TestPropFloorClamps(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// InclusionProb returns the probability with which a point of density f
+// would be included, given the run parameters: the paper's
+// P(x ∈ S) = b·f'(x)/k_a clipped at 1, the oracle the property tests hold
+// the samplers to.
+func InclusionProb(f, alpha, floor, norm float64, targetSize int) float64 {
+	p := float64(targetSize) * biasedWeight(f, alpha, floor) / norm
+	if p > 1 {
+		return 1
+	}
+	return p
+}

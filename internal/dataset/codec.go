@@ -111,16 +111,6 @@ func ReadBinary(r io.Reader) (*InMemory, error) {
 	return NewInMemory(pts)
 }
 
-// LoadBinary reads the named binary dataset file into memory.
-func LoadBinary(path string) (*InMemory, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
 // FileBacked is a Dataset that streams passes directly from a binary file,
 // holding only one point in memory at a time. It models the paper's setting
 // of datasets too large to materialize. Each scan opens its own handle and

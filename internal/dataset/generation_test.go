@@ -185,8 +185,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err := sf.Append(pts[900:]...); err != nil {
 		t.Fatal(err)
 	}
-	if sf.Segments() != 3 || sf.Generation() != 2 || sf.Len() != 1200 {
-		t.Fatalf("segments/gen/len = %d/%d/%d, want 3/2/1200", sf.Segments(), sf.Generation(), sf.Len())
+	if sf.Generation() != 2 || sf.Len() != 1200 {
+		t.Fatalf("gen/len = %d/%d, want 2/1200", sf.Generation(), sf.Len())
 	}
 
 	// Re-open both explicitly and through the sniffing Open.

@@ -498,9 +498,6 @@ func (sf *SegmentFile) Passes() int { return int(sf.passes.Load()) }
 // AddPass charges one logical dataset pass.
 func (sf *SegmentFile) AddPass() { sf.passes.Add(1) }
 
-// Segments returns the number of segments (= generations + 1).
-func (sf *SegmentFile) Segments() int { return len(sf.state.Load().counts) }
-
 // Generation implements Appendable: segment g holds generation g's delta.
 func (sf *SegmentFile) Generation() uint64 {
 	return uint64(len(sf.state.Load().counts) - 1)

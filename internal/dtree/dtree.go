@@ -29,24 +29,22 @@ type Example struct {
 	W float64
 }
 
-// Options configure tree induction.
-type Options struct {
-	// MaxDepth bounds the tree height (default 12).
-	MaxDepth int
-	// MinLeafWeight stops splitting nodes whose total weight is below it
-	// (default: 1e-3 of the root weight).
-	MinLeafWeight float64
-	// MinGain stops splitting when the best split improves weighted Gini
-	// impurity by less than this (default 1e-7).
-	MinGain float64
-}
+// Stopping rules of tree induction.
+const (
+	// maxDepth bounds the tree height.
+	maxDepth = 12
+	// minLeafFrac stops splitting nodes whose total weight is at most this
+	// fraction of the root weight.
+	minLeafFrac = 1e-3
+	// minGain stops splitting when the best split improves weighted Gini
+	// impurity by less than this.
+	minGain = 1e-7
+)
 
 // Tree is a trained classifier.
 type Tree struct {
-	root  *node
-	dims  int
-	depth int
-	nodes int
+	root *node
+	dims int
 }
 
 type node struct {
@@ -61,7 +59,7 @@ type node struct {
 func (n *node) isLeaf() bool { return n.left == nil }
 
 // Train grows a tree on the weighted examples.
-func Train(examples []Example, opts Options) (*Tree, error) {
+func Train(examples []Example) (*Tree, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("dtree: no examples")
 	}
@@ -79,36 +77,21 @@ func Train(examples []Example, opts Options) (*Tree, error) {
 	if totW == 0 {
 		return nil, errors.New("dtree: zero total weight")
 	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = 12
-	}
-	if opts.MaxDepth < 1 {
-		return nil, errors.New("dtree: MaxDepth must be positive")
-	}
-	if opts.MinLeafWeight == 0 {
-		opts.MinLeafWeight = 1e-3 * totW
-	}
-	if opts.MinGain == 0 {
-		opts.MinGain = 1e-7
-	}
 	t := &Tree{dims: d}
 	work := append([]Example(nil), examples...)
-	t.root = t.grow(work, 0, opts)
+	t.root = t.grow(work, 0, minLeafFrac*totW)
 	return t, nil
 }
 
-// grow recursively builds the subtree for the given examples.
-func (t *Tree) grow(ex []Example, depth int, opts Options) *node {
-	t.nodes++
-	if depth > t.depth {
-		t.depth = depth
-	}
+// grow recursively builds the subtree for the given examples; nodes of
+// weight at most minLeaf become leaves.
+func (t *Tree) grow(ex []Example, depth int, minLeaf float64) *node {
 	label, pure, weight := majority(ex)
-	if pure || depth >= opts.MaxDepth || weight <= opts.MinLeafWeight {
+	if pure || depth >= maxDepth || weight <= minLeaf {
 		return &node{label: label}
 	}
 	dim, threshold, gain := bestSplit(ex, t.dims)
-	if dim < 0 || gain < opts.MinGain {
+	if dim < 0 || gain < minGain {
 		return &node{label: label}
 	}
 	// Partition in place around the threshold.
@@ -127,8 +110,8 @@ func (t *Tree) grow(ex []Example, depth int, opts Options) *node {
 	return &node{
 		dim:       dim,
 		threshold: threshold,
-		left:      t.grow(ex[:lo], depth+1, opts),
-		right:     t.grow(ex[lo:], depth+1, opts),
+		left:      t.grow(ex[:lo], depth+1, minLeaf),
+		right:     t.grow(ex[lo:], depth+1, minLeaf),
 	}
 }
 
@@ -236,12 +219,6 @@ func (t *Tree) Predict(p geom.Point) int {
 	}
 	return n.label
 }
-
-// Depth returns the height of the trained tree.
-func (t *Tree) Depth() int { return t.depth }
-
-// Nodes returns the number of nodes in the tree.
-func (t *Tree) Nodes() int { return t.nodes }
 
 // Accuracy returns the fraction of examples the tree labels correctly
 // (unweighted — evaluation weights every test point equally).

@@ -35,6 +35,16 @@ func xorData(n int, rng *stats.RNG) []Example {
 	return ex
 }
 
+// shape returns the height of the subtree under n and its node count.
+func shape(n *node) (depth, nodes int) {
+	if n.isLeaf() {
+		return 0, 1
+	}
+	ld, ln := shape(n.left)
+	rd, rn := shape(n.right)
+	return 1 + max(ld, rd), 1 + ln + rn
+}
+
 func split(ex []Example) ([]geom.Point, []int) {
 	pts := make([]geom.Point, len(ex))
 	labels := make([]int, len(ex))
@@ -46,19 +56,19 @@ func split(ex []Example) ([]geom.Point, []int) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, Options{}); err == nil {
+	if _, err := Train(nil); err == nil {
 		t.Error("empty training set accepted")
 	}
 	bad := []Example{{P: geom.Point{1}, Label: 0, W: -1}}
-	if _, err := Train(bad, Options{}); err == nil {
+	if _, err := Train(bad); err == nil {
 		t.Error("negative weight accepted")
 	}
 	ragged := []Example{{P: geom.Point{1}, W: 1}, {P: geom.Point{1, 2}, W: 1}}
-	if _, err := Train(ragged, Options{}); err == nil {
+	if _, err := Train(ragged); err == nil {
 		t.Error("ragged dims accepted")
 	}
 	zero := []Example{{P: geom.Point{1}, W: 0}}
-	if _, err := Train(zero, Options{}); err == nil {
+	if _, err := Train(zero); err == nil {
 		t.Error("zero total weight accepted")
 	}
 }
@@ -66,7 +76,7 @@ func TestTrainValidation(t *testing.T) {
 func TestAxisAlignedSeparable(t *testing.T) {
 	rng := stats.NewRNG(1)
 	train := axisData(2000, rng)
-	tree, err := Train(train, Options{})
+	tree, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,29 +84,21 @@ func TestAxisAlignedSeparable(t *testing.T) {
 	if acc := tree.Accuracy(testPts, testLabels); acc < 0.99 {
 		t.Errorf("separable accuracy = %v", acc)
 	}
-	if tree.Depth() > 3 {
-		t.Errorf("depth = %d for a single-split problem", tree.Depth())
+	if depth, _ := shape(tree.root); depth > 3 {
+		t.Errorf("depth = %d for a single-split problem", depth)
 	}
 }
 
 func TestXORNeedsDepth(t *testing.T) {
 	rng := stats.NewRNG(2)
 	train := xorData(4000, rng)
-	tree, err := Train(train, Options{})
+	tree, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testPts, testLabels := split(xorData(1000, rng))
 	if acc := tree.Accuracy(testPts, testLabels); acc < 0.95 {
 		t.Errorf("xor accuracy = %v", acc)
-	}
-	// Depth-1 tree cannot learn XOR: accuracy near 0.5.
-	stump, err := Train(xorData(4000, rng), Options{MaxDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := stump.Accuracy(testPts, testLabels); acc > 0.7 {
-		t.Errorf("depth-1 xor accuracy = %v, should be near chance", acc)
 	}
 }
 
@@ -105,12 +107,12 @@ func TestPureNodeStopsEarly(t *testing.T) {
 		{P: geom.Point{0.1, 0.1}, Label: 3, W: 1},
 		{P: geom.Point{0.9, 0.9}, Label: 3, W: 1},
 	}
-	tree, err := Train(ex, Options{})
+	tree, err := Train(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes() != 1 {
-		t.Errorf("pure data grew %d nodes", tree.Nodes())
+	if _, nodes := shape(tree.root); nodes != 1 {
+		t.Errorf("pure data grew %d nodes", nodes)
 	}
 	if got := tree.Predict(geom.Point{0.5, 0.5}); got != 3 {
 		t.Errorf("predict = %d", got)
@@ -127,7 +129,7 @@ func TestWeightsShiftDecision(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ex = append(ex, Example{P: geom.Point{0.5, 0.5}, Label: 1, W: 10})
 	}
-	tree, err := Train(ex, Options{})
+	tree, err := Train(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestDuplicateFeatureValues(t *testing.T) {
 		}
 		ex = append(ex, Example{P: geom.Point{0.5, y}, Label: lb, W: 1})
 	}
-	tree, err := Train(ex, Options{})
+	tree, err := Train(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestDuplicateFeatureValues(t *testing.T) {
 func TestRecall(t *testing.T) {
 	rng := stats.NewRNG(3)
 	train := axisData(2000, rng)
-	tree, err := Train(train, Options{})
+	tree, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +176,20 @@ func TestRecall(t *testing.T) {
 	}
 }
 
+// Random labels keep every node impure, so only the depth cap stops the
+// tree from growing further.
 func TestMaxDepthRespected(t *testing.T) {
 	rng := stats.NewRNG(4)
-	tree, err := Train(xorData(2000, rng), Options{MaxDepth: 3})
+	ex := make([]Example, 20000)
+	for i := range ex {
+		ex[i] = Example{P: geom.Point{rng.Float64(), rng.Float64()}, Label: rng.Intn(2), W: 1}
+	}
+	tree, err := Train(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() > 3 {
-		t.Errorf("depth %d exceeds MaxDepth 3", tree.Depth())
+	if depth, _ := shape(tree.root); depth != maxDepth {
+		t.Errorf("depth %d, want the cap %d", depth, maxDepth)
 	}
 }
 
@@ -201,7 +209,7 @@ func TestMulticlass(t *testing.T) {
 		}
 		ex = append(ex, Example{P: p, Label: lb, W: 1})
 	}
-	tree, err := Train(ex, Options{})
+	tree, err := Train(ex)
 	if err != nil {
 		t.Fatal(err)
 	}

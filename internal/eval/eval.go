@@ -4,8 +4,7 @@
 // cluster's representative points lie in the interior of that true
 // cluster; for BIRCH, which reports centers and radii, a true cluster is
 // found when a reported center lies in its interior. The package also
-// provides the Adjusted Rand Index and purity for label-level comparisons
-// and precision/recall for outlier sets.
+// provides precision/recall for outlier sets.
 package eval
 
 import (
@@ -78,79 +77,6 @@ func CountTrue(found []bool) int {
 	return n
 }
 
-// AdjustedRandIndex computes the ARI between two label assignments of the
-// same points. Any integer labels work (noise labels like -1 form their
-// own class). 1 means identical partitions; 0 is the chance level.
-func AdjustedRandIndex(a, b []int) float64 {
-	if len(a) != len(b) {
-		panic("eval: label slices differ in length")
-	}
-	n := len(a)
-	if n == 0 {
-		return 1
-	}
-	cont := map[[2]int]int{}
-	rows := map[int]int{}
-	cols := map[int]int{}
-	for i := range a {
-		cont[[2]int{a[i], b[i]}]++
-		rows[a[i]]++
-		cols[b[i]]++
-	}
-	var sumComb, rowComb, colComb float64
-	for _, v := range cont {
-		sumComb += comb2(v)
-	}
-	for _, v := range rows {
-		rowComb += comb2(v)
-	}
-	for _, v := range cols {
-		colComb += comb2(v)
-	}
-	total := comb2(n)
-	expected := rowComb * colComb / total
-	maxIdx := (rowComb + colComb) / 2
-	if maxIdx == expected {
-		return 1 // both partitions trivial
-	}
-	return (sumComb - expected) / (maxIdx - expected)
-}
-
-func comb2(n int) float64 {
-	return float64(n) * float64(n-1) / 2
-}
-
-// Purity is the fraction of points whose predicted cluster's majority
-// truth label matches their own truth label.
-func Purity(pred, truth []int) float64 {
-	if len(pred) != len(truth) {
-		panic("eval: label slices differ in length")
-	}
-	if len(pred) == 0 {
-		return 1
-	}
-	counts := map[int]map[int]int{}
-	for i := range pred {
-		m := counts[pred[i]]
-		if m == nil {
-			m = map[int]int{}
-			counts[pred[i]] = m
-		}
-		m[truth[i]]++
-	}
-	correct := 0
-	for _, m := range counts {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
-		}
-		correct += best
-	}
-	return float64(correct) / float64(len(pred))
-}
-
 // SetMetrics compares a predicted point set against a truth point set by
 // coordinate equality (within tol) and returns precision and recall.
 // Empty prediction against empty truth scores 1/1.
@@ -189,34 +115,4 @@ func SetMetrics(predicted, truth []geom.Point, tol float64) (precision, recall f
 		recall = 1
 	}
 	return precision, recall
-}
-
-// F1 combines precision and recall.
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}
-
-// NoiseFraction returns the fraction of reps lying in no true cluster —
-// a diagnostic for how much noise a sample-based clustering absorbed.
-func NoiseFraction(reps []geom.Point, truth []synth.Cluster) float64 {
-	if len(reps) == 0 {
-		return 0
-	}
-	out := 0
-	for _, r := range reps {
-		inside := false
-		for ti := range truth {
-			if truth[ti].Shape.Contains(r) {
-				inside = true
-				break
-			}
-		}
-		if !inside {
-			out++
-		}
-	}
-	return float64(out) / float64(len(reps))
 }

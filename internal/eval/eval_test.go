@@ -82,57 +82,6 @@ func TestCountTrue(t *testing.T) {
 	}
 }
 
-func TestARIPerfect(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2, 2}
-	if got := AdjustedRandIndex(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ARI(a,a) = %v", got)
-	}
-	// Renaming labels must not matter.
-	b := []int{5, 5, 9, 9, -1, -1}
-	if got := AdjustedRandIndex(a, b); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ARI under renaming = %v", got)
-	}
-}
-
-func TestARIOpposite(t *testing.T) {
-	// A partition versus all-singletons has low ARI.
-	a := []int{0, 0, 0, 1, 1, 1}
-	b := []int{0, 1, 2, 3, 4, 5}
-	if got := AdjustedRandIndex(a, b); got > 0.01 {
-		t.Errorf("ARI vs singletons = %v, want ≈0", got)
-	}
-}
-
-func TestARIRandomIsNearZero(t *testing.T) {
-	a := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	b := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	got := AdjustedRandIndex(a, b)
-	if math.Abs(got) > 0.5 {
-		t.Errorf("independent partitions ARI = %v", got)
-	}
-}
-
-func TestARIMismatchedLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AdjustedRandIndex([]int{1}, []int{1, 2})
-}
-
-func TestPurity(t *testing.T) {
-	pred := []int{0, 0, 0, 1, 1, 1}
-	truth := []int{0, 0, 1, 1, 1, 1}
-	// cluster 0: majority label 0 (2 of 3); cluster 1: label 1 (3 of 3).
-	if got := Purity(pred, truth); math.Abs(got-5.0/6) > 1e-12 {
-		t.Errorf("purity = %v", got)
-	}
-	if Purity(nil, nil) != 1 {
-		t.Error("empty purity should be 1")
-	}
-}
-
 func TestSetMetrics(t *testing.T) {
 	pred := []geom.Point{{1, 1}, {2, 2}, {9, 9}}
 	truth := []geom.Point{{1, 1}, {2, 2}, {3, 3}}
@@ -150,28 +99,5 @@ func TestSetMetricsEmpty(t *testing.T) {
 	prec, rec = SetMetrics(nil, []geom.Point{{1}}, 0)
 	if prec != 1 || rec != 0 {
 		t.Errorf("nil/pred = %v/%v", prec, rec)
-	}
-}
-
-func TestF1(t *testing.T) {
-	if got := F1(1, 1); got != 1 {
-		t.Errorf("F1(1,1) = %v", got)
-	}
-	if got := F1(0, 0); got != 0 {
-		t.Errorf("F1(0,0) = %v", got)
-	}
-	if got := F1(0.5, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1(0.5,1) = %v", got)
-	}
-}
-
-func TestNoiseFraction(t *testing.T) {
-	truth := twoTruth()
-	reps := []geom.Point{{0.2, 0.2}, {0.5, 0.5}, {0.05, 0.9}, {0.7, 0.7}}
-	if got := NoiseFraction(reps, truth); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("noise fraction = %v", got)
-	}
-	if NoiseFraction(nil, truth) != 0 {
-		t.Error("empty reps noise fraction should be 0")
 	}
 }

@@ -251,7 +251,7 @@ func ablationEstimator(cfg Config) (*Table, error) {
 			return kde.Build(l.Dataset(), kde.Options{NumKernels: kde.DefaultNumKernels}, rng)
 		}},
 		{"histogram (32/dim)", func(l *synth.Labeled, rng *stats.RNG) (core.DensityEstimator, error) {
-			return histogram.Build(l.Dataset(), l.Domain, histogram.Options{})
+			return histogram.Build(l.Dataset(), l.Domain)
 		}},
 		{"hash grid (64/dim)", func(l *synth.Labeled, rng *stats.RNG) (core.DensityEstimator, error) {
 			return gridsample.BuildGrid(l.Dataset(), l.Domain, gridsample.Options{})

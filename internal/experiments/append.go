@@ -77,7 +77,7 @@ func appendExp(cfg Config) (*Table, error) {
 		// The shared prior: estimator and sample of the first n points,
 		// built once outside the timed region (a serving cache hit).
 		streams := stats.NewRNG(cfg.Seed ^ 0xa99e).Splits(4)
-		prior, err := kde.Build(prefix, kde.Options{NumKernels: ks, Parallelism: cfg.Parallelism, Obs: cfg.Obs}, streams[0])
+		prior, err := kde.Build(prefix, kde.Options{NumKernels: ks, Obs: cfg.Obs}, streams[0])
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func appendExp(cfg Config) (*Table, error) {
 
 		fullNs, err := timeMin(iters, func(rng *stats.RNG) error {
 			st := rng.Splits(2)
-			est, berr := kde.Build(full, kde.Options{NumKernels: ks, Parallelism: cfg.Parallelism, Obs: cfg.Obs}, st[0])
+			est, berr := kde.Build(full, kde.Options{NumKernels: ks, Obs: cfg.Obs}, st[0])
 			if berr != nil {
 				return berr
 			}

@@ -55,7 +55,7 @@ func extDtree(cfg Config) (*Table, error) {
 		testPts, testLabels := splitExamples(testSet)
 
 		evalTree := func(name string, ex []dtree.Example) error {
-			tree, err := dtree.Train(ex, dtree.Options{})
+			tree, err := dtree.Train(ex)
 			if err != nil {
 				return err
 			}

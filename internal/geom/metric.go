@@ -1,85 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
-
-// Metric is a distance function between equal-dimensional points.
-// Implementations must be symmetric, non-negative, and satisfy d(p,p)=0.
-// The paper's algorithms default to Euclidean but explicitly allow any Lp
-// metric ("different distance metrics … can be used equally well", §3.2).
-type Metric interface {
-	// Distance returns the distance between p and q.
-	Distance(p, q Point) float64
-	// Name returns a short identifier such as "euclidean".
-	Name() string
-}
-
-// Euclidean is the L2 metric.
-type Euclidean struct{}
-
-// Distance returns the L2 distance between p and q.
-func (Euclidean) Distance(p, q Point) float64 { return math.Sqrt(SquaredDistance(p, q)) }
-
-// Name returns "euclidean".
-func (Euclidean) Name() string { return "euclidean" }
-
-// Manhattan is the L1 metric.
-type Manhattan struct{}
-
-// Distance returns the L1 distance between p and q.
-func (Manhattan) Distance(p, q Point) float64 {
-	mustSameDims(p, q)
-	var s float64
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s
-}
-
-// Name returns "manhattan".
-func (Manhattan) Name() string { return "manhattan" }
-
-// Chebyshev is the L∞ metric.
-type Chebyshev struct{}
-
-// Distance returns the L∞ distance between p and q.
-func (Chebyshev) Distance(p, q Point) float64 {
-	mustSameDims(p, q)
-	var m float64
-	for i := range p {
-		if d := math.Abs(p[i] - q[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Name returns "chebyshev".
-func (Chebyshev) Name() string { return "chebyshev" }
-
-// Minkowski is the general Lp metric for p ≥ 1.
-type Minkowski struct {
-	// P is the order of the metric; must be ≥ 1.
-	P float64
-}
-
-// Distance returns the Lp distance between a and b.
-func (m Minkowski) Distance(a, b Point) float64 {
-	mustSameDims(a, b)
-	if m.P < 1 {
-		panic("geom: Minkowski metric requires P >= 1")
-	}
-	var s float64
-	for i := range a {
-		s += math.Pow(math.Abs(a[i]-b[i]), m.P)
-	}
-	return math.Pow(s, 1/m.P)
-}
-
-// Name returns "minkowski(p)".
-func (m Minkowski) Name() string { return fmt.Sprintf("minkowski(%g)", m.P) }
+import "math"
 
 // SquaredDistance returns the squared Euclidean distance between p and q.
 // It avoids the square root for hot paths (nearest-neighbour search,

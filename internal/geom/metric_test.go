@@ -7,57 +7,9 @@ import (
 )
 
 func TestEuclidean(t *testing.T) {
-	d := Euclidean{}.Distance(Point{0, 0}, Point{3, 4})
+	d := Distance(Point{0, 0}, Point{3, 4})
 	if d != 5 {
 		t.Errorf("euclidean = %v", d)
-	}
-}
-
-func TestManhattan(t *testing.T) {
-	d := Manhattan{}.Distance(Point{0, 0}, Point{3, -4})
-	if d != 7 {
-		t.Errorf("manhattan = %v", d)
-	}
-}
-
-func TestChebyshev(t *testing.T) {
-	d := Chebyshev{}.Distance(Point{0, 0}, Point{3, -4})
-	if d != 4 {
-		t.Errorf("chebyshev = %v", d)
-	}
-}
-
-func TestMinkowskiMatchesSpecialCases(t *testing.T) {
-	p := Point{1, 2, 3}
-	q := Point{-2, 5, 0.5}
-	if got, want := (Minkowski{P: 1}).Distance(p, q), (Manhattan{}).Distance(p, q); math.Abs(got-want) > 1e-12 {
-		t.Errorf("L1 via Minkowski = %v, want %v", got, want)
-	}
-	if got, want := (Minkowski{P: 2}).Distance(p, q), (Euclidean{}).Distance(p, q); math.Abs(got-want) > 1e-12 {
-		t.Errorf("L2 via Minkowski = %v, want %v", got, want)
-	}
-}
-
-func TestMinkowskiInvalidOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for P < 1")
-		}
-	}()
-	Minkowski{P: 0.5}.Distance(Point{0}, Point{1})
-}
-
-func TestMetricNames(t *testing.T) {
-	names := map[string]Metric{
-		"euclidean":    Euclidean{},
-		"manhattan":    Manhattan{},
-		"chebyshev":    Chebyshev{},
-		"minkowski(3)": Minkowski{P: 3},
-	}
-	for want, m := range names {
-		if got := m.Name(); got != want {
-			t.Errorf("Name = %q, want %q", got, want)
-		}
 	}
 }
 
@@ -91,34 +43,30 @@ func TestUnitBallVolume(t *testing.T) {
 	}
 }
 
-// Property: all provided metrics satisfy symmetry, identity, and the
+// Property: the Euclidean distance satisfies symmetry, identity, and the
 // triangle inequality on random 3-D points.
 func TestPropMetricAxioms(t *testing.T) {
-	metrics := []Metric{Euclidean{}, Manhattan{}, Chebyshev{}, Minkowski{P: 3}}
 	clean := func(v float64) float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0
 		}
 		return math.Mod(v, 1e6)
 	}
-	for _, m := range metrics {
-		m := m
-		f := func(a1, a2, a3, b1, b2, b3, c1, c2, c3 float64) bool {
-			p := Point{clean(a1), clean(a2), clean(a3)}
-			q := Point{clean(b1), clean(b2), clean(b3)}
-			r := Point{clean(c1), clean(c2), clean(c3)}
-			dpq, dqp := m.Distance(p, q), m.Distance(q, p)
-			if math.Abs(dpq-dqp) > 1e-9*(1+dpq) {
-				return false
-			}
-			if m.Distance(p, p) != 0 || dpq < 0 {
-				return false
-			}
-			// triangle: d(p,r) <= d(p,q) + d(q,r) up to float slack
-			return m.Distance(p, r) <= dpq+m.Distance(q, r)+1e-6*(1+dpq)
+	f := func(a1, a2, a3, b1, b2, b3, c1, c2, c3 float64) bool {
+		p := Point{clean(a1), clean(a2), clean(a3)}
+		q := Point{clean(b1), clean(b2), clean(b3)}
+		r := Point{clean(c1), clean(c2), clean(c3)}
+		dpq, dqp := Distance(p, q), Distance(q, p)
+		if math.Abs(dpq-dqp) > 1e-9*(1+dpq) {
+			return false
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("%s: %v", m.Name(), err)
+		if Distance(p, p) != 0 || dpq < 0 {
+			return false
 		}
+		// triangle: d(p,r) <= d(p,q) + d(q,r) up to float slack
+		return Distance(p, r) <= dpq+Distance(q, r)+1e-6*(1+dpq)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

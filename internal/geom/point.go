@@ -1,7 +1,6 @@
 // Package geom provides the low-level geometric primitives shared by every
-// other subsystem: d-dimensional points, axis-aligned rectangles, Minkowski
-// distance metrics, and affine scaling of a dataset's domain onto the unit
-// hypercube [0,1]^d assumed throughout the paper (§2).
+// other subsystem: d-dimensional points, axis-aligned rectangles and the
+// Euclidean distance.
 package geom
 
 import (
@@ -38,26 +37,6 @@ func (p Point) Equal(q Point) bool {
 		}
 	}
 	return true
-}
-
-// Add returns p + q as a new point. It panics if dimensions differ.
-func (p Point) Add(q Point) Point {
-	mustSameDims(p, q)
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] + q[i]
-	}
-	return r
-}
-
-// Sub returns p - q as a new point. It panics if dimensions differ.
-func (p Point) Sub(q Point) Point {
-	mustSameDims(p, q)
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] - q[i]
-	}
-	return r
 }
 
 // Scale returns s*p as a new point.
@@ -138,30 +117,6 @@ func Centroid(pts []Point) Point {
 	inv := 1.0 / float64(len(pts))
 	for i := range c {
 		c[i] *= inv
-	}
-	return c
-}
-
-// WeightedCentroid returns the weighted mean Σ w_i p_i / Σ w_i.
-// It panics if the inputs are empty, lengths differ, or total weight is zero.
-func WeightedCentroid(pts []Point, w []float64) Point {
-	if len(pts) == 0 || len(pts) != len(w) {
-		panic("geom: WeightedCentroid requires equal, non-zero lengths")
-	}
-	c := make(Point, len(pts[0]))
-	var tot float64
-	for j, p := range pts {
-		mustSameDims(c, p)
-		for i := range c {
-			c[i] += w[j] * p[i]
-		}
-		tot += w[j]
-	}
-	if tot == 0 {
-		panic("geom: WeightedCentroid with zero total weight")
-	}
-	for i := range c {
-		c[i] /= tot
 	}
 	return c
 }

@@ -8,14 +8,6 @@ import (
 
 func TestPointArithmetic(t *testing.T) {
 	p := Point{1, 2, 3}
-	q := Point{4, 5, 6}
-
-	if got := p.Add(q); !got.Equal(Point{5, 7, 9}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := q.Sub(p); !got.Equal(Point{3, 3, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Scale(2); !got.Equal(Point{2, 4, 6}) {
 		t.Errorf("Scale = %v", got)
 	}
@@ -99,7 +91,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	Point{1}.Add(Point{1, 2})
+	Point{1}.AddInPlace(Point{1, 2})
 }
 
 func TestCentroid(t *testing.T) {
@@ -107,23 +99,6 @@ func TestCentroid(t *testing.T) {
 	if got := Centroid(pts); !got.Equal(Point{1, 1}) {
 		t.Errorf("Centroid = %v", got)
 	}
-}
-
-func TestWeightedCentroid(t *testing.T) {
-	pts := []Point{{0, 0}, {4, 0}}
-	got := WeightedCentroid(pts, []float64{3, 1})
-	if !got.Equal(Point{1, 0}) {
-		t.Errorf("WeightedCentroid = %v", got)
-	}
-}
-
-func TestWeightedCentroidZeroWeightPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero total weight")
-		}
-	}()
-	WeightedCentroid([]Point{{1}}, []float64{0})
 }
 
 // Property: Lerp(q, t) lies on the segment — each coordinate between p and q.

@@ -51,15 +51,6 @@ func (r Rect) Contains(p Point) bool {
 	return true
 }
 
-// Center returns the midpoint of the rectangle.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
-}
-
 // Side returns the extent of the rectangle along dimension i.
 func (r Rect) Side(i int) float64 { return r.Max[i] - r.Min[i] }
 
@@ -115,17 +106,6 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Sqrt(s)
 }
 
-// MaxDist returns the maximum Euclidean distance from p to any point of r.
-func (r Rect) MaxDist(p Point) float64 {
-	mustSameDims(r.Min, p)
-	var s float64
-	for i := range p {
-		d := math.Max(math.Abs(p[i]-r.Min[i]), math.Abs(p[i]-r.Max[i]))
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // BoundingRect returns the tightest rectangle covering all pts.
 // It panics if pts is empty.
 func BoundingRect(pts []Point) Rect {
@@ -137,46 +117,4 @@ func BoundingRect(pts []Point) Rect {
 		r.Extend(p)
 	}
 	return r
-}
-
-// Scaler affinely maps an arbitrary bounding box onto the unit hypercube.
-// The paper assumes the data domain is [0,1]^d "otherwise we can scale the
-// attributes" (§2); Scaler is that scaling, with an exact inverse.
-type Scaler struct {
-	box  Rect
-	span Point // side lengths, with zero sides replaced by 1 to stay invertible
-}
-
-// NewScaler builds a Scaler for the given bounding box. Degenerate (zero
-// width) dimensions map to coordinate 0 and invert back to the box minimum.
-func NewScaler(box Rect) *Scaler {
-	s := &Scaler{box: box.Clone(), span: make(Point, box.Dims())}
-	for i := range s.span {
-		s.span[i] = box.Side(i)
-		if s.span[i] == 0 {
-			s.span[i] = 1
-		}
-	}
-	return s
-}
-
-// ToUnit maps p from the original domain into [0,1]^d (points outside the
-// box map outside the cube proportionally).
-func (s *Scaler) ToUnit(p Point) Point {
-	mustSameDims(s.box.Min, p)
-	q := make(Point, len(p))
-	for i := range p {
-		q[i] = (p[i] - s.box.Min[i]) / s.span[i]
-	}
-	return q
-}
-
-// FromUnit is the inverse of ToUnit.
-func (s *Scaler) FromUnit(q Point) Point {
-	mustSameDims(s.box.Min, q)
-	p := make(Point, len(q))
-	for i := range q {
-		p[i] = s.box.Min[i] + q[i]*s.span[i]
-	}
-	return p
 }

@@ -37,26 +37,23 @@ type Options struct {
 	// TargetSize is the expected sample size b. Required by Draw.
 	TargetSize int
 
-	// CellsPerDim is the grid resolution g (g^d logical cells).
-	// Default 64.
-	CellsPerDim int
-
 	// MemoryBytes bounds the hash table (16 bytes per bucket). The
 	// paper's comparison allows 5 MB. Default 5 MB.
 	MemoryBytes int
 }
 
+// cellsPerDim is the grid resolution g (g^d logical cells).
+const cellsPerDim = 64
+
 // Grid is the bounded hash table of cell occupancy counts built in one
 // dataset pass.
 type Grid struct {
-	domain   geom.Rect
-	g        int // cells per dimension
-	d        int
-	buckets  []bucket
-	mask     uint64
-	cellVol  float64
-	total    int
-	occupied int
+	domain  geom.Rect
+	d       int
+	buckets []bucket
+	mask    uint64
+	cellVol float64
+	total   int
 	// collided counts buckets that received at least two distinct cell
 	// ids — the degradation measure.
 	collided int
@@ -73,13 +70,6 @@ func BuildGrid(ds dataset.Dataset, domain geom.Rect, opts Options) (*Grid, error
 	if ds.Len() == 0 {
 		return nil, errors.New("gridsample: empty dataset")
 	}
-	g := opts.CellsPerDim
-	if g == 0 {
-		g = 64
-	}
-	if g < 1 {
-		return nil, errors.New("gridsample: CellsPerDim must be positive")
-	}
 	mem := opts.MemoryBytes
 	if mem == 0 {
 		mem = 5 << 20
@@ -94,19 +84,17 @@ func BuildGrid(ds dataset.Dataset, domain geom.Rect, opts Options) (*Grid, error
 	}
 	gr := &Grid{
 		domain:  domain.Clone(),
-		g:       g,
 		d:       d,
 		buckets: make([]bucket, nb),
 		mask:    uint64(nb - 1),
 	}
 	vol := domain.Volume()
-	gr.cellVol = vol / math.Pow(float64(g), float64(d))
+	gr.cellVol = vol / math.Pow(cellsPerDim, float64(d))
 	err := ds.Scan(func(p geom.Point) error {
 		id := gr.cellID(p)
 		b := &gr.buckets[id&gr.mask]
 		if b.firstID == 0 {
 			b.firstID = id + 1
-			gr.occupied++
 		} else if b.firstID != id+1 && !b.clash {
 			b.clash = true
 			gr.collided++
@@ -134,13 +122,13 @@ func (gr *Grid) cellID(p geom.Point) uint64 {
 		side := gr.domain.Side(j)
 		var c int
 		if side > 0 {
-			c = int(float64(gr.g) * (p[j] - gr.domain.Min[j]) / side)
+			c = int(cellsPerDim * (p[j] - gr.domain.Min[j]) / side)
 		}
 		if c < 0 {
 			c = 0
 		}
-		if c >= gr.g {
-			c = gr.g - 1
+		if c >= cellsPerDim {
+			c = cellsPerDim - 1
 		}
 		v := uint64(c)
 		for k := 0; k < 4; k++ {
@@ -163,13 +151,6 @@ func (gr *Grid) Count(p geom.Point) int {
 func (gr *Grid) Density(p geom.Point) float64 {
 	return float64(gr.Count(p)) / gr.cellVol
 }
-
-// OccupiedBuckets returns how many buckets hold at least one point.
-func (gr *Grid) OccupiedBuckets() int { return gr.occupied }
-
-// CollidedBuckets returns how many buckets absorbed two or more distinct
-// grid cells.
-func (gr *Grid) CollidedBuckets() int { return gr.collided }
 
 // Result is the output of Draw.
 type Result struct {

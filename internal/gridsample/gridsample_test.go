@@ -38,7 +38,7 @@ func TestBuildGridOnePass(t *testing.T) {
 func TestGridCountsDenseCells(t *testing.T) {
 	rng := stats.NewRNG(2)
 	ds := denseSparse(rng)
-	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{CellsPerDim: 20})
+	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestGridCountsDenseCells(t *testing.T) {
 func TestGridClampsOutOfDomain(t *testing.T) {
 	rng := stats.NewRNG(3)
 	ds := denseSparse(rng)
-	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{CellsPerDim: 10})
+	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +67,20 @@ func TestCollisionsUnderTinyMemory(t *testing.T) {
 	rng := stats.NewRNG(4)
 	ds := denseSparse(rng)
 	// 16 buckets for a 64x64 grid: collisions guaranteed.
-	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{CellsPerDim: 64, MemoryBytes: 16 * 16})
+	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{MemoryBytes: 16 * 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gr.CollidedBuckets() == 0 {
+	if gr.collided == 0 {
 		t.Error("expected collisions with 16 buckets")
 	}
-	// Generous memory: no collisions for a modest grid.
-	gr2, err := BuildGrid(ds, geom.UnitCube(2), Options{CellsPerDim: 16, MemoryBytes: 5 << 20})
+	// Generous memory: no collisions for the few hundred occupied cells.
+	gr2, err := BuildGrid(ds, geom.UnitCube(2), Options{MemoryBytes: 5 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gr2.CollidedBuckets() != 0 {
-		t.Errorf("unexpected collisions: %d", gr2.CollidedBuckets())
+	if gr2.collided != 0 {
+		t.Errorf("unexpected collisions: %d", gr2.collided)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestExponentOneIsUniform(t *testing.T) {
 func TestNegativeExponentOversamplesSparse(t *testing.T) {
 	rng := stats.NewRNG(7)
 	ds := denseSparse(rng)
-	res, err := Draw(ds, geom.UnitCube(2), Options{Exponent: -0.5, TargetSize: 500, CellsPerDim: 20}, rng)
+	res, err := Draw(ds, geom.UnitCube(2), Options{Exponent: -0.5, TargetSize: 500}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +176,9 @@ func TestGridAsDensityEstimatorOrdering(t *testing.T) {
 	// that internal/core relies on when using it as an estimator.
 	rng := stats.NewRNG(9)
 	ds := denseSparse(rng)
-	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{CellsPerDim: 32})
+	gr, err := BuildGrid(ds, geom.UnitCube(2), Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Sum of bucket counts at all probe points stays sane.
-	if gr.OccupiedBuckets() == 0 {
-		t.Fatal("no occupied buckets")
 	}
 	if gr.Density(geom.Point{0.21, 0.21}) < 100*gr.Density(geom.Point{0.95, 0.05})+1 {
 		// dense blob density vastly exceeds empty-corner density
@@ -194,57 +190,56 @@ func TestGridAsDensityEstimatorOrdering(t *testing.T) {
 // point with any subset of its coordinates exactly on the domain max must
 // land in cell g-1 along those dimensions — the same cell as an interior
 // point of the top cell — never an out-of-range index that hashes to (and
-// pollutes) an unrelated bucket. Swept across dims {1,2,4} and g {1,64},
-// over randomized domains (including negative mins and uneven sides).
+// pollutes) an unrelated bucket. Swept across dims {1,2,4} over
+// randomized domains (including negative mins and uneven sides).
 func TestTopEdgeCellIndexing(t *testing.T) {
 	rng := stats.NewRNG(8011)
+	const g = cellsPerDim
 	for _, d := range []int{1, 2, 4} {
-		for _, g := range []int{1, 64} {
-			for trial := 0; trial < 25; trial++ {
-				min := make(geom.Point, d)
-				max := make(geom.Point, d)
-				for j := 0; j < d; j++ {
-					min[j] = -2 + 3*rng.Float64()
-					max[j] = min[j] + 0.1 + 2*rng.Float64()
-				}
-				domain := geom.Rect{Min: min, Max: max}
+		for trial := 0; trial < 25; trial++ {
+			min := make(geom.Point, d)
+			max := make(geom.Point, d)
+			for j := 0; j < d; j++ {
+				min[j] = -2 + 3*rng.Float64()
+				max[j] = min[j] + 0.1 + 2*rng.Float64()
+			}
+			domain := geom.Rect{Min: min, Max: max}
 
-				// One interior anchor point in the top corner cell: the
-				// midpoint of cell g-1 along every dimension.
-				anchor := make(geom.Point, d)
-				for j := 0; j < d; j++ {
-					anchor[j] = min[j] + domain.Side(j)*(float64(g)-0.5)/float64(g)
-				}
-				ds := dataset.MustInMemory([]geom.Point{anchor})
-				gr, err := BuildGrid(ds, domain, Options{CellsPerDim: g})
-				if err != nil {
-					t.Fatal(err)
-				}
-				anchorID := gr.cellID(anchor)
+			// One interior anchor point in the top corner cell: the
+			// midpoint of cell g-1 along every dimension.
+			anchor := make(geom.Point, d)
+			for j := 0; j < d; j++ {
+				anchor[j] = min[j] + domain.Side(j)*(float64(g)-0.5)/float64(g)
+			}
+			ds := dataset.MustInMemory([]geom.Point{anchor})
+			gr, err := BuildGrid(ds, domain, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			anchorID := gr.cellID(anchor)
 
-				// Every point with a random subset of coordinates pinned
-				// to the exact domain max (the rest in the top cell's
-				// interior) must share the anchor's cell id and count.
-				for variant := 0; variant < 8; variant++ {
-					p := anchor.Clone()
-					pinned := 0
-					for j := 0; j < d; j++ {
-						if variant == 0 || rng.Bernoulli(0.5) {
-							p[j] = max[j]
-							pinned++
-						}
+			// Every point with a random subset of coordinates pinned
+			// to the exact domain max (the rest in the top cell's
+			// interior) must share the anchor's cell id and count.
+			for variant := 0; variant < 8; variant++ {
+				p := anchor.Clone()
+				pinned := 0
+				for j := 0; j < d; j++ {
+					if variant == 0 || rng.Bernoulli(0.5) {
+						p[j] = max[j]
+						pinned++
 					}
-					if pinned == 0 {
-						p[0] = max[0] // always test at least one pinned coordinate
-					}
-					if got := gr.cellID(p); got != anchorID {
-						t.Fatalf("d=%d g=%d: top-edge point %v cell id %#x, want top cell %#x",
-							d, g, p, got, anchorID)
-					}
-					if got := gr.Count(p); got != 1 {
-						t.Fatalf("d=%d g=%d: top-edge point %v count %d, want the anchor's 1",
-							d, g, p, got)
-					}
+				}
+				if pinned == 0 {
+					p[0] = max[0] // always test at least one pinned coordinate
+				}
+				if got := gr.cellID(p); got != anchorID {
+					t.Fatalf("d=%d g=%d: top-edge point %v cell id %#x, want top cell %#x",
+						d, g, p, got, anchorID)
+				}
+				if got := gr.Count(p); got != 1 {
+					t.Fatalf("d=%d g=%d: top-edge point %v count %d, want the anchor's 1",
+						d, g, p, got)
 				}
 			}
 		}

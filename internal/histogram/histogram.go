@@ -10,18 +10,13 @@ package histogram
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 )
 
-// Options configure histogram construction.
-type Options struct {
-	// BinsPerDim is the number of equal-width bins along each dimension
-	// (default 32).
-	BinsPerDim int
-}
+// binsPerDim is the number of equal-width bins along each dimension.
+const binsPerDim = 32
 
 // Histogram is a dense equi-width multi-dimensional histogram over a known
 // domain, scaled so the integral of Density over the domain is the dataset
@@ -37,19 +32,13 @@ type Histogram struct {
 
 // Build scans ds once and returns the histogram over the given domain.
 // Points outside the domain clamp into the boundary bins. Total storage is
-// BinsPerDim^d counters, so the dense layout suits low dimensionality
-// (d ≤ 6 or so); higher dimensions should use kernels or the hash grid.
-func Build(ds dataset.Dataset, domain geom.Rect, opts Options) (*Histogram, error) {
+// binsPerDim^d counters, so the dense layout suits low dimensionality
+// (d ≤ 5 or so); higher dimensions should use kernels or the hash grid.
+func Build(ds dataset.Dataset, domain geom.Rect) (*Histogram, error) {
 	if ds.Len() == 0 {
 		return nil, errors.New("histogram: empty dataset")
 	}
-	bins := opts.BinsPerDim
-	if bins == 0 {
-		bins = 32
-	}
-	if bins < 1 {
-		return nil, errors.New("histogram: BinsPerDim must be positive")
-	}
+	const bins = binsPerDim
 	d := ds.Dims()
 	if domain.Dims() != d {
 		return nil, errors.New("histogram: domain dimensionality mismatch")
@@ -112,53 +101,5 @@ func (h *Histogram) Density(p geom.Point) float64 {
 	return float64(h.counts[h.index(p)]) / h.volume
 }
 
-// Count returns the raw occupancy of p's bin.
-func (h *Histogram) Count(p geom.Point) int {
-	return int(h.counts[h.index(p)])
-}
-
 // N returns the number of points the histogram summarizes.
 func (h *Histogram) N() int { return h.n }
-
-// Bins returns the per-dimension bin count.
-func (h *Histogram) Bins() int { return h.bins }
-
-// MaxDensity returns the largest bin density — useful for diagnostics and
-// for sizing density floors.
-func (h *Histogram) MaxDensity() float64 {
-	var max int32
-	for _, c := range h.counts {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / h.volume
-}
-
-// MeanAbsError estimates the average absolute difference between this
-// histogram's density and another estimator's over a regular probe grid —
-// the accuracy comparison tool behind the estimator ablation.
-func (h *Histogram) MeanAbsError(other interface {
-	Density(geom.Point) float64
-}, probesPerDim int) float64 {
-	if probesPerDim < 1 {
-		probesPerDim = 8
-	}
-	p := make(geom.Point, h.d)
-	var sum float64
-	var count int
-	var walk func(j int)
-	walk = func(j int) {
-		if j == h.d {
-			sum += math.Abs(h.Density(p) - other.Density(p))
-			count++
-			return
-		}
-		for i := 0; i < probesPerDim; i++ {
-			p[j] = h.domain.Min[j] + (float64(i)+0.5)/float64(probesPerDim)*h.domain.Side(j)
-			walk(j + 1)
-		}
-	}
-	walk(0)
-	return sum / float64(count)
-}

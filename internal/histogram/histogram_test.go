@@ -24,23 +24,20 @@ func uniformPoints(n, d int, rng *stats.RNG) *dataset.InMemory {
 func TestBuildValidation(t *testing.T) {
 	rng := stats.NewRNG(1)
 	ds := uniformPoints(100, 2, rng)
-	if _, err := Build(ds, geom.UnitCube(3), Options{}); err == nil {
+	if _, err := Build(ds, geom.UnitCube(3)); err == nil {
 		t.Error("dimension mismatch accepted")
-	}
-	if _, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: -1}); err == nil {
-		t.Error("negative bins accepted")
 	}
 	// bins^d explosion must be rejected, not allocated
 	ds10 := uniformPoints(100, 10, rng)
-	if _, err := Build(ds10, geom.UnitCube(10), Options{BinsPerDim: 64}); err == nil {
-		t.Error("64^10 cells accepted")
+	if _, err := Build(ds10, geom.UnitCube(10)); err == nil {
+		t.Error("32^10 cells accepted")
 	}
 }
 
 func TestOnePass(t *testing.T) {
 	rng := stats.NewRNG(2)
 	ds := uniformPoints(5000, 2, rng)
-	if _, err := Build(ds, geom.UnitCube(2), Options{}); err != nil {
+	if _, err := Build(ds, geom.UnitCube(2)); err != nil {
 		t.Fatal(err)
 	}
 	if ds.Passes() != 1 {
@@ -50,9 +47,9 @@ func TestOnePass(t *testing.T) {
 
 func TestUniformDensity(t *testing.T) {
 	rng := stats.NewRNG(3)
-	const n = 50000
+	const n = 500 * binsPerDim * binsPerDim // about 500 points per bin
 	ds := uniformPoints(n, 2, rng)
-	h, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: 10})
+	h, err := Build(ds, geom.UnitCube(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +74,7 @@ func TestDensityIntegratesToN(t *testing.T) {
 		pts[i] = geom.Point{0.3 + 0.1*rng.Float64(), 0.6 + 0.2*rng.Float64()}
 	}
 	ds := dataset.MustInMemory(pts)
-	h, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: 20})
+	h, err := Build(ds, geom.UnitCube(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,38 +95,13 @@ func TestDensityIntegratesToN(t *testing.T) {
 func TestClamping(t *testing.T) {
 	rng := stats.NewRNG(5)
 	ds := uniformPoints(100, 2, rng)
-	h, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: 4})
+	h, err := Build(ds, geom.UnitCube(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-domain queries clamp, not panic.
 	_ = h.Density(geom.Point{-1, 2})
-	_ = h.Count(geom.Point{5, 5})
-}
-
-func TestMaxDensity(t *testing.T) {
-	pts := []geom.Point{{0.1, 0.1}, {0.1, 0.1}, {0.9, 0.9}}
-	ds := dataset.MustInMemory(pts)
-	h, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2.0 / 0.25 // two points in one quarter-cell
-	if got := h.MaxDensity(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxDensity = %v, want %v", got, want)
-	}
-}
-
-func TestMeanAbsErrorSelfIsZero(t *testing.T) {
-	rng := stats.NewRNG(6)
-	ds := uniformPoints(1000, 2, rng)
-	h, err := Build(ds, geom.UnitCube(2), Options{BinsPerDim: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.MeanAbsError(h, 8); got != 0 {
-		t.Errorf("self error = %v", got)
-	}
+	_ = h.Density(geom.Point{5, 5})
 }
 
 func TestAsCoreEstimator(t *testing.T) {
@@ -144,7 +116,7 @@ func TestAsCoreEstimator(t *testing.T) {
 		pts = append(pts, geom.Point{rng.Float64(), rng.Float64()})
 	}
 	ds := dataset.MustInMemory(pts)
-	h, err := Build(ds, geom.UnitCube(2), Options{})
+	h, err := Build(ds, geom.UnitCube(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,54 +151,30 @@ func (e *Estimator) flatSum(leaves []int32, qs []float64) float64 {
 	d := e.dims
 	flat := e.flat
 	var sum float64
-	if e.isFlat == nil {
-		if d == 4 {
-			q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
-			for l := 0; l < len(leaves); l += 2 {
-				for k, end := 4*int(leaves[l]), 4*int(leaves[l+1]); k < end; k += 4 {
-					u0 := q0 - flat[k]
-					u1 := q1 - flat[k+1]
-					u2 := q2 - flat[k+2]
-					u3 := q3 - flat[k+3]
-					if u0 < -1 || u0 > 1 || u1 < -1 || u1 > 1 ||
-						u2 < -1 || u2 > 1 || u3 < -1 || u3 > 1 {
-						continue
-					}
-					sum += (1 - u0*u0) * (1 - u1*u1) * (1 - u2*u2) * (1 - u3*u3)
-				}
-			}
-			return sum * e.coeffAll
-		}
+	if d == 4 {
+		q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
 		for l := 0; l < len(leaves); l += 2 {
-			for k := int(leaves[l]); k < int(leaves[l+1]); k++ {
-				c := flat[k*d : k*d+d]
-				v := 1.0
-				ok := true
-				for j, cv := range c {
-					u := qs[j] - cv
-					if u < -1 || u > 1 {
-						ok = false
-						break
-					}
-					v *= 1 - u*u
+			for k, end := 4*int(leaves[l]), 4*int(leaves[l+1]); k < end; k += 4 {
+				u0 := q0 - flat[k]
+				u1 := q1 - flat[k+1]
+				u2 := q2 - flat[k+2]
+				u3 := q3 - flat[k+3]
+				if u0 < -1 || u0 > 1 || u1 < -1 || u1 > 1 ||
+					u2 < -1 || u2 > 1 || u3 < -1 || u3 > 1 {
+					continue
 				}
-				if ok {
-					sum += v
-				}
+				sum += (1 - u0*u0) * (1 - u1*u1) * (1 - u2*u2) * (1 - u3*u3)
 			}
 		}
 		return sum * e.coeffAll
 	}
-	// Adaptive bandwidths: the slab is pre-scaled per center, so the query
-	// must be rescaled by the center's inverse scale as it is compared.
 	for l := 0; l < len(leaves); l += 2 {
 		for k := int(leaves[l]); k < int(leaves[l+1]); k++ {
-			is := e.isFlat[k]
 			c := flat[k*d : k*d+d]
 			v := 1.0
 			ok := true
 			for j, cv := range c {
-				u := qs[j]*is - cv
+				u := qs[j] - cv
 				if u < -1 || u > 1 {
 					ok = false
 					break
@@ -206,9 +182,9 @@ func (e *Estimator) flatSum(leaves []int32, qs []float64) float64 {
 				v *= 1 - u*u
 			}
 			if ok {
-				sum += v * e.coeff[k]
+				sum += v
 			}
 		}
 	}
-	return sum
+	return sum * e.coeffAll
 }

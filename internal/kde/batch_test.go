@@ -29,7 +29,7 @@ func batchTestData(n, dims int, seed uint64) *dataset.InMemory {
 }
 
 // DensityBatch must agree with per-point Density to rounding, for the
-// fused Epanechnikov path, the generic kernel path, and adaptive scales.
+// fused Epanechnikov path and the generic kernel path.
 func TestDensityBatchMatchesDensity(t *testing.T) {
 	ds := batchTestData(3000, 3, 5)
 	for _, tc := range []struct {
@@ -39,7 +39,6 @@ func TestDensityBatchMatchesDensity(t *testing.T) {
 		{"epanechnikov", Options{NumKernels: 200}},
 		{"gaussian", Options{NumKernels: 200, Kernel: Gaussian{}}},
 		{"biweight", Options{NumKernels: 200, Kernel: Biweight{}}},
-		{"adaptive", Options{NumKernels: 200, AdaptiveK: 5}},
 	} {
 		est, err := Build(ds, tc.opts, stats.NewRNG(1))
 		if err != nil {
@@ -93,33 +92,6 @@ func TestDensityBatchConcurrent(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("concurrent batch differs at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-// Adaptive-scale construction must not depend on the worker count.
-func TestAdaptiveScalesParallelismInvariant(t *testing.T) {
-	ds := batchTestData(2000, 2, 7)
-	var ref *Estimator
-	for _, p := range []int{1, 2, 8} {
-		est, err := Build(ds, Options{NumKernels: 300, AdaptiveK: 5, Parallelism: p}, stats.NewRNG(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = est
-			continue
-		}
-		if len(est.scale) != len(ref.scale) {
-			t.Fatalf("p=%d: %d scales vs %d", p, len(est.scale), len(ref.scale))
-		}
-		for i := range est.scale {
-			if est.scale[i] != ref.scale[i] {
-				t.Fatalf("p=%d: scale %d = %v, want %v", p, i, est.scale[i], ref.scale[i])
-			}
-		}
-		if est.reach != ref.reach {
-			t.Fatalf("p=%d: reach %v, want %v", p, est.reach, ref.reach)
 		}
 	}
 }

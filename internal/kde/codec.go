@@ -11,21 +11,25 @@ import (
 
 // Binary estimator artifact format ("DBSK1"), the disk tier's payload
 // for cached estimators. Only the construction inputs are stored —
-// kernel profile, centers, bandwidths, dataset size, and the two build
-// parameters — because newEstimator is deterministic: the kd-tree,
-// adaptive scales, and flat evaluation slabs rebuild bit-identically
-// from them on load (pinned by TestEstimatorCodecRoundTrip). That keeps
-// artifacts small (≈ ks·d·8 bytes) and forward-portable across changes
-// to the derived structures.
+// kernel profile, centers, bandwidths and dataset size — because
+// newEstimator is deterministic: the kd-tree and the flat evaluation slab
+// rebuild bit-identically from them on load (pinned by
+// TestEstimatorCodecRoundTrip). That keeps artifacts small (≈ ks·d·8
+// bytes) and forward-portable across changes to the derived structures.
 //
 // Layout (little-endian, fixed-width header fields):
 //
 //	offset 0: magic "DBSK1" (5 bytes)
 //	byte  5:  kernel name length (1 byte), then the name bytes
 //	then:     uint32 dims, uint32 numCenters,
-//	          uint64 n, uint32 adaptiveK, uint32 buildPar
+//	          uint64 n, uint32 reserved, uint32 reserved
 //	then:     dims float64 bandwidths
 //	then:     numCenters × dims float64 center coordinates
+//
+// The two reserved words held the parameters of an adaptive-bandwidth
+// build that no longer exists. They are written as 0; a file with either
+// non-zero describes an estimator this package cannot rebuild, so it is
+// refused as corrupt rather than decoded into a different estimator.
 const estimatorMagic = "DBSK1"
 
 // maxCodecElems bounds decoded allocations so a corrupt header cannot
@@ -50,8 +54,7 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.dims))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.centers)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.adaptiveK))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.buildPar))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // the two reserved words
 	for _, v := range e.h {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
@@ -97,8 +100,9 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	dims := int(binary.LittleEndian.Uint32(b[0:4]))
 	numCenters := int(binary.LittleEndian.Uint32(b[4:8]))
 	n := binary.LittleEndian.Uint64(b[8:16])
-	adaptiveK := int(binary.LittleEndian.Uint32(b[16:20]))
-	buildPar := int(binary.LittleEndian.Uint32(b[20:24]))
+	if reserved := binary.LittleEndian.Uint64(b[16:24]); reserved != 0 {
+		return nil, fmt.Errorf("kde: artifact reserved header words %#x are not zero", reserved)
+	}
 	if dims < 1 || numCenters < 1 || n == 0 || n > maxCodecElems ||
 		numCenters > maxCodecElems || dims > maxCodecElems/numCenters {
 		return nil, fmt.Errorf("kde: implausible artifact header (dims %d, centers %d, n %d)", dims, numCenters, n)
@@ -131,5 +135,5 @@ func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	if len(r) != 0 {
 		return nil, fmt.Errorf("kde: %d trailing bytes after estimator artifact", len(r))
 	}
-	return newEstimator(kern, centers, h, int(n), adaptiveK, buildPar)
+	return newEstimator(kern, centers, h, int(n)), nil
 }

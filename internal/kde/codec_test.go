@@ -2,6 +2,7 @@ package kde
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -21,9 +22,9 @@ func codecTestData(n int, seed uint64) *dataset.InMemory {
 
 // TestEstimatorCodecRoundTrip pins the disk tier's core guarantee: a
 // serialized estimator reconstructs bit-identically — same densities,
-// same batch evaluations, same re-serialized bytes — including the
-// adaptive-bandwidth and parallel-build configurations, whose derived
-// structures are rebuilt on load rather than stored.
+// same batch evaluations, same re-serialized bytes — for each kernel
+// profile and bandwidth scale; the derived structures are rebuilt on load
+// rather than stored.
 func TestEstimatorCodecRoundTrip(t *testing.T) {
 	ds := codecTestData(4000, 7)
 	for _, tc := range []struct {
@@ -31,8 +32,6 @@ func TestEstimatorCodecRoundTrip(t *testing.T) {
 		opts Options
 	}{
 		{"uniform", Options{NumKernels: 200}},
-		{"adaptive", Options{NumKernels: 200, AdaptiveK: 5}},
-		{"adaptive-parallel", Options{NumKernels: 300, AdaptiveK: 3, Parallelism: 4}},
 		{"gaussian", Options{NumKernels: 150, Kernel: Gaussian{}}},
 		{"scaled", Options{NumKernels: 100, BandwidthScale: 1.5}},
 	} {
@@ -77,11 +76,11 @@ func TestEstimatorCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEstimatorCodecExtendAfterLoad: a loaded estimator keeps its build
-// parameters, so extending it matches extending the original exactly.
+// TestEstimatorCodecExtendAfterLoad: extending a loaded estimator matches
+// extending the original exactly.
 func TestEstimatorCodecExtendAfterLoad(t *testing.T) {
 	ds := codecTestData(2000, 3)
-	est, err := Build(ds, Options{NumKernels: 100, AdaptiveK: 4}, stats.NewRNG(5))
+	est, err := Build(ds, Options{NumKernels: 100}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,4 +128,78 @@ func TestEstimatorCodecCorruption(t *testing.T) {
 			t.Errorf("%s: corrupt artifact accepted", name)
 		}
 	}
+}
+
+// reservedOffset returns the offset of the two reserved uint32 header words
+// in a DBSK1 payload whose kernel name has the given length.
+func reservedOffset(nameLen int) int {
+	return len(estimatorMagic) + 1 + nameLen + 4 + 4 + 8
+}
+
+// TestEstimatorCodecRefusesAdaptiveHeader: the two reserved DBSK1 header
+// words once selected an adaptive-bandwidth build whose k-NN over every
+// pair of centers ran inside UnmarshalEstimator, on the request path and
+// with no deadline — an 8,000-center payload with the first word at
+// 0xFFFFFFFF took seconds to decode. A payload that sets either word must
+// be refused.
+func TestEstimatorCodecRefusesAdaptiveHeader(t *testing.T) {
+	rng := stats.NewRNG(41)
+	centers := make([]geom.Point, 8000)
+	for i := range centers {
+		centers[i] = geom.Point{rng.Float64()}
+	}
+	est, err := FromCenters(Epanechnikov{}, centers, []float64{0.01}, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := est.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalEstimator(blob); err != nil {
+		t.Fatalf("canonical payload refused: %v", err)
+	}
+	off := reservedOffset(len(Epanechnikov{}.Name()))
+	for _, tc := range []struct {
+		name string
+		at   int
+	}{
+		{"adaptiveK", off},
+		{"buildPar", off + 4},
+	} {
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint32(bad[tc.at:], 0xFFFFFFFF)
+		if _, err := UnmarshalEstimator(bad); err == nil {
+			t.Errorf("payload with the %s word set decoded", tc.name)
+		}
+	}
+}
+
+// FuzzUnmarshalEstimator: arbitrary bytes as a DBSK1 payload must decode
+// to an error, never a panic, or to an estimator that re-marshals to the
+// same bytes; and no payload with a non-zero reserved header word decodes.
+// The seed corpus holds one real payload, whole and truncated
+// (testdata/fuzz/FuzzUnmarshalEstimator).
+func FuzzUnmarshalEstimator(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		est, err := UnmarshalEstimator(data)
+		if err != nil {
+			return
+		}
+		back, err := est.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded estimator does not marshal: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("decoded estimator marshals to %d bytes differing from the %d decoded", len(back), len(data))
+		}
+		off := reservedOffset(int(data[len(estimatorMagic)]))
+		for w := 0; w < 2; w++ {
+			bad := bytes.Clone(data)
+			binary.LittleEndian.PutUint32(bad[off+4*w:], 1)
+			if _, err := UnmarshalEstimator(bad); err == nil {
+				t.Fatalf("payload with reserved word %d set decoded", w)
+			}
+		}
+	})
 }

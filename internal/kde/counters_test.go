@@ -10,7 +10,7 @@ import (
 // TestDensityBatchCounterGolden pins the exact traversal counters a
 // Recorder receives from DensityBatch on a fixed fixture, one case per
 // evaluation branch: the flat slab (d=4 specialization and generic d=3),
-// adaptive scales, the per-center box path, and the Gaussian ball path.
+// the per-center box path, and the Gaussian ball path.
 // The bench reads these counters (kernel evaluations per point, prune
 // ratio), so they are part of the observable contract. Densities must be
 // identical with the Recorder attached or detached.
@@ -23,7 +23,6 @@ func TestDensityBatchCounterGolden(t *testing.T) {
 	}{
 		{"flat-d4", 4, Options{NumKernels: 300}, 161704, 48772, 7919},
 		{"flat-d3", 3, Options{NumKernels: 300}, 151608, 45822, 7566},
-		{"adaptive-d3", 3, Options{NumKernels: 300, AdaptiveK: 5}, 252584, 60336, 3876},
 		{"biweight-d3", 3, Options{NumKernels: 300, Kernel: Biweight{}}, 151608, 45822, 7566},
 		{"gaussian-d2", 2, Options{NumKernels: 300, Kernel: Gaussian{}}, 250980, 79157, 3991},
 	} {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kdtree"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -28,25 +27,6 @@ type Options struct {
 	// BandwidthScale multiplies the Scott's-rule bandwidth in every
 	// dimension. 1.0 when zero.
 	BandwidthScale float64
-
-	// Bandwidths, when non-nil, overrides the per-dimension bandwidths
-	// entirely. Its length must equal the dataset dimensionality.
-	Bandwidths []float64
-
-	// AdaptiveK, when positive, switches to locally adaptive (sample-
-	// point) bandwidths in the spirit of the paper's KDE reference [9]:
-	// each kernel's bandwidth is the global Scott's-rule bandwidth scaled
-	// by the ratio of that center's distance to its AdaptiveK-th nearest
-	// center over the median such distance. Kernels in dense regions
-	// narrow, kernels in sparse regions widen, sharpening multi-modal
-	// estimates without a global bandwidth tradeoff.
-	AdaptiveK int
-
-	// Parallelism bounds the workers used for estimator construction
-	// (currently the adaptive-bandwidth k-NN scan over the centers):
-	// 0 uses runtime.GOMAXPROCS(0), 1 is the serial reference path. The
-	// resulting estimator is identical for every setting.
-	Parallelism int
 
 	// Ctx, when non-nil, cancels estimator construction: the build scan
 	// checks it every few thousand points and a done context aborts with
@@ -83,36 +63,24 @@ type Estimator struct {
 	dims    int
 	tree    *kdtree.Tree
 	reach   float64 // Euclidean radius covering the widest support box
-	// boxReach is the per-dimension half-width of the widest support box
-	// (sup·h_j, scaled by the largest adaptive multiplier). For kernels
-	// with true compact support the box test alone decides membership,
-	// letting DensityBatch prune the center tree much more tightly than
-	// the circumscribed ball `reach` allows.
+	// boxReach is the per-dimension half-width of the support box
+	// (sup·h_j). For kernels with true compact support the box test alone
+	// decides membership, letting DensityBatch prune the center tree much
+	// more tightly than the circumscribed ball `reach` allows.
 	boxReach []float64
 	invH     []float64
-	// scale holds per-center bandwidth multipliers (nil when uniform);
-	// invScale caches their reciprocals.
-	scale    []float64
-	invScale []float64
-	// adaptiveK and buildPar remember the construction parameters so
-	// Extend can rebuild the tree and adaptive scales the same way.
-	adaptiveK int
-	buildPar  int
-	// Flat evaluation slabs, built for the Epanechnikov kernel only (the
+	// Flat evaluation slab, built for the Epanechnikov kernel only (the
 	// paper's default and the only profile with a fused engine): the
 	// kernel centers laid out in kd-tree leaf order, one contiguous
 	// []float64, with every coordinate pre-scaled by the inverse
-	// bandwidth — flat[k*dims+j] = c[j]·invH[j] (·invScale in the
-	// adaptive case). Leaf ranges reported by the tree index the slab
-	// directly, so the hot loop walks sequential memory with no
-	// per-center pointer chase and evaluates u = q̂[j] − flat[…] in one
-	// subtraction (the query is pre-scaled once per point). The
-	// per-dimension 0.75·invH normalization is hoisted into coeffAll
-	// (uniform) or per-center coeff (adaptive).
+	// bandwidth — flat[k*dims+j] = c[j]·invH[j]. Leaf ranges reported by
+	// the tree index the slab directly, so the hot loop walks sequential
+	// memory with no per-center pointer chase and evaluates
+	// u = q̂[j] − flat[…] in one subtraction (the query is pre-scaled once
+	// per point). The per-dimension 0.75·invH normalization is hoisted
+	// into coeffAll.
 	flat     []float64
-	coeff    []float64 // per-center Π 0.75·invH·invScale; nil when uniform
-	isFlat   []float64 // per-center invScale in leaf order; nil when uniform
-	coeffAll float64   // shared Π 0.75·invH when bandwidths are uniform
+	coeffAll float64 // Π 0.75·invH
 	// Observability counter handles (nil when no Recorder is attached;
 	// DensityBatch flushes its per-batch tallies through them, and a nil
 	// handle's Add is a no-op).
@@ -161,9 +129,6 @@ func Build(ds interface {
 		return nil, errors.New("kde: negative BandwidthScale")
 	}
 	d := ds.Dims()
-	if opts.Bandwidths != nil && len(opts.Bandwidths) != d {
-		return nil, fmt.Errorf("kde: %d bandwidths for %d dims", len(opts.Bandwidths), d)
-	}
 
 	span := opts.Obs.StartSpan("kde/build")
 	defer span.End()
@@ -206,32 +171,20 @@ func Build(ds interface {
 	opts.Obs.Counter(obs.CtrDataPasses).Inc()
 	opts.Obs.Counter(obs.CtrPointsScanned).Add(int64(seen))
 
+	// Scott's rule on the center sample: h_j = σ_j · ks^(-1/(d+4)).
 	h := make([]float64, d)
-	if opts.Bandwidths != nil {
-		copy(h, opts.Bandwidths)
-		for i, v := range h {
-			if v <= 0 {
-				return nil, fmt.Errorf("kde: non-positive bandwidth on dim %d", i)
-			}
+	factor := math.Pow(float64(len(centers)), -1/float64(d+4)) * scale
+	for j := 0; j < d; j++ {
+		sigma := mom.Dim(j).StdDev()
+		if sigma == 0 {
+			// Degenerate dimension: any positive width works; use a
+			// sliver of the (possibly zero) range or an absolute floor.
+			sigma = 1e-3
 		}
-	} else {
-		// Scott's rule on the center sample: h_j = σ_j · ks^(-1/(d+4)).
-		factor := math.Pow(float64(len(centers)), -1/float64(d+4)) * scale
-		for j := 0; j < d; j++ {
-			sigma := mom.Dim(j).StdDev()
-			if sigma == 0 {
-				// Degenerate dimension: any positive width works; use a
-				// sliver of the (possibly zero) range or an absolute floor.
-				sigma = 1e-3
-			}
-			h[j] = sigma * factor
-		}
+		h[j] = sigma * factor
 	}
 
-	est, err := newEstimator(kern, centers, h, seen, opts.AdaptiveK, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
+	est := newEstimator(kern, centers, h, seen)
 	est.SetRecorder(opts.Obs)
 	return est, nil
 }
@@ -265,10 +218,10 @@ func FromCenters(kern Kernel, centers []geom.Point, h []float64, n int) (*Estima
 		}
 		cc[i] = c.Clone()
 	}
-	return newEstimator(kern, cc, append([]float64(nil), h...), n, 0, 1)
+	return newEstimator(kern, cc, append([]float64(nil), h...), n), nil
 }
 
-func newEstimator(kern Kernel, centers []geom.Point, h []float64, n int, adaptiveK, parallelism int) (*Estimator, error) {
+func newEstimator(kern Kernel, centers []geom.Point, h []float64, n int) *Estimator {
 	d := len(h)
 	sup := kern.Support()
 	var reach2 float64
@@ -281,28 +234,23 @@ func newEstimator(kern Kernel, centers []geom.Point, h []float64, n int, adaptiv
 		invH[j] = 1 / v
 	}
 	e := &Estimator{
-		kernel:    kern,
-		centers:   centers,
-		h:         h,
-		weight:    float64(n) / float64(len(centers)),
-		n:         n,
-		dims:      d,
-		reach:     math.Sqrt(reach2),
-		boxReach:  boxReach,
-		invH:      invH,
-		adaptiveK: adaptiveK,
-		buildPar:  parallelism,
+		kernel:   kern,
+		centers:  centers,
+		h:        h,
+		weight:   float64(n) / float64(len(centers)),
+		n:        n,
+		dims:     d,
+		reach:    math.Sqrt(reach2),
+		boxReach: boxReach,
+		invH:     invH,
 	}
 	e.tree = kdtree.Build(centers)
-	if adaptiveK > 0 && len(centers) > 1 {
-		e.applyAdaptiveScales(adaptiveK, parallelism)
-	}
 	e.buildFlat()
-	return e, nil
+	return e
 }
 
-// buildFlat materializes the flat evaluation slabs (see the Estimator
-// fields). It must run after the tree and any adaptive scales exist.
+// buildFlat materializes the flat evaluation slab (see the Estimator
+// fields). It must run after the tree exists.
 func (e *Estimator) buildFlat() {
 	if _, ok := e.kernel.(Epanechnikov); !ok {
 		return
@@ -315,73 +263,12 @@ func (e *Estimator) buildFlat() {
 	for _, ih := range e.invH {
 		base *= 0.75 * ih
 	}
-	if e.invScale == nil {
-		e.coeffAll = base
-		for k, ci := range idx {
-			c := e.centers[ci]
-			for j := 0; j < d; j++ {
-				e.flat[k*d+j] = c[j] * e.invH[j]
-			}
-		}
-		return
-	}
-	e.coeff = make([]float64, m)
-	e.isFlat = make([]float64, m)
+	e.coeffAll = base
 	for k, ci := range idx {
 		c := e.centers[ci]
-		is := e.invScale[ci]
-		e.isFlat[k] = is
-		co := base
 		for j := 0; j < d; j++ {
-			e.flat[k*d+j] = c[j] * (e.invH[j] * is)
-			co *= is
+			e.flat[k*d+j] = c[j] * e.invH[j]
 		}
-		e.coeff[k] = co
-	}
-}
-
-// applyAdaptiveScales computes per-center bandwidth multipliers from the
-// distance to the k-th nearest other center, normalized by the median so
-// the typical kernel keeps the Scott's-rule width. Scales are clamped to
-// [1/4, 4] to keep the kd-tree pruning radius and kernel mass sane.
-// The k-NN queries are independent per center and run on the worker pool;
-// each writes only its own dists slot, so the scales are identical for
-// every parallelism.
-func (e *Estimator) applyAdaptiveScales(k, parallelism int) {
-	m := len(e.centers)
-	if k > m-1 {
-		k = m - 1
-	}
-	dists := make([]float64, m)
-	parallel.Do(m, parallelism, func(i int) error {
-		nn := e.tree.KNN(e.centers[i], k+1) // includes the center itself at distance 0
-		dists[i] = nn[len(nn)-1].Dist
-		return nil
-	})
-	med := stats.Quantile(dists, 0.5)
-	if med <= 0 {
-		return // degenerate center set; keep uniform bandwidths
-	}
-	e.scale = make([]float64, m)
-	e.invScale = make([]float64, m)
-	maxScale := 1.0
-	for i, dv := range dists {
-		s := dv / med
-		if s < 0.25 {
-			s = 0.25
-		}
-		if s > 4 {
-			s = 4
-		}
-		e.scale[i] = s
-		e.invScale[i] = 1 / s
-		if s > maxScale {
-			maxScale = s
-		}
-	}
-	e.reach *= maxScale
-	for j := range e.boxReach {
-		e.boxReach[j] *= maxScale
 	}
 }
 
@@ -389,8 +276,7 @@ func (e *Estimator) applyAdaptiveScales(k, parallelism int) {
 // kernel set plus deltaCenters, with the per-kernel mass rescaled to
 // n / (ks + len(deltaCenters)). The per-dimension Scott's-rule bandwidths
 // are inherited from e — a deliberate approximation that keeps the extend
-// O(ks' log ks') (only the kd-tree over the merged centers is rebuilt, and
-// the adaptive per-center scales are recomputed against the merged tree);
+// O(ks' log ks') (only the kd-tree over the merged centers is rebuilt);
 // the bandwidth drift this introduces is part of the drift budget the
 // incremental sampler tracks (DESIGN.md §5e).
 //
@@ -413,10 +299,7 @@ func (e *Estimator) Extend(deltaCenters []geom.Point, n int) (*Estimator, error)
 		}
 		merged = append(merged, c.Clone())
 	}
-	ne, err := newEstimator(e.kernel, merged, append([]float64(nil), e.h...), n, e.adaptiveK, e.buildPar)
-	if err != nil {
-		return nil, err
-	}
+	ne := newEstimator(e.kernel, merged, append([]float64(nil), e.h...), n)
 	ne.cKernelEvals, ne.cKDVisited, ne.cKDPruned = e.cKernelEvals, e.cKDVisited, e.cKDPruned
 	return ne, nil
 }
@@ -469,19 +352,6 @@ func (e *Estimator) kernelAt(ci int, p geom.Point) float64 {
 	c := e.centers[ci]
 	v := 1.0
 	inv := e.invH
-	if e.invScale != nil {
-		is := e.invScale[ci]
-		for j := 0; j < e.dims; j++ {
-			ih := inv[j] * is
-			u := (p[j] - c[j]) * ih
-			kv := e.kernel.Value(u)
-			if kv == 0 {
-				return 0
-			}
-			v *= kv * ih
-		}
-		return v
-	}
 	for j := 0; j < e.dims; j++ {
 		u := (p[j] - c[j]) * inv[j]
 		kv := e.kernel.Value(u)
@@ -493,16 +363,6 @@ func (e *Estimator) kernelAt(ci int, p geom.Point) float64 {
 	return v
 }
 
-// AverageDensity returns n / volume(box): the mean density over a domain.
-// Regions above it are the "dense" ones the paper's a>0 mode oversamples.
-func (e *Estimator) AverageDensity(box geom.Rect) float64 {
-	v := box.Volume()
-	if v <= 0 {
-		return 0
-	}
-	return float64(e.n) / v
-}
-
 // IntegrateBox returns ∫_box f exactly (up to float rounding), using the
 // product-kernel CDF factorization: each kernel's mass inside an axis-
 // aligned box is a product of one-dimensional CDF differences.
@@ -511,15 +371,11 @@ func (e *Estimator) IntegrateBox(box geom.Rect) float64 {
 		panic("kde: box dimension mismatch")
 	}
 	var sum float64
-	for ci, c := range e.centers {
-		is := 1.0
-		if e.invScale != nil {
-			is = e.invScale[ci]
-		}
+	for _, c := range e.centers {
 		m := 1.0
 		for j := 0; j < e.dims && m > 0; j++ {
-			lo := (box.Min[j] - c[j]) * e.invH[j] * is
-			hi := (box.Max[j] - c[j]) * e.invH[j] * is
+			lo := (box.Min[j] - c[j]) * e.invH[j]
+			hi := (box.Max[j] - c[j]) * e.invH[j]
 			m *= e.kernel.CDF(hi) - e.kernel.CDF(lo)
 		}
 		sum += m

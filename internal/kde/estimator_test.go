@@ -74,12 +74,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(ds, Options{BandwidthScale: -1}, rng); err == nil {
 		t.Error("negative scale accepted")
 	}
-	if _, err := Build(ds, Options{Bandwidths: []float64{1, 2}}, rng); err == nil {
-		t.Error("mismatched bandwidths accepted")
-	}
-	if _, err := Build(ds, Options{Bandwidths: []float64{0}}, rng); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
 }
 
 func TestTotalIntegralApproxN(t *testing.T) {
@@ -299,67 +293,5 @@ func TestPrimeTable(t *testing.T) {
 	}
 	if got := prime(25); got != 101 {
 		t.Errorf("prime(25) = %d, want 101", got)
-	}
-}
-
-func TestAdaptiveBandwidths(t *testing.T) {
-	// A tight blob plus a diffuse one: adaptive scaling must narrow the
-	// kernels in the tight blob (scale < 1) and widen those in the
-	// diffuse one (scale > 1), raising the estimated peak contrast.
-	rng := stats.NewRNG(21)
-	pts := append(
-		gaussianBlob(5000, geom.Point{0.25, 0.25}, 0.01, rng),
-		gaussianBlob(5000, geom.Point{0.75, 0.75}, 0.15, rng)...,
-	)
-	ds := dataset.MustInMemory(pts)
-	fixed, err := Build(ds, Options{NumKernels: 400}, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := Build(ds, Options{NumKernels: 400, AdaptiveK: 10}, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peakF := fixed.Density(geom.Point{0.25, 0.25})
-	peakA := adaptive.Density(geom.Point{0.25, 0.25})
-	if peakA <= peakF {
-		t.Errorf("adaptive peak %v should exceed fixed peak %v on the tight blob", peakA, peakF)
-	}
-	// Total mass must stay ≈ n under either bandwidth policy.
-	box := geom.NewRect(geom.Point{-3, -3}, geom.Point{4, 4})
-	got := adaptive.IntegrateBox(box)
-	if math.Abs(got-10000) > 1e-6*10000 {
-		t.Errorf("adaptive total mass = %v, want 10000", got)
-	}
-}
-
-func TestAdaptiveDegenerateCenters(t *testing.T) {
-	// All centers coincident: median k-NN distance is zero; the adaptive
-	// path must fall back to uniform bandwidths rather than divide by 0.
-	pts := make([]geom.Point, 50)
-	for i := range pts {
-		pts[i] = geom.Point{0.5, 0.5}
-	}
-	ds := dataset.MustInMemory(pts)
-	e, err := Build(ds, Options{NumKernels: 20, AdaptiveK: 5}, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := e.Density(geom.Point{0.5, 0.5})
-	if math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 {
-		t.Errorf("degenerate adaptive density = %v", f)
-	}
-}
-
-func TestAdaptiveSingleCenter(t *testing.T) {
-	e, err := FromCenters(Epanechnikov{}, []geom.Point{{0.5}}, []float64{0.1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = e // FromCenters never applies adaptive scaling; nothing to crash.
-	pts := []geom.Point{{0.1, 0.2}}
-	ds := dataset.MustInMemory(pts)
-	if _, err := Build(ds, Options{NumKernels: 5, AdaptiveK: 3}, stats.NewRNG(2)); err != nil {
-		t.Fatal(err)
 	}
 }

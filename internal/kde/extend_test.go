@@ -64,38 +64,6 @@ func TestExtendMatchesFromCenters(t *testing.T) {
 	}
 }
 
-// TestExtendAdaptiveDeterministic: with adaptive bandwidths the scales
-// are recomputed over the merged centers; two identical Extend calls
-// must agree bit-for-bit (the serving layer may rebuild an evicted
-// artifact and must land on the same estimator).
-func TestExtendAdaptiveDeterministic(t *testing.T) {
-	rng := stats.NewRNG(23)
-	ds := dataset.MustInMemory(gaussianBlob(3000, geom.Point{0, 0}, 1, rng))
-	prior, err := Build(ds, Options{NumKernels: 80, AdaptiveK: 4}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := gaussianBlob(12, geom.Point{-2, 2}, 0.3, rng)
-	e1, err := prior.Extend(delta, 3300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := prior.Extend(delta, 3300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := gaussianBlob(100, geom.Point{0, 0}, 2, rng)
-	for _, p := range probes {
-		d1, d2 := e1.Density(p), e2.Density(p)
-		if d1 != d2 {
-			t.Fatalf("repeated Extend diverged: %v vs %v at %v", d1, d2, p)
-		}
-		if math.IsNaN(d1) || d1 < 0 {
-			t.Fatalf("bad density %v at %v", d1, p)
-		}
-	}
-}
-
 func TestExtendValidation(t *testing.T) {
 	rng := stats.NewRNG(24)
 	prior, err := FromCenters(Epanechnikov{}, gaussianBlob(10, geom.Point{0, 0}, 1, rng), []float64{1, 1}, 100)

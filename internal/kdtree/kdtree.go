@@ -1,5 +1,5 @@
 // Package kdtree implements a static k-d tree over d-dimensional points
-// with nearest-neighbour, k-nearest-neighbour, and ball (range) queries.
+// with nearest-neighbour and ball (range) queries.
 //
 // The tree is the spatial index behind three subsystems: the exact
 // distance-based outlier baseline (counting neighbours within radius k,
@@ -9,7 +9,6 @@
 package kdtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -123,9 +122,6 @@ func (t *Tree) Len() int { return len(t.pts) }
 // Dims returns the dimensionality.
 func (t *Tree) Dims() int { return t.dims }
 
-// Point returns the indexed point with the given original index.
-func (t *Tree) Point(i int) geom.Point { return t.pts[i] }
-
 // Nearest returns the index of the point closest to q (Euclidean) and the
 // distance to it. When q coincides with an indexed point, that point wins.
 func (t *Tree) Nearest(q geom.Point) (int, float64) {
@@ -152,69 +148,6 @@ func (t *Tree) nearest(ni int32, q geom.Point, best *int, bestD2 *float64) {
 	t.nearest(first, q, best, bestD2)
 	if diff*diff < *bestD2 {
 		t.nearest(second, q, best, bestD2)
-	}
-}
-
-// Neighbor is one result of a KNN query.
-type Neighbor struct {
-	Index int
-	Dist  float64
-}
-
-// maxHeap over squared distances.
-type knnHeap []Neighbor
-
-func (h knnHeap) Len() int            { return len(h) }
-func (h knnHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h knnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *knnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// KNN returns the k nearest points to q ordered by increasing distance.
-// Fewer than k results are returned when the tree is smaller than k.
-func (t *Tree) KNN(q geom.Point, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	h := make(knnHeap, 0, k+1)
-	t.knn(0, q, k, &h)
-	// Heap holds squared distances, largest first; convert and reverse.
-	out := make([]Neighbor, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		nb := heap.Pop(&h).(Neighbor)
-		out[i] = Neighbor{Index: nb.Index, Dist: sqrt(nb.Dist)}
-	}
-	return out
-}
-
-func (t *Tree) knn(ni int32, q geom.Point, k int, h *knnHeap) {
-	n := &t.nodes[ni]
-	if n.split < 0 {
-		for _, i := range t.idx[n.start:n.end] {
-			d2 := geom.SquaredDistance(q, t.pts[i])
-			if len(*h) < k {
-				heap.Push(h, Neighbor{Index: int(i), Dist: d2})
-			} else if d2 < (*h)[0].Dist {
-				(*h)[0] = Neighbor{Index: int(i), Dist: d2}
-				heap.Fix(h, 0)
-			}
-		}
-		return
-	}
-	diff := q[n.split] - n.splitVal
-	first, second := n.left, n.right
-	if diff > 0 {
-		first, second = n.right, n.left
-	}
-	t.knn(first, q, k, h)
-	if len(*h) < k || diff*diff < (*h)[0].Dist {
-		t.knn(second, q, k, h)
 	}
 }
 

@@ -81,47 +81,6 @@ func TestNearestExactHit(t *testing.T) {
 	}
 }
 
-func TestKNNMatchesBrute(t *testing.T) {
-	pts := randomPoints(300, 2, 5)
-	tr := Build(pts)
-	rng := stats.NewRNG(6)
-	for trial := 0; trial < 100; trial++ {
-		q := geom.Point{rng.Float64(), rng.Float64()}
-		k := 1 + rng.Intn(20)
-		got := tr.KNN(q, k)
-		if len(got) != k {
-			t.Fatalf("KNN returned %d, want %d", len(got), k)
-		}
-		// distances must be sorted ascending
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatal("KNN distances not sorted")
-			}
-		}
-		// compare against brute-force k-th distance
-		all := make([]float64, len(pts))
-		for i, p := range pts {
-			all[i] = geom.Distance(q, p)
-		}
-		sort.Float64s(all)
-		if math.Abs(got[k-1].Dist-all[k-1]) > 1e-12 {
-			t.Fatalf("k-th distance %v, brute %v", got[k-1].Dist, all[k-1])
-		}
-	}
-}
-
-func TestKNNMoreThanTree(t *testing.T) {
-	pts := randomPoints(5, 2, 7)
-	tr := Build(pts)
-	got := tr.KNN(geom.Point{0.5, 0.5}, 10)
-	if len(got) != 5 {
-		t.Errorf("KNN = %d results, want all 5", len(got))
-	}
-	if tr.KNN(geom.Point{0, 0}, 0) != nil {
-		t.Error("KNN(k=0) should be nil")
-	}
-}
-
 func TestWithinMatchesBrute(t *testing.T) {
 	pts := randomPoints(400, 3, 8)
 	tr := Build(pts)
@@ -222,9 +181,6 @@ func TestTreeAccessors(t *testing.T) {
 	tr := Build(pts)
 	if tr.Len() != 50 || tr.Dims() != 4 {
 		t.Errorf("Len/Dims = %d/%d", tr.Len(), tr.Dims())
-	}
-	if !tr.Point(7).Equal(pts[7]) {
-		t.Error("Point accessor broken")
 	}
 }
 

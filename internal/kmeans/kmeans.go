@@ -23,12 +23,15 @@ import (
 type Options struct {
 	// K is the number of clusters. Required.
 	K int
-	// MaxIter bounds the Lloyd / Voronoi iterations (default 100).
-	MaxIter int
-	// Tolerance stops iteration when the relative objective improvement
-	// falls below it (default 1e-6).
-	Tolerance float64
 }
+
+const (
+	// maxIter bounds the Lloyd / Voronoi iterations.
+	maxIter = 100
+	// tolerance stops iteration when the relative objective improvement
+	// falls below it.
+	tolerance = 1e-6
+)
 
 // Result holds the clustering output.
 type Result struct {
@@ -43,7 +46,7 @@ type Result struct {
 	Iterations int
 }
 
-func validate(pts []dataset.WeightedPoint, opts *Options) error {
+func validate(pts []dataset.WeightedPoint, opts Options) error {
 	if len(pts) == 0 {
 		return errors.New("kmeans: no points")
 	}
@@ -57,12 +60,6 @@ func validate(pts []dataset.WeightedPoint, opts *Options) error {
 		if wp.W < 0 || math.IsNaN(wp.W) || math.IsInf(wp.W, 0) {
 			return errors.New("kmeans: invalid weight")
 		}
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 100
-	}
-	if opts.Tolerance == 0 {
-		opts.Tolerance = 1e-6
 	}
 	return nil
 }
@@ -124,7 +121,7 @@ func seedPlusPlus(pts []dataset.WeightedPoint, k int, rng *stats.RNG) []geom.Poi
 
 // Run executes weighted k-means and returns the best clustering found.
 func Run(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Result, error) {
-	if err := validate(pts, &opts); err != nil {
+	if err := validate(pts, opts); err != nil {
 		return nil, err
 	}
 	d := pts[0].P.Dims()
@@ -134,7 +131,7 @@ func Run(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Result, er
 	iter := 0
 	var cost float64
 
-	for ; iter < opts.MaxIter; iter++ {
+	for ; iter < maxIter; iter++ {
 		// Assignment step.
 		cost = 0
 		for i, wp := range pts {
@@ -171,7 +168,7 @@ func Run(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Result, er
 			}
 			centers[c] = sums[c]
 		}
-		if prevCost-cost <= opts.Tolerance*math.Abs(prevCost) {
+		if prevCost-cost <= tolerance*math.Abs(prevCost) {
 			iter++
 			break
 		}
@@ -202,7 +199,7 @@ func farthestPoint(pts []dataset.WeightedPoint, centers []geom.Point) geom.Point
 // points to the nearest medoid, then replace each medoid with the member
 // minimizing the weighted sum of distances within its cluster.
 func RunMedoids(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Result, error) {
-	if err := validate(pts, &opts); err != nil {
+	if err := validate(pts, opts); err != nil {
 		return nil, err
 	}
 	medoids := seedPlusPlus(pts, opts.K, rng)
@@ -211,7 +208,7 @@ func RunMedoids(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Res
 	iter := 0
 	var cost float64
 
-	for ; iter < opts.MaxIter; iter++ {
+	for ; iter < maxIter; iter++ {
 		cost = 0
 		for i, wp := range pts {
 			best, bestD := 0, math.Inf(1)
@@ -251,7 +248,7 @@ func RunMedoids(pts []dataset.WeightedPoint, opts Options, rng *stats.RNG) (*Res
 				changed = true
 			}
 		}
-		if !changed || prevCost-cost <= opts.Tolerance*math.Abs(prevCost) {
+		if !changed || prevCost-cost <= tolerance*math.Abs(prevCost) {
 			iter++
 			break
 		}

@@ -51,8 +51,6 @@ type Options struct {
 	Duration time.Duration
 	// Specs is the tenant mix.
 	Specs []TenantSpec
-	// Client overrides http.DefaultClient (e.g. for timeouts).
-	Client *http.Client
 }
 
 // TenantReport is one tenant's tally over the window. Latency quantiles
@@ -124,10 +122,7 @@ func Run(opts Options) (*Report, error) {
 	if len(opts.Specs) == 0 {
 		return nil, fmt.Errorf("loadgen: no tenant specs")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2*opts.Duration + 10*time.Second}
-	}
+	client := &http.Client{Timeout: 2*opts.Duration + 10*time.Second}
 	tallies := make([]*tally, len(opts.Specs))
 	for i := range tallies {
 		tallies[i] = &tally{}

@@ -245,23 +245,6 @@ func (r *Recorder) Counters() map[string]int64 {
 	return out
 }
 
-// Gauges returns a point-in-time snapshot of every registered gauge.
-func (r *Recorder) Gauges() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.gauges) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}
-
 // Merge adds every counter of src into r (gauges and spans are not
 // merged: a gauge is a last-written-wins value with no meaningful sum, and
 // span trees belong to one run). Nil receivers and nil sources no-op.

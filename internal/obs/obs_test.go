@@ -267,3 +267,31 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
 }
+
+// Points returns the points attributed so far (0 on a nil handle).
+func (s *Span) Points() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.points.Load()
+}
+
+// Duration returns the accumulated closed time of the span; an open span
+// additionally counts time since it was last started.
+func (s *Span) Duration() time.Duration {
+	if s == nil {
+		return 0
+	}
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return s.durationLocked()
+}
+
+// Path returns the span's full slash path ("" on a nil handle).
+func (s *Span) Path() string {
+	if s == nil {
+		return ""
+	}
+	return s.path
+}

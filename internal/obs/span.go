@@ -111,38 +111,13 @@ func (s *Span) AddPoints(n int64) {
 	s.points.Add(n)
 }
 
-// Points returns the points attributed so far (0 on a nil handle).
-func (s *Span) Points() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.points.Load()
-}
-
-// Duration returns the accumulated closed time of the span; an open span
-// additionally counts time since it was last started.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	r := s.rec
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return s.durationLocked()
-}
-
+// durationLocked returns the accumulated closed time of the span; an open
+// span additionally counts time since it was last started. The caller
+// holds the Recorder's lock.
 func (s *Span) durationLocked() time.Duration {
 	d := s.total
 	if s.open > 0 {
 		d += s.rec.clock().Sub(s.started)
 	}
 	return d
-}
-
-// Path returns the span's full slash path ("" on a nil handle).
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
 }

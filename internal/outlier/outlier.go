@@ -1,6 +1,5 @@
 // Package outlier implements distance-based DB(p,k) outlier detection
-// (§3.2): exact baselines following Knorr & Ng (nested loop with early
-// termination, and a kd-tree index variant), and the paper's approximate
+// (§3.2): an exact kd-tree detector, and the paper's approximate
 // algorithm driven by a density estimate — compute the expected number of
 // neighbours N'_D(O,k) = ∫_Ball(O,k) f for every point, keep the points
 // whose expectation falls below a candidate threshold, and verify only
@@ -8,7 +7,8 @@
 //
 // A point O is a DB(p,k) outlier when at most p other points of the
 // dataset lie at distance at most k from O. Following Knorr & Ng, p may
-// also be given as a fraction fr of the dataset size (p = fr·|D|).
+// also be given as a fraction fr of the dataset size (p = fr·|D|). Knorr &
+// Ng's nested loop is the tests' oracle (nestedloop_test.go).
 package outlier
 
 import (
@@ -24,16 +24,11 @@ import (
 )
 
 // Params are the DB(p,k) parameters. K is the neighbourhood radius
-// (distance threshold), P the maximum neighbour count an outlier may have.
-// Metric optionally selects the distance function for NestedLoop (§3.2:
-// "different distance metrics (for example the L1 or Manhattan metric)
-// can be used equally well"); nil means Euclidean. The indexed detectors
-// (Exact, CellBased, Approximate) are Euclidean-only — their pruning
-// structures assume the L2 geometry.
+// (Euclidean distance threshold), P the maximum neighbour count an
+// outlier may have.
 type Params struct {
-	K      float64
-	P      int
-	Metric geom.Metric
+	K float64
+	P int
 
 	// Parallelism bounds the workers used by the detectors: 0 uses
 	// runtime.GOMAXPROCS(0), 1 is the serial reference path. It is an
@@ -72,46 +67,6 @@ func (prm Params) validate() error {
 		return errors.New("outlier: P must be non-negative")
 	}
 	return nil
-}
-
-// NestedLoop finds all DB(p,k) outliers by the quadratic nested-loop
-// algorithm with early termination: a point is disqualified as soon as
-// p+1 neighbours are seen. The self-distance does not count. Returns the
-// indices of the outliers in input order.
-func NestedLoop(pts []geom.Point, prm Params) ([]int, error) {
-	if err := prm.validate(); err != nil {
-		return nil, err
-	}
-	metric := prm.Metric
-	if metric == nil {
-		metric = geom.Euclidean{}
-	}
-	// Each point's verdict is independent, so the rows parallelize into a
-	// flag slice; collecting set flags in index order preserves the serial
-	// output exactly.
-	flags := make([]bool, len(pts))
-	err := parallel.DoCtxObs(prm.Ctx, len(pts), prm.Parallelism, prm.Obs, func(i int) error {
-		p := pts[i]
-		count := 0
-		flags[i] = true
-		for j, q := range pts {
-			if i == j {
-				continue
-			}
-			if metric.Distance(p, q) <= prm.K {
-				count++
-				if count > prm.P {
-					flags[i] = false
-					break
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return collect(flags), nil
 }
 
 // collect returns the indices of the set flags in ascending order.

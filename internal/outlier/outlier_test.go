@@ -246,36 +246,3 @@ func TestDuplicateOutlierPair(t *testing.T) {
 		}
 	}
 }
-
-func TestNestedLoopManhattanMetric(t *testing.T) {
-	// Points at L1 distance 1.0 but L2 distance ~0.71: the metric choice
-	// flips their neighbour relation at K=0.8.
-	pts := []geom.Point{{0, 0}, {0.5, 0.5}}
-	for i := 0; i < 20; i++ {
-		pts = append(pts, geom.Point{5 + 0.01*float64(i), 5})
-	}
-	l2, err := NestedLoop(pts, Params{K: 0.8, P: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, err := NestedLoop(pts, Params{K: 0.8, P: 0, Metric: geom.Manhattan{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Under L2 the two points are neighbours (dist 0.707 ≤ 0.8): not outliers.
-	for _, i := range l2 {
-		if i < 2 {
-			t.Errorf("L2: point %d should have a neighbour", i)
-		}
-	}
-	// Under L1 they are not (dist 1.0 > 0.8): both are outliers.
-	found := 0
-	for _, i := range l1 {
-		if i < 2 {
-			found++
-		}
-	}
-	if found != 2 {
-		t.Errorf("L1: expected both isolated points as outliers, got %v", l1)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/kde"
 	"repro/internal/stats"
 )
@@ -100,34 +99,5 @@ func TestApproximateDeterministicAcrossWorkers(t *testing.T) {
 		if gotCount != refCount {
 			t.Fatalf("workers=%d: EstimateCount %d vs %d", workers, gotCount, refCount)
 		}
-	}
-}
-
-// The geom.Metric option must survive the parallel rewrite of NestedLoop:
-// the L1 detector finds only planted points, identically per worker count.
-func TestNestedLoopMetricParallel(t *testing.T) {
-	rng := stats.NewRNG(23)
-	pts, truth := clusterWithOutliers(400, 4, rng)
-	base := Params{K: 0.05, P: 2, Metric: geom.Manhattan{}, Parallelism: 1}
-	ref, err := NestedLoop(pts, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("no outliers found")
-	}
-	for _, i := range ref {
-		if !truth[i] {
-			t.Fatalf("false positive index %d", i)
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		prm := base
-		prm.Parallelism = workers
-		got, err := NestedLoop(pts, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameIndices(t, ref, got, "manhattan")
 	}
 }

@@ -12,7 +12,7 @@ func TestDoCtxCanceledBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int32
-		err := DoCtx(ctx, 1000, workers, func(i int) error {
+		err := DoCtxObs(ctx, 1000, workers, nil, func(i int) error {
 			calls.Add(1)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestDoCtxCancelMidRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int32
-		err := DoCtx(ctx, 10_000, workers, func(i int) error {
+		err := DoCtxObs(ctx, 10_000, workers, nil, func(i int) error {
 			if calls.Add(1) == 10 {
 				cancel()
 			}
@@ -53,7 +53,7 @@ func TestDoCtxCancelMidRun(t *testing.T) {
 func TestDoCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	err := DoCtx(ctx, 100, 4, func(i int) error { return nil })
+	err := DoCtxObs(ctx, 100, 4, nil, func(i int) error { return nil })
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
@@ -62,7 +62,7 @@ func TestDoCtxDeadline(t *testing.T) {
 func TestDoCtxNilAndLiveContexts(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		var calls atomic.Int32
-		err := DoCtx(ctx, 500, 4, func(i int) error {
+		err := DoCtxObs(ctx, 500, 4, nil, func(i int) error {
 			calls.Add(1)
 			return nil
 		})

@@ -98,7 +98,7 @@ func BlockRange(b, n, blockSize int) (start, end int) {
 	return start, end
 }
 
-// Do runs fn(i) for every i in [0, n), distributing the calls over
+// DoObs runs fn(i) for every i in [0, n), distributing the calls over
 // Degree(parallelism) goroutines. With an effective degree of 1 (or n ≤ 1)
 // fn is called inline, in index order, with no goroutines — the serial
 // reference path. Otherwise workers pull indices from a shared counter, so
@@ -106,32 +106,22 @@ func BlockRange(b, n, blockSize int) (start, end int) {
 // (or otherwise synchronized).
 //
 // The first error stops the distribution of further indices (in-flight
-// calls complete) and is returned. Do never returns before every started
-// fn has finished.
-func Do(n, parallelism int, fn func(i int) error) error {
-	return DoCtxObs(nil, n, parallelism, nil, fn)
-}
-
-// DoCtx is Do with coarse cancellation: the context is checked once before
-// each task (never inside one), and a done context stops the distribution
-// of further indices and returns ErrCanceled (wrapped). A nil ctx disables
-// the checks.
-func DoCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	return DoCtxObs(ctx, n, parallelism, nil, fn)
-}
-
-// DoObs is Do with worker-pool observability: when rec is non-nil, each
-// invocation records one pool run (inline or pooled), the tasks scheduled,
-// and the workers spawned. The accounting happens once per call, before
-// any fn runs, so it costs nothing per task and cannot perturb results —
-// scheduling is identical with rec nil or set.
+// calls complete) and is returned. DoObs never returns before every
+// started fn has finished.
+//
+// When rec is non-nil, each invocation records one pool run (inline or
+// pooled), the tasks scheduled, and the workers spawned. The accounting
+// happens once per call, before any fn runs, so it costs nothing per task
+// and cannot perturb results — scheduling is identical with rec nil or set.
 func DoObs(n, parallelism int, rec *obs.Recorder, fn func(i int) error) error {
 	return DoCtxObs(nil, n, parallelism, rec, fn)
 }
 
-// DoCtxObs is Do with both the cancellation of DoCtx and the accounting of
-// DoObs. Cancellation never changes the result of a run that completes:
-// tasks either all run, or the call returns ErrCanceled.
+// DoCtxObs is DoObs with coarse cancellation: the context is checked once
+// before each task (never inside one), and a done context stops the
+// distribution of further indices and returns ErrCanceled (wrapped); a nil
+// ctx disables the checks. Cancellation never changes the result of a run
+// that completes: tasks either all run, or the call returns ErrCanceled.
 func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -192,21 +182,11 @@ func DoCtxObs(ctx context.Context, n, parallelism int, rec *obs.Recorder, fn fun
 	return firstE
 }
 
-// Blocks runs fn(b, start, end) for every block of blockSize items over n,
-// using Do for scheduling. It is the common shape of a chunked scan: the
-// caller allocates per-block result slots up front (NumBlocks tells it how
-// many) and reduces them in block order afterwards.
-func Blocks(n, blockSize, parallelism int, fn func(b, start, end int) error) error {
-	return BlocksObs(n, blockSize, parallelism, nil, fn)
-}
-
-// BlocksObs is Blocks with the pool accounting of DoObs.
-func BlocksObs(n, blockSize, parallelism int, rec *obs.Recorder, fn func(b, start, end int) error) error {
-	return BlocksCtxObs(nil, n, blockSize, parallelism, rec, fn)
-}
-
-// BlocksCtxObs is Blocks with per-block cancellation (the context is
-// checked before each block is scheduled, see DoCtx) and pool accounting.
+// BlocksCtxObs runs fn(b, start, end) for every block of blockSize items
+// over n, using DoCtxObs for scheduling, cancellation and pool accounting.
+// It is the common shape of a chunked scan: the caller allocates per-block
+// result slots up front (NumBlocks tells it how many) and reduces them in
+// block order afterwards.
 func BlocksCtxObs(ctx context.Context, n, blockSize, parallelism int, rec *obs.Recorder, fn func(b, start, end int) error) error {
 	nb := NumBlocks(n, blockSize)
 	return DoCtxObs(ctx, nb, parallelism, rec, func(b int) error {

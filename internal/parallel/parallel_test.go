@@ -57,7 +57,7 @@ func TestDoVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		const n = 1000
 		var hits [n]atomic.Int32
-		err := Do(n, workers, func(i int) error {
+		err := DoObs(n, workers, nil, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -74,7 +74,7 @@ func TestDoVisitsEveryIndexOnce(t *testing.T) {
 
 func TestDoSerialOrder(t *testing.T) {
 	var order []int
-	err := Do(10, 1, func(i int) error {
+	err := DoObs(10, 1, nil, func(i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -83,7 +83,7 @@ func TestDoSerialOrder(t *testing.T) {
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("serial Do out of order: %v", order)
+			t.Fatalf("serial DoObs out of order: %v", order)
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestDoError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int32
-		err := Do(1000, workers, func(i int) error {
+		err := DoObs(1000, workers, nil, func(i int) error {
 			calls.Add(1)
 			if i == 3 {
 				return boom
@@ -113,7 +113,7 @@ func TestBlocksTiling(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		const n = 10_000
 		var covered [n]atomic.Int32
-		err := Blocks(n, 128, workers, func(b, start, end int) error {
+		err := BlocksCtxObs(nil, n, 128, workers, nil, func(b, start, end int) error {
 			for i := start; i < end; i++ {
 				covered[i].Add(1)
 			}

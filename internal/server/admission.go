@@ -115,14 +115,6 @@ type waiter struct {
 	grant  chan grantKind // buffered 1; at most one send ever happens
 }
 
-// NewAdmission returns a single-policy controller admitting maxInFlight
-// concurrent requests with a wait queue of maxQueue (clamped to ≥ 1 and
-// ≥ 0). Every tenant gets weight 1 and normal priority — pure fair
-// sharing with FIFO inside each tenant.
-func NewAdmission(maxInFlight, maxQueue int) *Admission {
-	return NewTenantAdmission(maxInFlight, maxQueue, nil)
-}
-
 // NewTenantAdmission returns a controller with per-tenant policies. The
 // "*" entry, when present, is the policy for tenants not named
 // explicitly; absent tenants otherwise get the zero policy (weight 1,
@@ -164,16 +156,6 @@ func (a *Admission) stateLocked(tenant string) *tenantState {
 		a.tenants[tenant] = ts
 	}
 	return ts
-}
-
-// Enter admits the request under the default tenant. On success the
-// returned release must be called exactly once when the request
-// finishes. Rejections: ErrDraining after StartDraining, ErrSaturated
-// when slot and queue are full, ErrQueueExpired when ctx expires while
-// queued.
-func (a *Admission) Enter(ctx context.Context) (release func(), err error) {
-	release, _, err = a.EnterTenant(ctx, DefaultTenant)
-	return release, err
 }
 
 // EnterTenant admits the request under tenant's policy. queued reports

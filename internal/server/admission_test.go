@@ -195,3 +195,21 @@ func TestAdmissionDraining(t *testing.T) {
 		t.Errorf("in flight = %d, want 0", a.InFlight())
 	}
 }
+
+// NewAdmission returns a single-policy controller admitting maxInFlight
+// concurrent requests with a wait queue of maxQueue (clamped to ≥ 1 and
+// ≥ 0). Every tenant gets weight 1 and normal priority — pure fair
+// sharing with FIFO inside each tenant.
+func NewAdmission(maxInFlight, maxQueue int) *Admission {
+	return NewTenantAdmission(maxInFlight, maxQueue, nil)
+}
+
+// Enter admits the request under the default tenant. On success the
+// returned release must be called exactly once when the request
+// finishes. Rejections: ErrDraining after StartDraining, ErrSaturated
+// when slot and queue are full, ErrQueueExpired when ctx expires while
+// queued.
+func (a *Admission) Enter(ctx context.Context) (release func(), err error) {
+	release, _, err = a.EnterTenant(ctx, DefaultTenant)
+	return release, err
+}

@@ -348,3 +348,31 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// invariants checks the cache's internal accounting; the chaos suite
+// calls it after every fault schedule. Valid at quiescence (no lookups
+// in flight).
+func (c *Cache) invariants() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*centry); e.done {
+			sum += e.size
+		}
+	}
+	if c.ll.Len() != len(c.items) {
+		return fmt.Errorf("cache: list has %d entries, index %d", c.ll.Len(), len(c.items))
+	}
+	if sum != c.used {
+		return fmt.Errorf("cache: accounted %d bytes, entries sum to %d", c.used, sum)
+	}
+	if c.maxBytes > 0 && c.used > c.maxBytes {
+		return fmt.Errorf("cache: %d bytes used over budget %d", c.used, c.maxBytes)
+	}
+	lk, h, m, d := c.lookups.Load(), c.hits.Load(), c.misses.Load(), c.diskHits.Load()
+	if lk != h+m+d {
+		return fmt.Errorf("cache: %d lookups != %d hits + %d misses + %d disk", lk, h, m, d)
+	}
+	return nil
+}

@@ -75,9 +75,6 @@ func NewDiskTier(dir string, maxBytes int64) (*DiskTier, error) {
 	return &DiskTier{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// Dir returns the artifact directory.
-func (d *DiskTier) Dir() string { return d.dir }
-
 func (d *DiskTier) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".dbsa")

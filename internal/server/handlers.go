@@ -616,11 +616,10 @@ func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, 
 			}
 			estRNG, _ := seedStreams(p.Seed)
 			est, err = kde.Build(rows, kde.Options{
-				NumKernels:  p.Kernels,
-				Kernel:      kde.KernelByName(p.Kernel),
-				Parallelism: s.cfg.Parallelism,
-				Ctx:         sctx,
-				Obs:         rec,
+				NumKernels: p.Kernels,
+				Kernel:     kde.KernelByName(p.Kernel),
+				Ctx:        sctx,
+				Obs:        rec,
 			}, estRNG)
 			return err
 		})

@@ -356,9 +356,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // datasets from the command line before serving.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Recorder returns the server-level recorder (for tests and embedding).
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
 // StartDraining begins a graceful drain: /healthz flips to "draining" and
 // new compute requests are rejected with 503 while admitted ones finish.
 // Pair it with http.Server.Shutdown, which waits for in-flight handlers.

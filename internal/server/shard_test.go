@@ -100,7 +100,7 @@ func blockGroups(t *testing.T, workers int, name string, n int) int {
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i)
 	}
-	ring := shard.NewRing(names, 0)
+	ring := shard.NewRing(names)
 	owners := map[int]bool{}
 	for b := 0; b < parallel.NumBlocks(n, 0); b++ {
 		owners[ring.Owner(shard.BlockKey(name, b))] = true

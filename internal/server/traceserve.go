@@ -286,14 +286,6 @@ func (r *Ring) Len() int {
 	return r.n
 }
 
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Total returns how many snapshots have ever been added.
 func (r *Ring) Total() int64 {
 	if r == nil {

@@ -87,3 +87,11 @@ func TestRingBoundsAndOrder(t *testing.T) {
 		t.Fatal("capacity should clamp to 1")
 	}
 }
+
+// Cap returns the ring's capacity.
+func (r *Ring) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.buf)
+}

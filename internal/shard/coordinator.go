@@ -50,8 +50,6 @@ type Config struct {
 	Faults *faults.Injector
 	// Rec receives the coordinator counters. Nil-safe.
 	Rec *obs.Recorder
-	// Vnodes overrides the ring's virtual-node count (tests; 0 = default).
-	Vnodes int
 }
 
 // Coordinator scatters a sampling run's scan blocks across shard workers
@@ -102,7 +100,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		shards:    cfg.Shards,
 		byName:    byName,
-		ring:      NewRing(names, cfg.Vnodes),
+		ring:      NewRing(names),
 		replicas:  replicas,
 		hedge:     cfg.Hedge,
 		rec:       cfg.Rec,
@@ -110,9 +108,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		pDraw:     cfg.Faults.Point("shard/rpc/draw"),
 	}
 }
-
-// NumShards returns the worker count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
 
 // group is one scatter unit: the blocks owned by one shard, plus the
 // ordered candidate list (owner first, ring successors after) that

@@ -25,10 +25,10 @@ import (
 	"repro/internal/stats"
 )
 
-// defaultVnodes is the virtual-node count per shard name. 64 keeps the
+// vnodesPerShard is the virtual-node count per shard name. 64 keeps the
 // largest/smallest ownership ratio tight enough for block placement while
 // the ring stays a few KiB.
-const defaultVnodes = 64
+const vnodesPerShard = 64
 
 // BlockKey places global block b of the named dataset on the ring. The key
 // depends on the dataset name, not its content fingerprint, so placement
@@ -52,11 +52,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given shard names (deduped, sorted;
-// order of the argument does not matter). vnodes ≤ 0 uses the default.
-func NewRing(names []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// order of the argument does not matter).
+func NewRing(names []string) *Ring {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
 	uniq := sorted[:0]
@@ -65,10 +62,10 @@ func NewRing(names []string, vnodes int) *Ring {
 			uniq = append(uniq, n)
 		}
 	}
-	r := &Ring{names: uniq, vnodes: make([]vnode, 0, len(uniq)*vnodes)}
+	r := &Ring{names: uniq, vnodes: make([]vnode, 0, len(uniq)*vnodesPerShard)}
 	for i, n := range r.names {
 		base := stats.FNV1a(n)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerShard; v++ {
 			r.vnodes = append(r.vnodes, vnode{hash: stats.Mix64(base ^ stats.Mix64(uint64(v)*stats.Golden+stats.Golden)), node: i})
 		}
 	}

@@ -16,8 +16,8 @@ func ringNames(n int) []string {
 // TestRingDeterministic: placement is a pure function of the name set —
 // construction order and duplicates do not matter.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"w0", "w1", "w2"}, 0)
-	b := NewRing([]string{"w2", "w0", "w1", "w1"}, 0)
+	a := NewRing([]string{"w0", "w1", "w2"})
+	b := NewRing([]string{"w2", "w0", "w1", "w1"})
 	if a.Size() != 3 || b.Size() != 3 {
 		t.Fatalf("sizes %d, %d; want 3", a.Size(), b.Size())
 	}
@@ -34,7 +34,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingCoverage(t *testing.T) {
 	const blocks = 4000
 	for _, n := range []int{2, 3, 8} {
-		r := NewRing(ringNames(n), 0)
+		r := NewRing(ringNames(n))
 		counts := make([]int, n)
 		for b := 0; b < blocks; b++ {
 			counts[r.Owner(BlockKey("ds", b))]++
@@ -51,8 +51,8 @@ func TestRingCoverage(t *testing.T) {
 // TestRingStability: removing one shard only moves blocks that the removed
 // shard owned — consistent hashing's defining property.
 func TestRingStability(t *testing.T) {
-	full := NewRing(ringNames(8), 0)
-	reduced := NewRing(ringNames(7), 0) // drops w7
+	full := NewRing(ringNames(8))
+	reduced := NewRing(ringNames(7)) // drops w7
 	moved := 0
 	for b := 0; b < 2000; b++ {
 		key := BlockKey("ds", b)
@@ -73,7 +73,7 @@ func TestRingStability(t *testing.T) {
 // TestRingSuccessorsDistinct: the successor walk yields distinct shards,
 // owner first, and never more than exist.
 func TestRingSuccessorsDistinct(t *testing.T) {
-	r := NewRing(ringNames(5), 0)
+	r := NewRing(ringNames(5))
 	for b := 0; b < 200; b++ {
 		key := BlockKey("ds", b)
 		succ := r.Successors(key, 3)

@@ -9,56 +9,15 @@ type Moments struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the running moments.
 func (m *Moments) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
-
-// Merge folds the other accumulator into m (parallel Welford merge).
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	n1, n2 := float64(m.n), float64(o.n)
-	d := o.mean - m.mean
-	tot := n1 + n2
-	m.mean += d * n2 / tot
-	m.m2 += o.m2 + d*d*n1*n2/tot
-	m.n += o.n
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-}
-
-// Count returns the number of samples seen.
-func (m *Moments) Count() int { return m.n }
-
-// Mean returns the sample mean (0 when empty).
-func (m *Moments) Mean() float64 { return m.mean }
 
 // Variance returns the unbiased sample variance (0 when fewer than 2 samples).
 func (m *Moments) Variance() float64 {
@@ -70,12 +29,6 @@ func (m *Moments) Variance() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest sample seen (0 when empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest sample seen (0 when empty).
-func (m *Moments) Max() float64 { return m.max }
 
 // MultiMoments tracks per-dimension Moments for a point stream.
 type MultiMoments struct {
@@ -100,14 +53,3 @@ func (m *MultiMoments) Add(p []float64) {
 
 // Dim returns the accumulator for dimension i.
 func (m *MultiMoments) Dim(i int) *Moments { return &m.dims[i] }
-
-// Dims returns the dimensionality.
-func (m *MultiMoments) Dims() int { return len(m.dims) }
-
-// Count returns the number of points seen.
-func (m *MultiMoments) Count() int {
-	if len(m.dims) == 0 {
-		return 0
-	}
-	return m.dims[0].Count()
-}

@@ -11,24 +11,21 @@ func TestMomentsBasic(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		m.Add(x)
 	}
-	if m.Count() != 8 {
-		t.Errorf("Count = %d", m.Count())
+	if m.n != 8 {
+		t.Errorf("count = %d", m.n)
 	}
-	if m.Mean() != 5 {
-		t.Errorf("Mean = %v", m.Mean())
+	if m.mean != 5 {
+		t.Errorf("mean = %v", m.mean)
 	}
 	// population m2 = 32 → sample variance = 32/7
 	if math.Abs(m.Variance()-32.0/7) > 1e-12 {
 		t.Errorf("Variance = %v", m.Variance())
 	}
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", m.Min(), m.Max())
-	}
 }
 
 func TestMomentsEmpty(t *testing.T) {
 	var m Moments
-	if m.Mean() != 0 || m.Variance() != 0 || m.Count() != 0 {
+	if m.mean != 0 || m.Variance() != 0 || m.n != 0 {
 		t.Error("empty accumulator must read as zeros")
 	}
 }
@@ -39,50 +36,8 @@ func TestMomentsSingle(t *testing.T) {
 	if m.Variance() != 0 {
 		t.Errorf("variance of single sample = %v", m.Variance())
 	}
-	if m.Min() != 3 || m.Max() != 3 {
-		t.Error("min/max of single sample wrong")
-	}
-}
-
-func TestMomentsMergeMatchesSequential(t *testing.T) {
-	r := NewRNG(1)
-	var all, a, b Moments
-	for i := 0; i < 1000; i++ {
-		x := r.Normal(5, 3)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean = %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged variance = %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Error("merged min/max wrong")
-	}
-}
-
-func TestMomentsMergeEmpty(t *testing.T) {
-	var a, b Moments
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merging empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.Mean() != 2 {
-		t.Errorf("merge into empty: mean = %v", b.Mean())
+	if m.mean != 3 {
+		t.Errorf("mean of single sample = %v", m.mean)
 	}
 }
 
@@ -90,10 +45,10 @@ func TestMultiMoments(t *testing.T) {
 	m := NewMultiMoments(2)
 	m.Add([]float64{1, 10})
 	m.Add([]float64{3, 30})
-	if m.Count() != 2 || m.Dims() != 2 {
-		t.Fatalf("count/dims = %d/%d", m.Count(), m.Dims())
+	if m.Dim(0).n != 2 || m.Dim(1).n != 2 {
+		t.Fatalf("counts = %d/%d", m.Dim(0).n, m.Dim(1).n)
 	}
-	if m.Dim(0).Mean() != 2 || m.Dim(1).Mean() != 20 {
+	if m.Dim(0).mean != 2 || m.Dim(1).mean != 20 {
 		t.Error("per-dim means wrong")
 	}
 }
@@ -122,10 +77,10 @@ func TestPropWelfordMatchesNaive(t *testing.T) {
 			n++
 		}
 		if n == 0 {
-			return m.Count() == 0
+			return m.n == 0
 		}
 		naive := sum / float64(n)
-		return math.Abs(m.Mean()-naive) <= 1e-6*(1+math.Abs(naive))
+		return math.Abs(m.mean-naive) <= 1e-6*(1+math.Abs(naive))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

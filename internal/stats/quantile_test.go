@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	if h.Count() != 10 || h.Buckets() != 10 {
-		t.Errorf("count/buckets = %d/%d", h.Count(), h.Buckets())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(2)
-	h.Add(1) // hi is exclusive → clamps to last bucket
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d/%d", under, over)
-	}
-	if h.Bucket(0) != 1 || h.Bucket(3) != 2 {
-		t.Errorf("clamped buckets = %d/%d", h.Bucket(0), h.Bucket(3))
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 10)
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := []struct{ q, want float64 }{
@@ -122,15 +84,6 @@ func TestQuantileEdges(t *testing.T) {
 		}()
 		Quantile(nil, 0.5)
 	}()
-}
-
-func TestMeanHelper(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
 }
 
 func TestChernoffBounds(t *testing.T) {

@@ -43,12 +43,6 @@ func seededRNG(seed uint64) RNG {
 	return r
 }
 
-// Split returns a new generator whose stream is independent of r's.
-// It advances r.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xda942042e4dd58b5)
-}
-
 // Splits returns n generators with mutually independent streams, all
 // derived from a single draw of r (which advances exactly once, regardless
 // of n). Stream i is a pure function of that draw and i, so a caller that
@@ -206,80 +200,9 @@ func (r *RNG) Normal(mean, sigma float64) float64 {
 	return mean + sigma*r.NormFloat64()
 }
 
-// Exp returns an exponential variate with rate lambda.
-func (r *RNG) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("stats: Exp with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / lambda
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts permutes s uniformly at random (Fisher-Yates).
-func (r *RNG) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Shuffle permutes n elements using the provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Zipf returns a variate in [1, n] with P(X=k) ∝ 1/k^s, via inverse-CDF on
-// a precomputed table when repeated draws are needed use NewZipf instead.
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipf(n, s)
-	return z.Draw(r)
-}
-
-// Zipfian is a reusable Zipf(n, s) sampler over {1, …, n}.
-type Zipfian struct {
-	cdf []float64
-}
-
-// NewZipf precomputes the CDF for a Zipf distribution with exponent s over
-// {1, …, n}. Palmer-Faloutsos style cluster-size skew uses this.
-func NewZipf(n int, s float64) *Zipfian {
-	if n <= 0 {
-		panic("stats: Zipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	var tot float64
-	for k := 1; k <= n; k++ {
-		tot += 1 / math.Pow(float64(k), s)
-		cdf[k-1] = tot
-	}
-	for i := range cdf {
-		cdf[i] /= tot
-	}
-	return &Zipfian{cdf: cdf}
-}
-
-// Draw samples one value in [1, n].
-func (z *Zipfian) Draw(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

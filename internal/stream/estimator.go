@@ -9,11 +9,17 @@ import (
 	"repro/internal/stats"
 )
 
+const (
+	// cellsPerDim is the grid resolution g per shifted grid.
+	cellsPerDim = 64
+	// maxProbes is the size of the reservoir of observed points kept as
+	// the estimator's probe points, exposed as Centers for core's floor
+	// selection and one-pass normalizer.
+	maxProbes = 32
+)
+
 // Options configure the sketch-backed estimator.
 type Options struct {
-	// CellsPerDim is the grid resolution g per shifted grid. Default 64.
-	CellsPerDim int
-
 	// Width is the counter width of EACH shift's sketch. Default is
 	// 1<<14 divided by the number of shifts, so the total counter budget
 	// is matched whether the estimator runs one grid or several.
@@ -26,38 +32,22 @@ type Options struct {
 	// (Wells & Ting's averaged shifted histograms): grid s is offset by
 	// s/Shifts of a cell width along every dimension, and Density is the
 	// mean of the per-grid cell counts over the cell volume. 1 (the
-	// default for New) is a plain single-grid sketch; NewASG defaults
-	// to 4.
+	// default) is a plain single-grid sketch.
 	Shifts int
-
-	// Probes is the size of the reservoir of observed points kept as
-	// the estimator's probe points, exposed as Centers for core's floor
-	// selection and one-pass normalizer. Default 32.
-	Probes int
 
 	// Seed drives the sketch row hashes and the probe reservoir.
 	Seed uint64
 }
 
-func (o Options) withDefaults(asg bool) Options {
-	if o.CellsPerDim == 0 {
-		o.CellsPerDim = 64
-	}
+func (o Options) withDefaults() Options {
 	if o.Shifts == 0 {
-		if asg {
-			o.Shifts = 4
-		} else {
-			o.Shifts = 1
-		}
+		o.Shifts = 1
 	}
 	if o.Width == 0 {
 		o.Width = (1 << 14) / o.Shifts
 	}
 	if o.Depth == 0 {
 		o.Depth = 4
-	}
-	if o.Probes == 0 {
-		o.Probes = 32
 	}
 	return o
 }
@@ -68,36 +58,23 @@ func (o Options) withDefaults(asg bool) Options {
 // the total stream length. It satisfies core.DensityEstimator and
 // exposes Centers and N, so it plugs into core.Draw, exact or one-pass.
 type Estimator struct {
-	domain    geom.Rect
-	d, g      int
-	shifts    int
-	sketches  []*CMSketch
-	cellVol   float64
-	n         int
-	probes    []geom.Point
-	maxProbes int
-	rng       *stats.RNG
+	domain   geom.Rect
+	d        int
+	shifts   int
+	sketches []*CMSketch
+	cellVol  float64
+	n        int
+	probes   []geom.Point
+	rng      *stats.RNG
 }
 
-// New returns a single-grid sketch estimator over the domain.
+// New returns a sketch estimator over the domain: a single grid, or
+// Options.Shifts averaged shifted grids.
 func New(domain geom.Rect, opts Options) (*Estimator, error) {
-	return build(domain, opts.withDefaults(false))
-}
-
-// NewASG returns an averaged-shifted-grid estimator: Options.Shifts
-// offset grids (default 4), each with a proportionally smaller sketch so
-// the total counter budget matches New at the same Options.
-func NewASG(domain geom.Rect, opts Options) (*Estimator, error) {
-	return build(domain, opts.withDefaults(true))
-}
-
-func build(domain geom.Rect, opts Options) (*Estimator, error) {
+	opts = opts.withDefaults()
 	d := domain.Dims()
 	if d == 0 {
 		return nil, errors.New("stream: empty domain")
-	}
-	if opts.CellsPerDim < 1 {
-		return nil, errors.New("stream: CellsPerDim must be positive")
 	}
 	if opts.Shifts < 1 {
 		return nil, errors.New("stream: Shifts must be positive")
@@ -107,14 +84,12 @@ func build(domain geom.Rect, opts Options) (*Estimator, error) {
 		return nil, fmt.Errorf("stream: degenerate domain volume %v", vol)
 	}
 	e := &Estimator{
-		domain:    domain.Clone(),
-		d:         d,
-		g:         opts.CellsPerDim,
-		shifts:    opts.Shifts,
-		sketches:  make([]*CMSketch, opts.Shifts),
-		cellVol:   vol / math.Pow(float64(opts.CellsPerDim), float64(d)),
-		maxProbes: opts.Probes,
-		rng:       stats.NewRNG(stats.Mix64(opts.Seed ^ 0x57ea3)),
+		domain:   domain.Clone(),
+		d:        d,
+		shifts:   opts.Shifts,
+		sketches: make([]*CMSketch, opts.Shifts),
+		cellVol:  vol / math.Pow(cellsPerDim, float64(d)),
+		rng:      stats.NewRNG(stats.Mix64(opts.Seed ^ 0x57ea3)),
 	}
 	for s := range e.sketches {
 		sk, err := NewCMSketch(opts.Width, opts.Depth, opts.Seed+uint64(s))
@@ -141,13 +116,13 @@ func (e *Estimator) cellKey(s int, p geom.Point) uint64 {
 		side := e.domain.Side(j)
 		var c int
 		if side > 0 {
-			c = int(float64(e.g)*(p[j]-e.domain.Min[j])/side + off)
+			c = int(cellsPerDim*(p[j]-e.domain.Min[j])/side + off)
 		}
 		if c < 0 {
 			c = 0
 		}
-		if c > e.g {
-			c = e.g
+		if c > cellsPerDim {
+			c = cellsPerDim
 		}
 		v := uint64(c)
 		for k := 0; k < 4; k++ {
@@ -173,9 +148,9 @@ func (e *Estimator) Observe(pts []geom.Point) error {
 		for s := range e.sketches {
 			e.sketches[s].Add(e.cellKey(s, p))
 		}
-		if len(e.probes) < e.maxProbes {
+		if len(e.probes) < maxProbes {
 			e.probes = append(e.probes, p.Clone())
-		} else if j := e.rng.Intn(e.n + 1); j < e.maxProbes {
+		} else if j := e.rng.Intn(e.n + 1); j < maxProbes {
 			e.probes[j] = p.Clone()
 		}
 		e.n++

@@ -67,7 +67,7 @@ func TestEstimatorDensityOrderingBothBackends(t *testing.T) {
 		make func() (*Estimator, error)
 	}{
 		{"sketch", func() (*Estimator, error) { return New(geom.UnitCube(2), Options{Seed: 3}) }},
-		{"asg", func() (*Estimator, error) { return NewASG(geom.UnitCube(2), Options{Seed: 3}) }},
+		{"asg", func() (*Estimator, error) { return New(geom.UnitCube(2), Options{Shifts: 4, Seed: 3}) }},
 	} {
 		e, err := backend.make()
 		if err != nil {

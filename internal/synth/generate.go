@@ -47,17 +47,6 @@ func (l *Labeled) NumNoise() int {
 	return n
 }
 
-// OutlierIndices returns the indices of planted outliers.
-func (l *Labeled) OutlierIndices() []int {
-	var out []int
-	for i, lb := range l.Labels {
-		if lb == LabelOutlier {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Generate materializes the clusters plus noiseFrac·(Σ sizes) uniform noise
 // points over the domain, in randomized global order. This matches §4.1:
 // "we add l·|D| uniformly distributed points in D as noise and we say that

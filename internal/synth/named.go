@@ -169,17 +169,3 @@ func PlantOutliers(l *Labeled, m int, minGap float64, rng *stats.RNG) {
 		l.Labels = append(l.Labels, LabelOutlier)
 	}
 }
-
-// ScaleToUnit rescales all points (in place) so the dataset's bounding box
-// maps onto the unit cube, as the paper assumes (§2). Cluster shapes are
-// not rescaled; call it only before shape-based evaluation is needed, or
-// retain the returned scaler to map shapes as well.
-func ScaleToUnit(l *Labeled) *geom.Scaler {
-	box := geom.BoundingRect(l.Points)
-	sc := geom.NewScaler(box)
-	for i, p := range l.Points {
-		l.Points[i] = sc.ToUnit(p)
-	}
-	l.Domain = geom.UnitCube(box.Dims())
-	return sc
-}

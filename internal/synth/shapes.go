@@ -174,29 +174,6 @@ func (g GaussianShape) Bounds() geom.Rect {
 	return geom.Rect{Min: min, Max: max}
 }
 
-// volume returns the approximate volume of a shape's support, used to
-// compute per-cluster densities when constructing variable-density mixes.
-func volume(s Shape) float64 {
-	switch v := s.(type) {
-	case Box:
-		return v.R.Volume()
-	case Ball:
-		return geom.UnitBallVolume(v.Center.Dims(), v.Radius)
-	case Ellipsoid:
-		vol := geom.UnitBallVolume(v.Center.Dims(), 1)
-		for _, r := range v.Radii {
-			vol *= r
-		}
-		return vol
-	case GaussianShape:
-		// effective support ≈ 2σ ball
-		return geom.UnitBallVolume(v.Center.Dims(), 2*v.Sigma)
-	default:
-		b := s.Bounds()
-		return b.Volume()
-	}
-}
-
 // sideForDensity returns the box side length giving `size` points the
 // target density in d dimensions: side = (size/density)^(1/d).
 func sideForDensity(size int, density float64, d int) float64 {

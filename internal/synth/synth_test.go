@@ -210,7 +210,12 @@ func TestPlantOutliers(t *testing.T) {
 	rng := stats.NewRNG(12)
 	l := EqualClusters(3, 2, 3000, 0, rng)
 	PlantOutliers(l, 10, 0.05, rng)
-	outs := l.OutlierIndices()
+	var outs []int
+	for i, lb := range l.Labels {
+		if lb == LabelOutlier {
+			outs = append(outs, i)
+		}
+	}
 	if len(outs) != 10 {
 		t.Fatalf("planted %d outliers", len(outs))
 	}
@@ -220,22 +225,6 @@ func TestPlantOutliers(t *testing.T) {
 			if c.Shape.Bounds().MinDist(p) < 0.05 {
 				t.Fatalf("outlier %v too close to a cluster", p)
 			}
-		}
-	}
-}
-
-func TestScaleToUnit(t *testing.T) {
-	rng := stats.NewRNG(13)
-	l := &Labeled{
-		Points: []geom.Point{{-10, 0}, {10, 5}, {0, 2.5}},
-		Labels: []int{0, 0, 0},
-		Domain: geom.NewRect(geom.Point{-10, 0}, geom.Point{10, 5}),
-	}
-	_ = rng
-	ScaleToUnit(l)
-	for _, p := range l.Points {
-		if p[0] < 0 || p[0] > 1 || p[1] < 0 || p[1] > 1 {
-			t.Fatalf("scaled point %v outside unit cube", p)
 		}
 	}
 }
@@ -254,5 +243,28 @@ func TestSideForDensity(t *testing.T) {
 	side := sideForDensity(100, 400, 2)
 	if math.Abs(side-0.5) > 1e-12 {
 		t.Errorf("side = %v", side)
+	}
+}
+
+// volume returns the approximate volume of a shape's support, used to
+// compute per-cluster densities when constructing variable-density mixes.
+func volume(s Shape) float64 {
+	switch v := s.(type) {
+	case Box:
+		return v.R.Volume()
+	case Ball:
+		return geom.UnitBallVolume(v.Center.Dims(), v.Radius)
+	case Ellipsoid:
+		vol := geom.UnitBallVolume(v.Center.Dims(), 1)
+		for _, r := range v.Radii {
+			vol *= r
+		}
+		return vol
+	case GaussianShape:
+		// effective support ≈ 2σ ball
+		return geom.UnitBallVolume(v.Center.Dims(), 2*v.Sigma)
+	default:
+		b := s.Bounds()
+		return b.Volume()
 	}
 }

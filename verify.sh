@@ -7,11 +7,14 @@
 # and the observability layer's shared Recorder, plus the serving layer's
 # registry/cache/admission), 10 s fuzz smokes over the disk-tier
 # artifact decoder, the dataset upload decoders, the assembled
-# /v1/sample body and the shard replies the coordinator decodes, the
+# /v1/sample body, the shard replies the coordinator decodes and the
+# DBSK1 estimator and DBSS1 sample payload decoders, the
 # observability overhead guard over the enabled and
 # the traced Recorder (OBS_GUARD gates the timing assertion; see
-# obs_guard_test.go and BENCH_obs.json for the budget), and the
-# allocation gates of the draw and of a cache hit.
+# obs_guard_test.go and BENCH_obs.json for the budget), the
+# allocation gates of the draw and of a cache hit, and the reachability
+# gate: no production function that no binary runs (REACH_GUARD gates
+# it; see reach_guard_test.go).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -79,6 +82,15 @@ go test -run '^$' -fuzz '^FuzzSampleBody$' -fuzztime 10s -parallel 2 ./internal/
 # of each kind, whole and truncated
 # (internal/shard/testdata/fuzz/FuzzShardReply).
 go test -run '^$' -fuzz '^FuzzShardReply$' -fuzztime 10s -parallel 2 ./internal/shard/
+# Fuzz smoke: arbitrary bytes as a DBSK1 estimator payload must decode to
+# an error, never a panic, or to an estimator that re-marshals to the same
+# bytes; a payload with a non-zero reserved header word never decodes
+# (internal/kde/testdata/fuzz/FuzzUnmarshalEstimator).
+go test -run '^$' -fuzz '^FuzzUnmarshalEstimator$' -fuzztime 10s -parallel 2 ./internal/kde/
+# Fuzz smoke: arbitrary bytes as a DBSS1 sample payload must decode to an
+# error, never a panic, or to a sample that re-marshals to the same bytes
+# (internal/core/testdata/fuzz/FuzzUnmarshalSample).
+go test -run '^$' -fuzz '^FuzzUnmarshalSample$' -fuzztime 10s -parallel 2 ./internal/core/
 # Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
 # quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
 # surprise or transport error); the committed BENCH_load.json holds the
@@ -97,3 +109,7 @@ OBS_GUARD=1 go test -run TestObsOverheadGuard .
 # b = 1000, internal/server/body_test.go).
 go test -run 'TestDrawSteadyStateAllocs|TestDrawWeightCacheAllocs' ./internal/core/
 go test -run TestSampleHitAllocs ./internal/server/
+# Reachability gate: build every command, example and the bench module
+# with -dumpdep and fail on any production function none of them reaches
+# that reach_guard_test.go's allowlist does not name with its reason.
+REACH_GUARD=1 go test -run TestReachGuard .
