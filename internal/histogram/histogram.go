@@ -23,7 +23,6 @@ const binsPerDim = 32
 // size.
 type Histogram struct {
 	domain geom.Rect
-	bins   int
 	d      int
 	counts []int32
 	volume float64 // volume of one cell
@@ -38,21 +37,19 @@ func Build(ds dataset.Dataset, domain geom.Rect) (*Histogram, error) {
 	if ds.Len() == 0 {
 		return nil, errors.New("histogram: empty dataset")
 	}
-	const bins = binsPerDim
 	d := ds.Dims()
 	if domain.Dims() != d {
 		return nil, errors.New("histogram: domain dimensionality mismatch")
 	}
 	cells := 1
 	for j := 0; j < d; j++ {
-		if cells > 1<<28/bins {
-			return nil, errors.New("histogram: bins^dims too large; use fewer bins or the kde/gridsample estimators")
+		if cells > 1<<28/binsPerDim {
+			return nil, errors.New("histogram: bins^dims too large; use the kde or gridsample estimators")
 		}
-		cells *= bins
+		cells *= binsPerDim
 	}
 	h := &Histogram{
 		domain: domain.Clone(),
-		bins:   bins,
 		d:      d,
 		counts: make([]int32, cells),
 	}
@@ -79,15 +76,15 @@ func (h *Histogram) index(p geom.Point) int {
 		side := h.domain.Side(j)
 		var c int
 		if side > 0 {
-			c = int(float64(h.bins) * (p[j] - h.domain.Min[j]) / side)
+			c = int(binsPerDim * (p[j] - h.domain.Min[j]) / side)
 		}
 		if c < 0 {
 			c = 0
 		}
-		if c >= h.bins {
-			c = h.bins - 1
+		if c >= binsPerDim {
+			c = binsPerDim - 1
 		}
-		idx = idx*h.bins + c
+		idx = idx*binsPerDim + c
 	}
 	return idx
 }

@@ -62,7 +62,7 @@ type Estimator struct {
 	n       int       // dataset size represented
 	dims    int
 	tree    *kdtree.Tree
-	reach   float64 // Euclidean radius covering the widest support box
+	reach   float64 // Euclidean radius covering the support box
 	// boxReach is the per-dimension half-width of the support box
 	// (sup·h_j). For kernels with true compact support the box test alone
 	// decides membership, letting DensityBatch prune the center tree much
