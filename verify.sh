@@ -112,4 +112,6 @@ go test -run TestSampleHitAllocs ./internal/server/
 # Reachability gate: build every command, example and the bench module
 # with -dumpdep and fail on any production function none of them reaches
 # that reach_guard_test.go's allowlist does not name with its reason.
-REACH_GUARD=1 go test -run TestReachGuard .
+# -count=1: the builds run as subprocesses and the parser skips bench/, so
+# the test cache would not see a change to bench/*.go and replay a pass.
+REACH_GUARD=1 go test -count=1 -run TestReachGuard .
