@@ -354,27 +354,34 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 
 // flipCoins flips the inclusion coin for each biased weight against the
 // normalizer, recording the (index, prob) pairs of the selections into sc.
-// It is the coin loop of the local draw and of the sharded fallback round
-// (DrawBlocks): both paths must consume brng identically — including
-// Bernoulli's property of consuming no state at p ≤ 0 or p ≥ 1 — or the
-// cross-mode bit-for-bit guarantee breaks. ResolveBlocks decides the
-// coins of the blocks it draws without this loop, by the same comparison
-// u < b·w/k_a that Bernoulli makes on the u each worker drew from the
-// same stream.
+// Every point draws exactly one uniform u from brng and is kept when
+// u < coinProb, so a clipped probability always keeps its point and one
+// that underflows to 0 never does, yet both consume their u. A block's
+// stream therefore holds one variate per point whatever the
+// probabilities: ProposeBlocks draws the same u's, and ResolveBlocks
+// decides every block of a sharded draw by this rule.
 func flipCoins(weights []float64, b, norm float64, brng *stats.RNG, sc *coinScratch) (count, sat int) {
 	for i := range weights {
-		prob := b * weights[i] / norm
-		if prob >= 1 {
-			prob = 1
+		prob, clipped := coinProb(weights[i], b, norm)
+		if clipped {
 			sat++
 		}
-		if brng.Bernoulli(prob) {
+		if brng.Float64() < prob {
 			sc.idx[count] = int32(i)
 			sc.probs[count] = prob
 			count++
 		}
 	}
 	return count, sat
+}
+
+// coinProb is the coin rule's inclusion probability min(1, b·w/norm) and
+// whether it clipped at 1.
+func coinProb(w, b, norm float64) (prob float64, clipped bool) {
+	if prob = b * w / norm; prob >= 1 {
+		return 1, true
+	}
+	return prob, false
 }
 
 // ExactNorm computes k_a = Σ_{x ∈ ds} max(f(x), floor)^a in one pass,

@@ -15,8 +15,9 @@ import (
 // refDraw is Figure 1 written out as plainly as possible: densities per
 // block through DensityBatch, weights max(f, floor)^a, k_a summed block by
 // block in block order (or approximated from the kernel centers when
-// onePass), and one coin per point from its block's own split stream. It
-// shares no code with Draw beyond the estimator and the RNG.
+// onePass), and one coin per point from its block's own split stream: one
+// uniform u per point, kept when u < min(1, b·w/k_a). It shares no code
+// with Draw beyond the estimator and the RNG.
 func refDraw(pts []geom.Point, est *kde.Estimator, alpha, floor float64, b, blockSize int, onePass bool, rng *stats.RNG) *Sample {
 	weight := func(f float64) float64 { return math.Pow(math.Max(f, floor), alpha) }
 	var blocks [][]geom.Point
@@ -53,7 +54,7 @@ func refDraw(pts []geom.Point, est *kde.Estimator, alpha, floor float64, b, bloc
 				prob = 1
 				out.Saturated++
 			}
-			if streams[i].Bernoulli(prob) {
+			if streams[i].Float64() < prob {
 				out.Points = append(out.Points, dataset.WeightedPoint{P: p, W: 1 / prob})
 			}
 		}
@@ -64,7 +65,8 @@ func refDraw(pts []geom.Point, est *kde.Estimator, alpha, floor float64, b, bloc
 // TestDrawMatchesReference pins Draw to the naive Fig. 1 sampler bit for
 // bit, on an in-memory dataset (Draw caches the pass-1 weights) and a
 // file-backed one (Draw recomputes them in pass 2), exact and one-pass,
-// across exponents and worker counts.
+// across exponents and worker counts, and in a draw where probabilities
+// clip at 1.
 func TestDrawMatchesReference(t *testing.T) {
 	setup := stats.NewRNG(404)
 	mem, pts := twoBlobs(3000, 3000, setup)
@@ -77,19 +79,27 @@ func TestDrawMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The floor binds for roughly the sparsest tenth of the points.
-	const floor, b, blockSize = 2e4, 500, 512
+	// The floor binds for roughly the sparsest tenth of the points. At
+	// a = -2 and b = 2000 their probabilities clip.
+	const floor, blockSize = 2e4, 512
+	cases := []struct {
+		alpha float64
+		b     int
+	}{{1, 500}, {0, 500}, {-0.5, 500}, {-2, 2000}}
 	for _, ds := range []dataset.Dataset{mem, file} {
-		for _, alpha := range []float64{1, 0, -0.5} {
+		for _, c := range cases {
 			for _, onePass := range []bool{false, true} {
-				want := refDraw(pts, est, alpha, floor, b, blockSize, onePass, stats.NewRNG(9))
+				want := refDraw(pts, est, c.alpha, floor, c.b, blockSize, onePass, stats.NewRNG(9))
+				if c.alpha == -2 && !onePass && want.Saturated == 0 {
+					t.Fatalf("alpha=%v b=%d: nothing clips", c.alpha, c.b)
+				}
 				for _, workers := range []int{1, 4, 8} {
-					opts := Options{Alpha: alpha, TargetSize: b, FloorDensity: floor, OnePass: onePass, BlockSize: blockSize, Parallelism: workers}
+					opts := Options{Alpha: c.alpha, TargetSize: c.b, FloorDensity: floor, OnePass: onePass, BlockSize: blockSize, Parallelism: workers}
 					got, err := Draw(ds, est, opts, stats.NewRNG(9))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameSample(t, want, got, "reference")
+					sameSample(t, want, got, fmt.Sprintf("reference alpha=%v b=%d", c.alpha, c.b))
 				}
 			}
 		}
@@ -99,7 +109,8 @@ func TestDrawMatchesReference(t *testing.T) {
 // refExtend is ExtendDraw written out the same way: the delta's weights
 // block by block, k_a' = K·s^a + Σ_delta w with the KDE rescaling
 // s = (n'/N)·(ks/ks'), the prior thinned at r = K·s^a/k_a' from stream 0
-// of one SplitsValues draw, and delta block b flipped from stream 1+b.
+// of one SplitsValues draw, and delta block b flipped from stream 1+b by
+// refDraw's coin rule.
 func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Sample, ns NormState, alpha, floor float64, b, blockSize int, rng *stats.RNG) *Sample {
 	weight := func(f float64) float64 { return math.Pow(math.Max(f, floor), alpha) }
 	delta := pts[deltaStart:]
@@ -137,7 +148,7 @@ func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Samp
 				prob = 1
 				out.Saturated++
 			}
-			if streams[1+i].Bernoulli(prob) {
+			if streams[1+i].Float64() < prob {
 				out.Points = append(out.Points, dataset.WeightedPoint{P: p, W: 1 / prob})
 			}
 		}

@@ -38,7 +38,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/cluster", s.compute("/v1/cluster", s.handleCluster))
 	s.mux.HandleFunc("POST /v1/outliers", s.compute("/v1/outliers", s.handleOutliers))
 	s.mux.HandleFunc("POST "+shard.PathPartials, s.shardRPC(shard.PathPartials, s.handleShardPartials))
-	s.mux.HandleFunc("POST "+shard.PathDraw, s.shardRPC(shard.PathDraw, s.handleShardDraw))
 	obs.Mount(s.mux, s.rec)
 }
 
@@ -679,9 +678,16 @@ func (q *sampleRequest) normalize() (estParams, error) {
 	return p, nil
 }
 
+// sampleKeyVersion names the coin rule a sample's bytes were drawn by.
+// Under "v2" every point consumes one variate even where its probability
+// clips at 1 or underflows to 0; a sample drawn by the earlier rule,
+// such as a DBSS1 file an older server left in a disk tier, has another
+// key and loads as a miss instead of disagreeing with a fresh draw.
+const sampleKeyVersion = "v2"
+
 func (q sampleRequest) key(fp uint64, p estParams) string {
-	return fmt.Sprintf("smp|%s|alpha=%s|b=%d|onepass=%t",
-		p.key(fp), hexFloat(q.Alpha), q.Size, q.OnePass)
+	return fmt.Sprintf("smp|%s|%s|alpha=%s|b=%d|onepass=%t",
+		sampleKeyVersion, p.key(fp), hexFloat(q.Alpha), q.Size, q.OnePass)
 }
 
 // sampleArtifact is what the sample cache stores: the sample plus the

@@ -41,16 +41,16 @@ const (
 // Prometheus can rate(), instead of a 512-sample window that a burst
 // could rotate out of.
 //
-// HistShardSeconds is the coordinator's downstream fan-out wait, per
-// round ("partials", and "draw" when blocks fall back), observed by the
-// coordinator (shard.HistSeconds). It is deliberately separate from
+// HistShardSeconds is the coordinator's downstream fan-out wait, under
+// stage "partials", the one round, observed by the coordinator
+// (shard.HistSeconds). It is deliberately separate from
 // HistStageSeconds: a sharded build spends its time waiting on workers,
 // and folding that wait into the "build" stages would make coordinator-
 // local latency indistinguishable from downstream shard latency.
 const (
 	HistRequestSeconds = "server_request_seconds" // label: route
 	HistStageSeconds   = "server_stage_seconds"   // label: stage
-	HistShardSeconds   = shard.HistSeconds        // label: stage (partials|draw)
+	HistShardSeconds   = shard.HistSeconds        // label: stage (partials)
 
 	// HistQueueSeconds is the admission queue wait, observed only for
 	// requests that actually queued (a fast-path admit contributes

@@ -17,7 +17,8 @@ import (
 // shardChaosReqs is the request mix each shard-chaos schedule replays:
 // two sample identities plus a repeat, so the artifact cache and the
 // scatter-gather path are both exercised, and a uniform draw of all 600
-// points, whose probabilities all clip, so the fallback round runs too.
+// points, whose probabilities all clip, so a fully clipped round runs
+// under faults too.
 var shardChaosReqs = []struct {
 	name string
 	body map[string]any

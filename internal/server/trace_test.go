@@ -242,7 +242,7 @@ func TestTraceSeedDeterministicIDs(t *testing.T) {
 // request carrying the trace ID, route, status, cache outcome, queue
 // wait, and a per-stage breakdown that reports every logged span none of
 // whose ancestors logged anything — the KDE build on a single node, the
-// scatter-gather phases on a sharded coordinator. The logger finishes
+// scatter-gather round on a sharded coordinator. The logger finishes
 // the line before the response returns, so reading the buffer after
 // postJSON is ordered.
 func TestAccessLogLine(t *testing.T) {
@@ -298,18 +298,19 @@ func TestAccessLogLine(t *testing.T) {
 		t.Errorf("sharded stage breakdown missing %q: %v", "shard/partials", stages)
 	}
 	if _, ok := stages["shard/draw"]; ok {
-		t.Errorf("a miss round one decides logged a fallback round: %v", stages)
+		t.Errorf("a sharded miss logged a second round: %v", stages)
 	}
-	// A request whose blocks all fall back runs both rounds.
+	// A request whose probabilities all clip takes the same one round.
 	buf.Reset()
-	if resp, body := postJSON(t, sts.URL+"/v1/sample", fallbackBody(1500)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded fallback sample: %d: %s", resp.StatusCode, body)
+	if resp, body := postJSON(t, sts.URL+"/v1/sample", allClipBody(1500)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded all-clip sample: %d: %s", resp.StatusCode, body)
 	}
 	stages = accessLogLine(t, &buf).Stages
-	for _, stage := range []string{"shard/partials", "shard/draw"} {
-		if stages[stage] <= 0 {
-			t.Errorf("sharded stage breakdown missing %q: %v", stage, stages)
-		}
+	if stages["shard/partials"] <= 0 {
+		t.Errorf("all-clip stage breakdown missing %q: %v", "shard/partials", stages)
+	}
+	if _, ok := stages["shard/draw"]; ok {
+		t.Errorf("an all-clip miss logged a second round: %v", stages)
 	}
 }
 

@@ -13,10 +13,13 @@ import (
 )
 
 // The request FuzzShardReply decodes every reply against: 40 points in
-// blocks of 8, row i = (i, 1 + i mod 5) so that columnDensity weighs it
-// by its second coordinate and its first names its index, b = 10, and a
-// group holding blocks 0, 2 and 3. The seed corpus holds real replies to
-// this request (coreExec, base 0x5eed).
+// blocks of 8, row i = (i, 1 + i mod 5) except row 18 = (18, 60), so that
+// columnDensity weighs each row by its second coordinate and its first
+// names its index, b = 10, and a group holding blocks 0, 2 and 3. Row 18's
+// probability b·60/k_a clips at 1. The seed corpus holds real replies to
+// this request from coreExec: at stream base 0x5eed whole, byte-cut and
+// with blocks dropped, and partials-clip at base 1, which keeps row 18
+// with u = 0.75, a variate the clipped coin still draws.
 const (
 	fuzzN         = 40
 	fuzzBlockSize = 8
@@ -30,14 +33,14 @@ func fuzzData() *dataset.InMemory {
 	for i := range pts {
 		pts[i] = geom.Point{float64(i), float64(1 + i%5)}
 	}
+	pts[18][1] = 60
 	return dataset.MustInMemory(pts)
 }
 
-// FuzzShardReply feeds arbitrary bytes, as a round-one reply and as a
-// fallback-round reply, through the coordinator's decoding and
-// validation. Neither may panic; a round-one reply that validates must
-// resolve to rows of its own blocks only; and the hex float encoding
-// must round-trip every bit pattern.
+// FuzzShardReply feeds arbitrary bytes, as a worker's reply, through the
+// coordinator's decoding and validation. It may not panic; a reply that
+// validates must resolve to rows of its own blocks only; and the hex
+// float encoding must round-trip every bit pattern.
 func FuzzShardReply(f *testing.F) {
 	ds := fuzzData()
 	f.Add([]byte(`{"blocks":[]}`), uint64(0))
@@ -48,34 +51,30 @@ func FuzzShardReply(f *testing.F) {
 
 		// Client.post decodes a reply with a json.Decoder.
 		var pr PartialsResponse
-		if json.NewDecoder(bytes.NewReader(data)).Decode(&pr) == nil && validatePartials(&pr, fuzzBlocks, fuzzN, fuzzBlockSize) == nil {
-			cands := make([]core.BlockCandidates, len(pr.Blocks))
-			partials := make([]float64, len(pr.Blocks))
-			for i := range pr.Blocks {
-				cands[i] = pr.Blocks[i].candidates()
-				partials[i] = cands[i].Partial
-			}
-			norm := core.FoldNorm(partials)
-			if !(norm > 0) || math.IsInf(norm, 0) {
-				norm = 1
-			}
-			resolved, _, err := core.ResolveBlocks(ds, core.Options{TargetSize: fuzzSize, BlockSize: fuzzBlockSize}, norm, cands)
-			if err != nil {
-				t.Fatalf("a validated reply failed to resolve: %v", err)
-			}
-			for _, bs := range resolved {
-				start, end := parallel.BlockRange(bs.Block, fuzzN, fuzzBlockSize)
-				for _, wp := range bs.Points {
-					if i := int(wp.P[0]); i < start || i >= end || !wp.P.Equal(ds.Points()[i]) {
-						t.Fatalf("block %d resolved to row %v outside [%d,%d)", bs.Block, wp.P, start, end)
-					}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&pr) != nil || validatePartials(&pr, fuzzBlocks, fuzzN, fuzzBlockSize) != nil {
+			return
+		}
+		cands := make([]core.BlockCandidates, len(pr.Blocks))
+		partials := make([]float64, len(pr.Blocks))
+		for i := range pr.Blocks {
+			cands[i] = pr.Blocks[i].candidates()
+			partials[i] = cands[i].Partial
+		}
+		norm := core.FoldNorm(partials)
+		if !(norm > 0) || math.IsInf(norm, 0) {
+			norm = 1
+		}
+		resolved, err := core.ResolveBlocks(ds, core.Options{TargetSize: fuzzSize, BlockSize: fuzzBlockSize}, norm, cands)
+		if err != nil {
+			t.Fatalf("a validated reply failed to resolve: %v", err)
+		}
+		for _, bs := range resolved {
+			start, end := parallel.BlockRange(bs.Block, fuzzN, fuzzBlockSize)
+			for _, wp := range bs.Points {
+				if i := int(wp.P[0]); i < start || i >= end || !wp.P.Equal(ds.Points()[i]) {
+					t.Fatalf("block %d resolved to row %v outside [%d,%d)", bs.Block, wp.P, start, end)
 				}
 			}
-		}
-
-		var dr DrawResponse
-		if json.NewDecoder(bytes.NewReader(data)).Decode(&dr) == nil {
-			_ = validateDraw(&dr, fuzzBlocks, ds.Dims())
 		}
 	})
 }

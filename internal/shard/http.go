@@ -12,12 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-// HTTP routes the worker side of the shard RPC mounts; the serving layer
-// registers handlers for them and Client posts to them.
-const (
-	PathPartials = "/internal/shard/partials"
-	PathDraw     = "/internal/shard/draw"
-)
+// PathPartials is the HTTP route of the worker side of the shard RPC; the
+// serving layer registers a handler for it and Client posts to it.
+const PathPartials = "/internal/shard/partials"
 
 // TraceHeader carries the coordinator's trace ID on shard RPCs, so a
 // worker's trace ring can be joined against the coordinator's
@@ -25,7 +22,7 @@ const (
 // response it makes).
 const TraceHeader = "X-DBS-Trace"
 
-// Client is an HTTP Shard: the same two RPCs a Local serves in-process,
+// Client is an HTTP Shard: the same RPC a Local serves in-process,
 // posted as JSON to another dbsserve instance running with -shard-of.
 type Client struct {
 	name string
@@ -51,15 +48,6 @@ func (c *Client) Name() string { return c.name }
 func (c *Client) Partials(ctx context.Context, req *PartialsRequest) (*PartialsResponse, error) {
 	resp := new(PartialsResponse)
 	if err := c.post(ctx, PathPartials, req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// Draw implements Shard over HTTP.
-func (c *Client) Draw(ctx context.Context, req *DrawRequest) (*DrawResponse, error) {
-	resp := new(DrawResponse)
-	if err := c.post(ctx, PathDraw, req, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -7,16 +7,15 @@ import (
 
 // Executor is the worker-side compute surface behind a Shard: resolve the
 // request's (dataset, generation, fingerprint) to a local view and
-// estimator, then run the per-block primitives from internal/core. The
+// estimator, then run the one-round primitive from internal/core. The
 // serving layer implements it over its registry and artifact cache.
 type Executor interface {
 	Partials(ctx context.Context, req *PartialsRequest) (*PartialsResponse, error)
-	Draw(ctx context.Context, req *DrawRequest) (*DrawResponse, error)
 }
 
 // Shard is one worker as the coordinator sees it: a name (its ring
-// identity) plus the two RPCs. Implementations must be safe for
-// concurrent calls.
+// identity) plus the RPC. Implementations must be safe for concurrent
+// calls.
 type Shard interface {
 	Name() string
 	Executor
@@ -40,11 +39,6 @@ func (l *Local) Name() string { return l.name }
 // Partials implements Shard.
 func (l *Local) Partials(ctx context.Context, req *PartialsRequest) (*PartialsResponse, error) {
 	return l.ex.Partials(ctx, req)
-}
-
-// Draw implements Shard.
-func (l *Local) Draw(ctx context.Context, req *DrawRequest) (*DrawResponse, error) {
-	return l.ex.Draw(ctx, req)
 }
 
 // RPCError is one failed shard RPC attempt: which shard, which operation,
