@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -41,14 +42,18 @@ const (
 	minGain = 1e-7
 )
 
-// Tree is a trained classifier.
+// Tree is a trained classifier. Induction works on class indices, the
+// positions of the labels in the sorted list of distinct labels, so every
+// per-label sum runs in label order and a weighted tie between labels
+// goes to the smallest: the same examples always grow the same tree.
 type Tree struct {
-	root *node
-	dims int
+	root   *node
+	dims   int
+	labels []int // distinct labels, ascending; a class index points here
 }
 
 type node struct {
-	// leaf payload
+	// leaf payload: a class index until Train maps it back to its label
 	label int
 	// split payload
 	dim         int
@@ -78,21 +83,31 @@ func Train(examples []Example) (*Tree, error) {
 		return nil, errors.New("dtree: zero total weight")
 	}
 	t := &Tree{dims: d}
+	for _, e := range examples {
+		t.labels = append(t.labels, e.Label)
+	}
+	slices.Sort(t.labels)
+	t.labels = slices.Compact(t.labels)
 	work := append([]Example(nil), examples...)
+	for i := range work {
+		work[i].Label, _ = slices.BinarySearch(t.labels, work[i].Label)
+	}
 	t.root = t.grow(work, 0, minLeafFrac*totW)
 	return t, nil
 }
 
-// grow recursively builds the subtree for the given examples; nodes of
-// weight at most minLeaf become leaves.
+// grow recursively builds the subtree for the given examples, whose
+// Label fields hold class indices; nodes of weight at most minLeaf become
+// leaves, labelled with the original label.
 func (t *Tree) grow(ex []Example, depth int, minLeaf float64) *node {
-	label, pure, weight := majority(ex)
+	class, pure, weight := majority(ex, len(t.labels))
+	leaf := &node{label: t.labels[class]}
 	if pure || depth >= maxDepth || weight <= minLeaf {
-		return &node{label: label}
+		return leaf
 	}
-	dim, threshold, gain := bestSplit(ex, t.dims)
+	dim, threshold, gain := bestSplit(ex, t.dims, len(t.labels))
 	if dim < 0 || gain < minGain {
-		return &node{label: label}
+		return leaf
 	}
 	// Partition in place around the threshold.
 	lo, hi := 0, len(ex)
@@ -105,7 +120,7 @@ func (t *Tree) grow(ex []Example, depth int, minLeaf float64) *node {
 		}
 	}
 	if lo == 0 || lo == len(ex) {
-		return &node{label: label}
+		return leaf
 	}
 	return &node{
 		dim:       dim,
@@ -115,27 +130,36 @@ func (t *Tree) grow(ex []Example, depth int, minLeaf float64) *node {
 	}
 }
 
-// majority returns the weighted majority label, whether the node is pure,
-// and the total weight.
-func majority(ex []Example) (label int, pure bool, weight float64) {
-	counts := map[int]float64{}
+// majority returns the weighted majority class of ex, whose Label fields
+// hold class indices below classes: of the classes present, the smallest
+// on a tie. It also returns whether the node is pure and its total
+// weight.
+func majority(ex []Example, classes int) (class int, pure bool, weight float64) {
+	counts := make([]float64, classes)
+	seen := make([]bool, classes)
+	distinct := 0
 	for _, e := range ex {
 		counts[e.Label] += e.W
 		weight += e.W
-	}
-	best := math.Inf(-1)
-	for lb, w := range counts {
-		if w > best {
-			best, label = w, lb
+		if !seen[e.Label] {
+			seen[e.Label] = true
+			distinct++
 		}
 	}
-	return label, len(counts) == 1, weight
+	class = -1
+	for c, w := range counts {
+		if seen[c] && (class < 0 || w > counts[class]) {
+			class = c
+		}
+	}
+	return class, distinct == 1, weight
 }
 
 // bestSplit scans every dimension for the weighted-Gini-optimal binary
-// split, returning (-1, 0, 0) when nothing separates the examples.
-func bestSplit(ex []Example, dims int) (int, float64, float64) {
-	parent := gini(ex)
+// split of ex, whose Label fields hold class indices below classes,
+// returning (-1, 0, 0) when nothing separates the examples.
+func bestSplit(ex []Example, dims, classes int) (int, float64, float64) {
+	parent := gini(ex, classes)
 	var totW float64
 	for _, e := range ex {
 		totW += e.W
@@ -154,8 +178,8 @@ func bestSplit(ex []Example, dims int) (int, float64, float64) {
 		}
 		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
 
-		leftCounts := map[int]float64{}
-		rightCounts := map[int]float64{}
+		leftCounts := make([]float64, classes)
+		rightCounts := make([]float64, classes)
 		var leftW float64
 		for _, x := range vals {
 			rightCounts[x.lb] += x.w
@@ -182,8 +206,8 @@ func bestSplit(ex []Example, dims int) (int, float64, float64) {
 	return bestDim, bestThr, bestGain
 }
 
-func gini(ex []Example) float64 {
-	counts := map[int]float64{}
+func gini(ex []Example, classes int) float64 {
+	counts := make([]float64, classes)
 	var tot float64
 	for _, e := range ex {
 		counts[e.Label] += e.W
@@ -192,7 +216,7 @@ func gini(ex []Example) float64 {
 	return giniCounts(counts, tot)
 }
 
-func giniCounts(counts map[int]float64, tot float64) float64 {
+func giniCounts(counts []float64, tot float64) float64 {
 	if tot == 0 {
 		return 0
 	}

@@ -1,6 +1,8 @@
 package dtree
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -216,5 +218,50 @@ func TestMulticlass(t *testing.T) {
 	pts, labels := split(ex)
 	if acc := tree.Accuracy(pts, labels); acc < 0.98 {
 		t.Errorf("3-class accuracy = %v", acc)
+	}
+}
+
+// describe serializes the subtree under n: each split's dimension and
+// threshold bits, each leaf's label.
+func describe(n *node) string {
+	if n.isLeaf() {
+		return fmt.Sprintf("leaf(%d)", n.label)
+	}
+	return fmt.Sprintf("split(%d,%x,%s,%s)", n.dim, math.Float64bits(n.threshold), describe(n.left), describe(n.right))
+}
+
+// TestTrainDeterministic: one set of weighted examples grows one tree, run
+// after run. Two groups of coincident points hold labels of exactly equal
+// total weight, 3 and 5 on the left and 2, 7 and 9 on the right, so
+// neither group can split and each leaf breaks a weighted tie, which goes
+// to the smallest label.
+func TestTrainDeterministic(t *testing.T) {
+	var ex []Example
+	add := func(p geom.Point, label int, ws ...float64) {
+		for _, w := range ws {
+			ex = append(ex, Example{P: p, Label: label, W: w})
+		}
+	}
+	left, right := geom.Point{0.2, 0.3}, geom.Point{0.8, 0.6}
+	add(left, 5, 0.5, 0.5, 0.5, 0.5, 0.5)
+	add(left, 3, 1.25, 1.25)
+	add(right, 9, 0.25, 0.75, 0.5)
+	add(right, 2, 1, 0.5)
+	add(right, 7, 0.5, 0.5, 0.5)
+	var want string
+	for run := 0; run < 50; run++ {
+		tree, err := Train(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := describe(tree.root)
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d grew %s, run 0 grew %s", run, got, want)
+		}
+		if l, r := tree.Predict(left), tree.Predict(right); l != 3 || r != 2 {
+			t.Fatalf("run %d: tied leaves labelled %d and %d, want the smallest labels 3 and 2", run, l, r)
+		}
 	}
 }

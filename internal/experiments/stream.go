@@ -107,7 +107,7 @@ func expStream(cfg Config) (*Table, error) {
 					return 0, 0, 0, fmt.Errorf("experiments: empty grid sample")
 				}
 				found, err := clusterAndScore(l, pts, 10)
-				return len(pts), budget, found, err
+				return len(pts), res.Bytes, found, err
 			}},
 		}
 		for _, v := range variants {

@@ -23,6 +23,7 @@ package gridsample
 import (
 	"errors"
 	"math"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -37,8 +38,9 @@ type Options struct {
 	// TargetSize is the expected sample size b. Required by Draw.
 	TargetSize int
 
-	// MemoryBytes bounds the hash table (16 bytes per bucket). The
-	// paper's comparison allows 5 MB. Default 5 MB.
+	// MemoryBytes bounds the hash table: it holds the largest power of
+	// two of 16-byte buckets that fits. The paper's comparison allows
+	// 5 MB. Default 5 MB.
 	MemoryBytes int
 }
 
@@ -59,11 +61,15 @@ type Grid struct {
 	collided int
 }
 
+// bucket is one hash-table slot, 16 bytes with its fields in this order.
 type bucket struct {
-	count   int32
 	firstID uint64 // +1; 0 means empty
+	count   int32
 	clash   bool
 }
+
+// bucketBytes is what one bucket costs against MemoryBytes.
+const bucketBytes = int(unsafe.Sizeof(bucket{}))
 
 // BuildGrid scans ds once and returns the occupancy grid over the domain.
 func BuildGrid(ds dataset.Dataset, domain geom.Rect, opts Options) (*Grid, error) {
@@ -74,10 +80,11 @@ func BuildGrid(ds dataset.Dataset, domain geom.Rect, opts Options) (*Grid, error
 	if mem == 0 {
 		mem = 5 << 20
 	}
-	if mem < 16 {
+	if mem < bucketBytes {
 		return nil, errors.New("gridsample: MemoryBytes too small for one bucket")
 	}
-	nb := nextPow2(mem / 16)
+	// The largest power of two of buckets within the budget.
+	nb := nextPow2(mem/bucketBytes+1) / 2
 	d := ds.Dims()
 	if domain.Dims() != d {
 		return nil, errors.New("gridsample: domain dimensionality mismatch")
@@ -161,6 +168,8 @@ type Result struct {
 	DataPasses int
 	// Norm is Σ n_i^e over the points' buckets (the normalizer).
 	Norm float64
+	// Bytes is what the hash table allocated, at most MemoryBytes.
+	Bytes int
 }
 
 // Draw runs the full Palmer-Faloutsos procedure: build the grid (pass 1),
@@ -185,7 +194,7 @@ func Draw(ds dataset.Dataset, domain geom.Rect, opts Options, rng *stats.RNG) (*
 		return nil, errors.New("gridsample: degenerate normalizer")
 	}
 	b := float64(opts.TargetSize)
-	res := &Result{Collisions: gr.collided, DataPasses: 2, Norm: norm}
+	res := &Result{Collisions: gr.collided, DataPasses: 2, Norm: norm, Bytes: len(gr.buckets) * bucketBytes}
 	err = ds.Scan(func(p geom.Point) error {
 		n := float64(gr.Count(p))
 		prob := b / norm * math.Pow(n, opts.Exponent-1)

@@ -3,6 +3,7 @@ package gridsample
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -242,6 +243,30 @@ func TestTopEdgeCellIndexing(t *testing.T) {
 						d, g, p, got)
 				}
 			}
+		}
+	}
+}
+
+// TestGridWithinMemoryBudget: the hash table a budget buys costs at most
+// that budget, and rounding the bucket count down to a power of two keeps
+// more than half of it.
+func TestGridWithinMemoryBudget(t *testing.T) {
+	ds := denseSparse(stats.NewRNG(5))
+	for _, budget := range []int{5 << 20, 65536} {
+		gr, err := BuildGrid(ds, geom.UnitCube(2), Options{MemoryBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := len(gr.buckets) * int(unsafe.Sizeof(bucket{}))
+		if used > budget || 2*used <= budget {
+			t.Errorf("budget %d: %d buckets take %d bytes, want within (%d, %d]", budget, len(gr.buckets), used, budget/2, budget)
+		}
+		res, err := Draw(ds, geom.UnitCube(2), Options{Exponent: 1, TargetSize: 100, MemoryBytes: budget}, stats.NewRNG(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Bytes != used {
+			t.Errorf("budget %d: Draw reports %d bytes, the table takes %d", budget, res.Bytes, used)
 		}
 	}
 }

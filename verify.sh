@@ -74,12 +74,11 @@ go test -run '^$' -fuzz '^FuzzReadUpload$' -fuzztime 10s -parallel 2 ./internal/
 # name and float, including the non-finite values json.Marshal refuses
 # (internal/server/testdata/fuzz/FuzzSampleBody).
 go test -run '^$' -fuzz '^FuzzSampleBody$' -fuzztime 10s -parallel 2 ./internal/server/
-# Fuzz smoke: arbitrary bytes as a shard worker's round-one reply and as
-# its fallback-round reply, through the coordinator's decoding and
-# validation, must never panic; a round-one reply that validates must
-# resolve to rows of its own blocks only; and the hex float encoding
-# must round-trip every bit pattern. The seed corpus holds one real reply
-# of each kind, whole and truncated
+# Fuzz smoke: arbitrary bytes as a shard worker's reply, through the
+# coordinator's decoding and validation, must never panic; a reply that
+# validates must resolve to rows of its own blocks only; and the hex
+# float encoding must round-trip every bit pattern. The seed corpus holds
+# real replies, whole, truncated and with a clipped probability
 # (internal/shard/testdata/fuzz/FuzzShardReply).
 go test -run '^$' -fuzz '^FuzzShardReply$' -fuzztime 10s -parallel 2 ./internal/shard/
 # Fuzz smoke: arbitrary bytes as a DBSK1 estimator payload must decode to
