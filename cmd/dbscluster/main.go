@@ -173,7 +173,7 @@ func writeAssignments(ds dataset.Dataset, clusters []cure.Cluster, path string) 
 			owner = append(owner, ci)
 		}
 	}
-	err = ds.Scan(func(p geom.Point) error {
+	err = dataset.Scan(ds, func(p geom.Point) error {
 		best, bestD := 0, -1.0
 		for ri, r := range reps {
 			d := geom.SquaredDistance(p, r)

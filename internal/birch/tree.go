@@ -254,7 +254,7 @@ func Cluster(ds dataset.Dataset, opts Options) (*Result, error) {
 
 	tr := newTree(d, branch, 0) // the paper starts from threshold T = 0
 	rebuilds := 0
-	err := ds.Scan(func(p geom.Point) error {
+	err := dataset.Scan(ds, func(p geom.Point) error {
 		tr.insert(NewCF(p))
 		if tr.sizeBytes(pageSize) > memory {
 			tr = rebuild(tr, d, branch)

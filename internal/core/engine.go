@@ -11,13 +11,15 @@
 //     returns each block's selections, carved from one arena.
 //
 // A visit is either one counted full pass over the dataset
-// (dataset.ScanBlocksCfg, which brings the data pass, the scan span, the
+// (dataset.ScanBlocks, which brings the data pass, the scan span, the
 // points-scanned counter and progress) or a listed set of global blocks,
-// as a shard worker serves them. Draw, ExactNorm, ExtendDraw, NormPartials,
-// ProposeBlocks and DrawBlocks all run on it, so the single-node and the
-// sharded sample share every step the cross-mode byte-identity argument
-// rests on: one weight expression, one block-order fold (FoldNorm), one
-// coin rule and one stream derivation (DESIGN.md §5h).
+// as a shard worker serves them, each read with dataset.ReadRows, the
+// routine that hands a full pass its blocks. Draw, ExactNorm, ExtendDraw,
+// NormPartials, ProposeBlocks and DrawBlocks all run on it, so the
+// single-node and the sharded sample share every step the cross-mode
+// byte-identity argument rests on: one weight expression, one block-order
+// fold (FoldNorm), one coin rule and one stream derivation (DESIGN.md
+// §5h).
 package core
 
 import (
@@ -109,10 +111,10 @@ func (e *engine) slots() int {
 // visit calls fn for every block of the engine's visit on the options'
 // worker budget. slot is where the block's result goes: the block index
 // on a full pass, its position in the list otherwise. start is the
-// block's offset in ds.
+// block's offset in ds; pts is only valid during the call.
 func (e *engine) visit(fn func(slot, block, start int, pts []geom.Point) error) error {
 	if !e.listed {
-		return dataset.ScanBlocksCfg(e.ds, dataset.ScanConfig{
+		return dataset.ScanBlocks(e.ds, dataset.ScanConfig{
 			BlockSize:   e.opts.BlockSize,
 			Parallelism: e.opts.Parallelism,
 			Ctx:         e.opts.Ctx,
@@ -125,11 +127,9 @@ func (e *engine) visit(fn func(slot, block, start int, pts []geom.Point) error) 
 	n := e.ds.Len()
 	return parallel.DoCtxObs(e.opts.Ctx, len(e.blocks), e.opts.Parallelism, e.opts.Obs, func(j int) error {
 		start, end := parallel.BlockRange(e.blocks[j], n, e.opts.BlockSize)
-		pts, err := blockPoints(e.ds, start, end)
-		if err != nil {
-			return err
-		}
-		return fn(j, e.blocks[j], start, pts)
+		return dataset.ReadRows(e.ds, start, end, func(pts []geom.Point) error {
+			return fn(j, e.blocks[j], start, pts)
+		})
 	})
 }
 
@@ -193,7 +193,7 @@ func (e *engine) weigh(keep bool) ([]float64, error) {
 }
 
 // release returns the kept weight cache to keptPool. Both visits wait for
-// every worker before returning (dataset.ScanBlocksCfg, parallel.DoCtxObs),
+// every worker before returning (dataset.ScanBlocks, parallel.DoCtxObs),
 // so once weigh and flip have returned — cancelled or not — nothing
 // touches the cache any more.
 func (e *engine) release() {

@@ -50,33 +50,6 @@ type BlockSample struct {
 // is left in the same state either way.
 func DrawStreamBase(rng *stats.RNG) uint64 { return rng.Uint64() }
 
-// blockPoints returns the row view of points [start, end). Sliceable
-// datasets (every memory-resident or mapped dataset in this repository,
-// including generation-pinned views) hand back a subslice of their stable
-// snapshot; RangeScanner datasets decode the range into fresh storage.
-func blockPoints(ds dataset.Dataset, start, end int) ([]geom.Point, error) {
-	if sl, ok := ds.(dataset.Sliceable); ok {
-		if pts := sl.Points(); len(pts) >= end {
-			return pts[start:end], nil
-		}
-	}
-	rs, ok := ds.(dataset.RangeScanner)
-	if !ok {
-		return nil, fmt.Errorf("core: sharded draw requires a Sliceable or RangeScanner dataset, got %T", ds)
-	}
-	buf := make([]geom.Point, 0, end-start)
-	if err := rs.ScanRange(start, end, func(p geom.Point) error {
-		buf = append(buf, p.Clone())
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if len(buf) != end-start {
-		return nil, fmt.Errorf("core: range scan of [%d,%d) delivered %d points", start, end, len(buf))
-	}
-	return buf, nil
-}
-
 // NormPartials computes the per-block partial normalizer sums
 // k_a(block) = Σ_{x ∈ block} max(f(x), floor)^a for the given global block
 // indices, returning them parallel to blocks. Each partial accumulates its
@@ -315,15 +288,17 @@ func ResolveBlocks(ds dataset.Dataset, opts Options, norm float64, cands []Block
 				count++
 			}
 		}
-		var pts []geom.Point
+		var sel []dataset.WeightedPoint
 		if count > 0 {
-			var err error
-			if pts, err = blockPoints(ds, start, end); err != nil {
+			if err := dataset.ReadRows(ds, start, end, func(pts []geom.Point) error {
+				sel = fillBlockSample(arena, pts, sc, count)
+				return nil
+			}); err != nil {
 				coinScratchPool.Put(sc)
 				return nil, err
 			}
 		}
-		out[i] = BlockSample{Block: c.Block, Points: fillBlockSample(arena, pts, sc, count), Saturated: sat}
+		out[i] = BlockSample{Block: c.Block, Points: sel, Saturated: sat}
 		coinScratchPool.Put(sc)
 		cCoins.Add(int64(end - start))
 		cSat.Add(int64(sat))

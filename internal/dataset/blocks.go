@@ -1,14 +1,9 @@
 package dataset
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -22,94 +17,20 @@ import (
 // callers need not import the scheduling package to test for it.
 var ErrCanceled = parallel.ErrCanceled
 
-// RangeScanner is implemented by datasets that can scan an arbitrary
-// index range [start, end) independently of a full pass. ScanRange must be
-// safe for concurrent use — each call owns its own cursor (a slice index,
-// a private file handle) — which is what allows block scans to read many
-// ranges of one dataset at the same time. ScanRange does not count toward
-// Passes; the pass bookkeeping belongs to the orchestrating scan.
-type RangeScanner interface {
-	Dataset
-	ScanRange(start, end int, fn func(p geom.Point) error) error
-}
-
-// PassCounter lets ScanBlocks charge exactly one logical pass to the
-// dataset types that track passes. It is exported so wrappers (fault
-// injectors, instrumentation) can delegate the charge to the dataset
-// they wrap instead of losing the bookkeeping.
-type PassCounter interface{ AddPass() }
-
-// AddPass charges one logical dataset pass.
-func (m *InMemory) AddPass() { m.passes.Add(1) }
-
-// AddPass charges one logical dataset pass.
-func (fb *FileBacked) AddPass() { fb.passes.Add(1) }
-
-// ScanRange implements RangeScanner over the backing slice. The range is
-// resolved against the snapshot current at call time.
-func (m *InMemory) ScanRange(start, end int, fn func(p geom.Point) error) error {
-	pts := m.Points()
-	if err := checkRange(start, end, len(pts)); err != nil {
-		return err
-	}
-	for _, p := range pts[start:end] {
-		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanRange implements RangeScanner by opening a private handle, seeking
-// to the range start, and streaming the rows through a buffered reader, so
-// concurrent block scans each read ahead within their own region of the
-// file instead of interleaving one-point reads.
-func (fb *FileBacked) ScanRange(start, end int, fn func(p geom.Point) error) error {
-	if err := checkRange(start, end, fb.count); err != nil {
-		return err
-	}
-	if start == end {
-		return nil
-	}
-	f, err := os.Open(fb.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rowSize := 8 * fb.dims
-	if _, err := f.Seek(int64(16+start*rowSize), io.SeekStart); err != nil {
-		return err
-	}
-	bufSize := (end - start) * rowSize
-	if bufSize > 1<<20 {
-		bufSize = 1 << 20
-	}
-	br := bufio.NewReaderSize(f, bufSize)
-	row := make([]byte, rowSize)
-	p := make(geom.Point, fb.dims)
-	for i := start; i < end; i++ {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return fmt.Errorf("dataset: %s: point %d: %w", fb.path, i, err)
-		}
-		for j := range p {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
-		}
-		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
 func checkRange(start, end, n int) error {
 	if start < 0 || end < start || end > n {
 		return fmt.Errorf("dataset: range [%d, %d) out of [0, %d)", start, end, n)
+	}
+	return nil
+}
+
+// eachPoint is ScanRange over resident rows: fn for every point of pts,
+// with ErrStopScan ending the read cleanly.
+func eachPoint(pts []geom.Point, fn func(p geom.Point) error) error {
+	for _, p := range pts {
+		if err := fn(p); err != nil {
+			return stopToNil(err)
+		}
 	}
 	return nil
 }
@@ -138,29 +59,36 @@ func (b *blockBuf) fit(n, dims int) {
 	}
 }
 
-// ScanBlocks performs one logical pass over ds as a sequence of index
-// blocks, invoking fn(block, start, pts) once per block with the block's
-// points. Blocks are fixed by the dataset length and block size alone
-// (parallel.BlockRange), never by the worker count, so a reduction that
-// combines per-block results in block order is deterministic for any
-// parallelism.
-//
-// With parallelism other than 1 and a RangeScanner dataset, blocks run
-// concurrently on a bounded worker pool and fn must be safe for concurrent
-// invocation. The pts slice (and its points) is only valid during the call;
-// retain with Clone. Any other Dataset falls back to a single sequential
-// scan that buffers one block at a time (fn is then called serially, in
-// block order, whatever the requested parallelism).
-//
-// The whole call counts as one pass. A block callback returning ErrStopScan
-// stops the scheduling of further blocks and ScanBlocks returns nil; any
-// other error aborts the scan and is returned.
-func ScanBlocks(ds Dataset, blockSize, parallelism int, fn func(block, start int, pts []geom.Point) error) error {
-	return ScanBlocksCfg(ds, ScanConfig{BlockSize: blockSize, Parallelism: parallelism}, fn)
+// ReadRows hands fn the rows [start, end) of ds as one slice: a subslice
+// of the resident snapshot when ds is Sliceable and the snapshot covers
+// the range, otherwise the range read with ds.ScanRange into a pooled
+// block buffer. The slice (and its points) is only valid during the call;
+// retain with Clone. fn's error is returned unchanged. It charges no pass.
+func ReadRows(ds Dataset, start, end int, fn func(pts []geom.Point) error) error {
+	if sl, ok := ds.(Sliceable); ok {
+		if pts := sl.Points(); len(pts) >= end {
+			return fn(pts[start:end])
+		}
+	}
+	buf := blockBufPool.Get().(*blockBuf)
+	defer blockBufPool.Put(buf)
+	buf.fit(end-start, ds.Dims())
+	i := 0
+	if err := ds.ScanRange(start, end, func(p geom.Point) error {
+		copy(buf.pts[i], p)
+		i++
+		return nil
+	}); err != nil {
+		return err
+	}
+	if i != end-start {
+		return fmt.Errorf("dataset: range [%d, %d) yielded %d points", start, end, i)
+	}
+	return fn(buf.pts)
 }
 
-// ScanConfig configures a block scan beyond the block size and worker
-// budget. The zero value matches ScanBlocks' defaults.
+// ScanConfig configures a block scan. The zero value is the default block
+// size on all CPUs, uncancelled and unrecorded.
 type ScanConfig struct {
 	// BlockSize is the points per block (0 = parallel.DefaultBlockSize).
 	BlockSize int
@@ -184,12 +112,23 @@ type ScanConfig struct {
 	Progress func(done, total int)
 }
 
-// ScanBlocksCfg is ScanBlocks with observability and progress reporting.
-func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []geom.Point) error) error {
+// ScanBlocks performs one logical pass over ds as a sequence of index
+// blocks, invoking fn(block, start, pts) once per block with the block's
+// rows as ReadRows delivers them. Blocks are fixed by the dataset length
+// and block size alone (parallel.BlockRange), never by the worker count,
+// so a reduction that combines per-block results in block order is
+// deterministic for any parallelism.
+//
+// Blocks run on a bounded worker pool, concurrently unless cfg.Parallelism
+// is 1, so fn must be safe for concurrent invocation. The pts slice (and
+// its points) is only valid during the call; retain with Clone.
+//
+// The whole call counts as one pass. A block callback returning ErrStopScan
+// stops the scheduling of further blocks and ScanBlocks returns nil; any
+// other error aborts the scan and is returned.
+func ScanBlocks(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []geom.Point) error) error {
 	n := ds.Len()
-	if pc, ok := ds.(PassCounter); ok {
-		pc.AddPass()
-	}
+	ds.AddPass()
 	// Each logical pass is one "scan" span of cfg.Rec, carrying the
 	// dataset's points, and so one "scan" event in a traced request's log:
 	// a cache-hit request performs no passes and therefore shows zero
@@ -197,8 +136,6 @@ func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []g
 	span := cfg.Rec.StartSpan("scan")
 	span.AddPoints(int64(n))
 	defer span.End()
-	blockSize := parallel.BlockSize(cfg.BlockSize)
-	parallelism := cfg.Parallelism
 
 	if cfg.Rec != nil || cfg.Progress != nil {
 		cfg.Rec.Counter(obs.CtrDataPasses).Inc()
@@ -217,90 +154,14 @@ func ScanBlocksCfg(ds Dataset, cfg ScanConfig, fn func(block, start int, pts []g
 		}
 	}
 
-	if sl, ok := ds.(Sliceable); ok {
-		// Blocks are subslices of the resident array: zero copies. The
-		// slice is snapshotted once, so a concurrent append never changes
-		// the blocks this pass delivers. (InMemory and the generation-
-		// pinned views both take this path.)
-		if pts := sl.Points(); len(pts) >= n {
-			return stopToNil(parallel.BlocksCtxObs(cfg.Ctx, n, blockSize, parallelism, cfg.Rec, func(b, start, end int) error {
-				return fn(b, start, pts[start:end])
-			}))
-		}
-	}
-
-	if rs, ok := ds.(RangeScanner); ok {
-		dims := ds.Dims()
-		return stopToNil(parallel.BlocksCtxObs(cfg.Ctx, n, blockSize, parallelism, cfg.Rec, func(b, start, end int) error {
-			buf := blockBufPool.Get().(*blockBuf)
-			defer blockBufPool.Put(buf)
-			buf.fit(end-start, dims)
-			i := 0
-			if err := rs.ScanRange(start, end, func(p geom.Point) error {
-				copy(buf.pts[i], p)
-				i++
-				return nil
-			}); err != nil {
-				return err
-			}
-			if i != end-start {
-				return fmt.Errorf("dataset: block %d yielded %d of %d points", b, i, end-start)
-			}
-			return fn(b, start, buf.pts)
-		}))
-	}
-
-	// Fallback: one sequential scan, buffered block by block. Parallelism
-	// is ignored — without range access there is no safe way to split the
-	// pass — but block boundaries and callback order match the parallel
-	// layout exactly, so results are identical.
-	buf := blockBufPool.Get().(*blockBuf)
-	defer blockBufPool.Put(buf)
-	dims := ds.Dims()
-	block, fill := 0, 0
-	stopped := false
-	err := ds.Scan(func(p geom.Point) error {
-		if fill == 0 {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return fmt.Errorf("%w: %w", ErrCanceled, cfg.Ctx.Err())
-			}
-			start, end := parallel.BlockRange(block, n, blockSize)
-			buf.fit(end-start, dims)
-		}
-		copy(buf.pts[fill], p)
-		fill++
-		if fill == len(buf.pts) {
-			start, _ := parallel.BlockRange(block, n, blockSize)
-			if err := fn(block, start, buf.pts); err != nil {
-				if errors.Is(err, ErrStopScan) {
-					stopped = true
-				}
-				return err
-			}
-			block++
-			fill = 0
-		}
-		return nil
-	})
-	if stopped {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if fill > 0 {
-		// The dataset yielded fewer points than Len() promised; hand over
-		// the partial tail block rather than dropping it.
-		start, _ := parallel.BlockRange(block, n, blockSize)
-		if err := fn(block, start, buf.pts[:fill]); err != nil && !errors.Is(err, ErrStopScan) {
-			return err
-		}
-	}
-	return nil
+	return stopToNil(parallel.BlocksCtxObs(cfg.Ctx, n, parallel.BlockSize(cfg.BlockSize), cfg.Parallelism, cfg.Rec, func(b, start, end int) error {
+		return ReadRows(ds, start, end, func(pts []geom.Point) error {
+			return fn(b, start, pts)
+		})
+	}))
 }
 
-// stopToNil converts a block callback's ErrStopScan into a clean stop, the
-// same contract Scan has for its callback.
+// stopToNil converts a callback's ErrStopScan into a clean stop.
 func stopToNil(err error) error {
 	if errors.Is(err, ErrStopScan) {
 		return nil

@@ -10,8 +10,8 @@ import (
 	"repro/internal/geom"
 )
 
-// Every ScanBlocksCfg code path — in-memory, file-backed range scan, and
-// the sequential fallback — must honour Ctx and surface the typed error.
+// Both ScanBlocks read paths — resident subslices and decoded ranges —
+// must honour Ctx and surface the typed error.
 func TestScanBlocksCtxCanceled(t *testing.T) {
 	pts := testPoints(1000, 2)
 	mem := MustInMemory(pts)
@@ -26,13 +26,12 @@ func TestScanBlocksCtxCanceled(t *testing.T) {
 	datasets := map[string]Dataset{
 		"inmemory":   mem,
 		"filebacked": fb,
-		"fallback":   scanOnly{inner: mem},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, ds := range datasets {
 		var blocks atomic.Int32
-		err := ScanBlocksCfg(ds, ScanConfig{BlockSize: 64, Parallelism: 4, Ctx: ctx},
+		err := ScanBlocks(ds, ScanConfig{BlockSize: 64, Parallelism: 4, Ctx: ctx},
 			func(block, start int, blk []geom.Point) error {
 				blocks.Add(1)
 				return nil
@@ -53,7 +52,7 @@ func TestScanBlocksCtxLive(t *testing.T) {
 	pts := testPoints(300, 2)
 	mem := MustInMemory(pts)
 	var seen atomic.Int64
-	err := ScanBlocksCfg(mem, ScanConfig{BlockSize: 64, Parallelism: 4, Ctx: context.Background()},
+	err := ScanBlocks(mem, ScanConfig{BlockSize: 64, Parallelism: 4, Ctx: context.Background()},
 		func(block, start int, blk []geom.Point) error {
 			seen.Add(int64(len(blk)))
 			return nil

@@ -44,7 +44,7 @@ func WriteBinary(w io.Writer, ds Dataset) error {
 		return err
 	}
 	buf := make([]byte, 8*ds.Dims())
-	err := ds.Scan(func(p geom.Point) error {
+	err := Scan(ds, func(p geom.Point) error {
 		for i, v := range p {
 			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 		}
@@ -145,21 +145,34 @@ func OpenFile(path string) (*FileBacked, error) {
 	return &FileBacked{path: path, dims: dims, count: count}, nil
 }
 
-// Scan implements Dataset by streaming the file once.
-func (fb *FileBacked) Scan(fn func(p geom.Point) error) error {
-	fb.passes.Add(1)
+// ScanRange implements Dataset by opening a private handle, seeking to
+// the range start, and streaming the rows through a buffered reader, so
+// concurrent block scans each read ahead within their own region of the
+// file instead of interleaving one-point reads.
+func (fb *FileBacked) ScanRange(start, end int, fn func(p geom.Point) error) error {
+	if err := checkRange(start, end, fb.count); err != nil {
+		return err
+	}
+	if start == end {
+		return nil
+	}
 	f, err := os.Open(fb.path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if _, err := br.Discard(16); err != nil {
+	rowSize := 8 * fb.dims
+	if _, err := f.Seek(int64(16+start*rowSize), io.SeekStart); err != nil {
 		return err
 	}
-	row := make([]byte, 8*fb.dims)
+	bufSize := (end - start) * rowSize
+	if bufSize > 1<<20 {
+		bufSize = 1 << 20
+	}
+	br := bufio.NewReaderSize(f, bufSize)
+	row := make([]byte, rowSize)
 	p := make(geom.Point, fb.dims)
-	for i := 0; i < fb.count; i++ {
+	for i := start; i < end; i++ {
 		if _, err := io.ReadFull(br, row); err != nil {
 			return fmt.Errorf("dataset: %s: point %d: %w", fb.path, i, err)
 		}
@@ -167,10 +180,7 @@ func (fb *FileBacked) Scan(fn func(p geom.Point) error) error {
 			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
 		}
 		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
+			return stopToNil(err)
 		}
 	}
 	return nil
@@ -185,11 +195,14 @@ func (fb *FileBacked) Dims() int { return fb.dims }
 // Passes implements Dataset.
 func (fb *FileBacked) Passes() int { return int(fb.passes.Load()) }
 
+// AddPass implements Dataset.
+func (fb *FileBacked) AddPass() { fb.passes.Add(1) }
+
 // WriteCSV streams ds as comma-separated rows, one point per line, for
 // interoperability with plotting tools.
 func WriteCSV(w io.Writer, ds Dataset) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	err := ds.Scan(func(p geom.Point) error {
+	err := Scan(ds, func(p geom.Point) error {
 		for i, v := range p {
 			if i > 0 {
 				if err := bw.WriteByte(','); err != nil {

@@ -102,13 +102,13 @@ func TestFileBackedTruncatedRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("header itself is intact, open should succeed: %v", err)
 	}
-	if err := fb.Scan(func(geom.Point) error { return nil }); err == nil {
+	if err := Scan(fb, func(geom.Point) error { return nil }); err == nil {
 		t.Error("Scan completed over truncated rows")
 	}
 	if err := fb.ScanRange(0, fb.Len(), func(geom.Point) error { return nil }); err == nil {
 		t.Error("ScanRange completed over truncated rows")
 	}
-	if err := ScanBlocks(fb, 2, 4, func(int, int, []geom.Point) error { return nil }); err == nil {
+	if err := ScanBlocks(fb, ScanConfig{BlockSize: 2, Parallelism: 4}, func(int, int, []geom.Point) error { return nil }); err == nil {
 		t.Error("ScanBlocks completed over truncated rows")
 	}
 }

@@ -47,11 +47,11 @@ func (c *colBuf) fit(n, dims int) [][]float64 {
 	return c.cols
 }
 
-// ScanBlocksCols is ScanBlocksCfg with a columnar callback: each block is
+// ScanBlocksCols is ScanBlocks with a columnar callback: each block is
 // delivered as a Block carrying the row view plus the transposed column
 // slab. Block boundaries, ordering guarantees, pass accounting,
 // cancellation, and the one-pass contract are exactly those of
-// ScanBlocksCfg — the column view is a per-block transpose into a pooled
+// ScanBlocks — the column view is a per-block transpose into a pooled
 // slab, so a scan allocates nothing in steady state. It works over any
 // Dataset, including the window and generation-pinned views, which is how
 // Window and GenView expose columns.
@@ -60,11 +60,11 @@ func (c *colBuf) fit(n, dims int) [][]float64 {
 // run concurrently with the same safety rules as ScanBlocks.
 //
 // No pipeline path calls it: the sampler and the sharded draw evaluate
-// densities over the row view from ScanBlocksCfg. It remains for the
+// densities over the row view from ScanBlocks. It remains for the
 // repository benchmark, whose dataset.scan_ms replay times it.
 func ScanBlocksCols(ds Dataset, cfg ScanConfig, fn func(b Block) error) error {
 	dims := ds.Dims()
-	return ScanBlocksCfg(ds, cfg, func(block, start int, pts []geom.Point) error {
+	return ScanBlocks(ds, cfg, func(block, start int, pts []geom.Point) error {
 		buf := colBufPool.Get().(*colBuf)
 		defer colBufPool.Put(buf)
 		cols := buf.fit(len(pts), dims)

@@ -1,9 +1,11 @@
 // Package dataset defines the dataset abstraction the sampling and mining
 // algorithms operate on. The paper's efficiency claims are stated in terms
 // of sequential passes over a large dataset ("requires one or two additional
-// passes", §1); Scan is therefore the only access primitive, and every
-// implementation counts the passes made so tests and benchmarks can assert
-// the exact pass budget of each algorithm.
+// passes", §1). A Dataset therefore has one read method, ScanRange, and
+// every pass goes through one of two functions that charge it: Scan, one
+// sequential pass, and ScanBlocks, one pass as parallel blocks. Every
+// implementation counts the passes charged so tests and benchmarks can
+// assert the exact pass budget of each algorithm.
 //
 // The package also provides the two uniform sampling primitives the paper
 // builds on: Bernoulli (sequential coin-flip) sampling, which is what §4.2
@@ -21,20 +23,24 @@ import (
 	"repro/internal/geom"
 )
 
-// ErrStopScan may be returned by a Scan callback to end the pass early
+// ErrStopScan may be returned by a read callback to end the read early
 // without reporting an error to the caller.
 var ErrStopScan = errors.New("dataset: stop scan")
 
-// Dataset is a finite multiset of d-dimensional points that supports
-// sequential scans. Implementations must allow any number of passes and
-// must yield points in a deterministic order.
+// Dataset is a finite multiset of d-dimensional points in a deterministic
+// order. Implementations must allow any number of reads.
 type Dataset interface {
-	// Scan performs one sequential pass, invoking fn for every point.
-	// The Point passed to fn is only valid for the duration of the call;
-	// callbacks that retain points must Clone them. If fn returns
-	// ErrStopScan the pass ends early and Scan returns nil; any other
-	// error aborts the pass and is returned verbatim.
-	Scan(fn func(p geom.Point) error) error
+	// ScanRange invokes fn for every point of the index range
+	// [start, end), in index order. The Point passed to fn is only valid
+	// for the duration of the call; callbacks that retain points must
+	// Clone them. If fn returns ErrStopScan the read ends early and
+	// ScanRange returns nil; any other error aborts the read and is
+	// returned verbatim. ScanRange must be safe for concurrent use —
+	// each call owns its own cursor (a slice index, a private file
+	// handle) — which is what lets a block scan read many ranges of one
+	// dataset at once. It charges no pass: Scan and ScanBlocks charge
+	// the one pass of the read they orchestrate.
+	ScanRange(start, end int, fn func(p geom.Point) error) error
 
 	// Len returns the number of points.
 	Len() int
@@ -42,9 +48,19 @@ type Dataset interface {
 	// Dims returns the dimensionality of the points.
 	Dims() int
 
-	// Passes returns how many scans have been started since creation
-	// (early-stopped scans count as one pass).
+	// Passes returns how many passes have been charged since creation
+	// (early-stopped passes count as one).
 	Passes() int
+
+	// AddPass charges one logical pass.
+	AddPass()
+}
+
+// Scan performs one sequential pass over ds: it charges the pass, then
+// reads every point in order with ds.ScanRange, whose contract fn follows.
+func Scan(ds Dataset, fn func(p geom.Point) error) error {
+	ds.AddPass()
+	return ds.ScanRange(0, ds.Len(), fn)
 }
 
 // InMemory is a Dataset backed by a point slice. The pass counter is
@@ -113,20 +129,15 @@ func MustInMemory(pts []geom.Point) *InMemory {
 	return ds
 }
 
-// Scan implements Dataset. The pass runs over the snapshot current when
-// it starts; a concurrent Append never changes the points it delivers.
-func (m *InMemory) Scan(fn func(p geom.Point) error) error {
-	m.passes.Add(1)
-	st := m.state.Load()
-	for _, p := range st.pts[:st.counts[len(st.counts)-1]] {
-		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
+// ScanRange implements Dataset over the backing slice. The range is
+// resolved against the snapshot current at call time; a concurrent Append
+// never changes the points it delivers.
+func (m *InMemory) ScanRange(start, end int, fn func(p geom.Point) error) error {
+	pts := m.Points()
+	if err := checkRange(start, end, len(pts)); err != nil {
+		return err
 	}
-	return nil
+	return eachPoint(pts[start:end], fn)
 }
 
 // Len implements Dataset.
@@ -140,6 +151,9 @@ func (m *InMemory) Dims() int { return m.dims }
 
 // Passes implements Dataset.
 func (m *InMemory) Passes() int { return int(m.passes.Load()) }
+
+// AddPass implements Dataset.
+func (m *InMemory) AddPass() { m.passes.Add(1) }
 
 // Points exposes the backing slice for algorithms that have already paid
 // for materialization (e.g. clustering a sample). Callers must not mutate.
@@ -205,7 +219,7 @@ func (m *InMemory) GenFingerprint(g uint64, parallelism int) (uint64, error) {
 // Collect materializes any Dataset into memory with one pass.
 func Collect(ds Dataset) (*InMemory, error) {
 	pts := make([]geom.Point, 0, ds.Len())
-	err := ds.Scan(func(p geom.Point) error {
+	err := Scan(ds, func(p geom.Point) error {
 		pts = append(pts, p.Clone())
 		return nil
 	})
@@ -219,7 +233,7 @@ func Collect(ds Dataset) (*InMemory, error) {
 func Bounds(ds Dataset) (geom.Rect, error) {
 	var r geom.Rect
 	first := true
-	err := ds.Scan(func(p geom.Point) error {
+	err := Scan(ds, func(p geom.Point) error {
 		if first {
 			r = geom.Rect{Min: p.Clone(), Max: p.Clone()}
 			first = false

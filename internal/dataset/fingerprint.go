@@ -50,7 +50,7 @@ func Fingerprint(ds Dataset, parallelism int) (uint64, error) {
 	// the parallel scan exact.
 	rowSize := 8 * dims
 	blockSums := make([]uint64, parallel.NumBlocks(n, parallel.BlockSize(0)))
-	err := ScanBlocks(ds, 0, parallelism, func(block, start int, pts []geom.Point) error {
+	err := ScanBlocks(ds, ScanConfig{Parallelism: parallelism}, func(block, start int, pts []geom.Point) error {
 		h := uint64(fnvOffset64)
 		buf := make([]byte, rowSize)
 		for _, p := range pts {

@@ -49,13 +49,6 @@ func TestFingerprintSameAcrossImplementations(t *testing.T) {
 	if a != b {
 		t.Errorf("in-memory %#x != file-backed %#x over identical points", a, b)
 	}
-	c, err := Fingerprint(scanOnly{inner: mem}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != c {
-		t.Errorf("in-memory %#x != fallback scanner %#x over identical points", a, c)
-	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {

@@ -43,14 +43,11 @@ type Appendable interface {
 
 // Interface conformance, checked at compile time.
 var (
-	_ Appendable   = (*InMemory)(nil)
-	_ Appendable   = (*SegmentFile)(nil)
-	_ Sliceable    = (*InMemory)(nil)
-	_ RangeScanner = (*window)(nil)
-	_ RangeScanner = (*SegmentFile)(nil)
-	_ Sliceable    = (*SegmentFile)(nil)
-	_ Sliceable    = (*sliceWindow)(nil)
-	_ PassCounter  = (*window)(nil)
+	_ Appendable = (*InMemory)(nil)
+	_ Appendable = (*SegmentFile)(nil)
+	_ Sliceable  = (*InMemory)(nil)
+	_ Sliceable  = (*SegmentFile)(nil)
+	_ Sliceable  = (*sliceWindow)(nil)
 
 	_ PinnedSliceable = (*SegmentFile)(nil)
 )
@@ -80,13 +77,11 @@ type PinnedSliceable interface {
 }
 
 // window is a frozen read-only view of the half-open index range
-// [start, end) of a range-scannable dataset. Scans of the window charge a
-// pass to the parent dataset (the view adds no storage of its own), and
-// Passes reports the parent's counter.
+// [start, end) of a dataset. Passes over the window are charged to the
+// parent dataset (the view adds no storage of its own), and Passes
+// reports the parent's counter.
 type window struct {
 	src        Dataset
-	rs         RangeScanner
-	pc         PassCounter // nil when the parent does not track passes
 	start, end int
 }
 
@@ -103,61 +98,27 @@ type sliceWindow struct {
 // Points implements Sliceable over the pinned backing range.
 func (w *sliceWindow) Points() []geom.Point { return w.pts }
 
-// Scan iterates the pinned rows directly rather than delegating to the
-// parent: the pin guarantees the memory stays valid after the parent
-// closes, while a delegated range scan would fail with ErrClosed. The pass
-// is still charged to the parent's counter — the view adds no storage.
-func (w *sliceWindow) Scan(fn func(p geom.Point) error) error {
-	if w.pc != nil {
-		w.pc.AddPass()
-	}
-	for _, p := range w.pts {
-		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanRange implements RangeScanner over the pinned rows; like the plain
-// window's ScanRange it does not charge a pass (block scans account their
-// own single pass at a higher level).
+// ScanRange implements Dataset over the pinned rows directly rather than
+// delegating to the parent: the pin guarantees the memory stays valid
+// after the parent closes, while a delegated read would fail with
+// ErrClosed.
 func (w *sliceWindow) ScanRange(start, end int, fn func(p geom.Point) error) error {
 	if err := checkRange(start, end, len(w.pts)); err != nil {
 		return err
 	}
-	for _, p := range w.pts[start:end] {
-		if err := fn(p); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return eachPoint(w.pts[start:end], fn)
 }
 
 // Window returns a read-only Dataset view of the half-open range
-// [start, end) of ds, which must implement RangeScanner. The view is
-// frozen: if ds grows afterwards the view still covers exactly the rows it
-// was created over. Views compose (a window of a window re-offsets), and a
-// view over a Sliceable parent is itself Sliceable, keeping the zero-copy
-// block-scan fast path.
+// [start, end) of ds. The view is frozen: if ds grows afterwards the view
+// still covers exactly the rows it was created over. Views compose (a
+// window of a window re-offsets), and a view over a Sliceable parent is
+// itself Sliceable, keeping the zero-copy block-scan fast path.
 func Window(ds Dataset, start, end int) (Dataset, error) {
-	rs, ok := ds.(RangeScanner)
-	if !ok {
-		return nil, fmt.Errorf("dataset: Window requires a RangeScanner, got %T", ds)
-	}
 	if err := checkRange(start, end, ds.Len()); err != nil {
 		return nil, err
 	}
-	w := window{src: ds, rs: rs, start: start, end: end}
-	if pc, ok := ds.(PassCounter); ok {
-		w.pc = pc
-	}
+	w := window{src: ds, start: start, end: end}
 	if ps, ok := ds.(PinnedSliceable); ok {
 		// Take a storage pin with the snapshot so the view stays readable
 		// even if the parent is closed underneath it; the pin is released
@@ -182,15 +143,6 @@ func Window(ds Dataset, start, end int) (Dataset, error) {
 	return &w, nil
 }
 
-// Scan implements Dataset: one pass over the window, charged to the
-// parent's pass counter.
-func (w *window) Scan(fn func(p geom.Point) error) error {
-	if w.pc != nil {
-		w.pc.AddPass()
-	}
-	return w.rs.ScanRange(w.start, w.end, fn)
-}
-
 // Len implements Dataset.
 func (w *window) Len() int { return w.end - w.start }
 
@@ -201,19 +153,15 @@ func (w *window) Dims() int { return w.src.Dims() }
 // shares the parent's storage, so its passes are passes over the parent.
 func (w *window) Passes() int { return w.src.Passes() }
 
-// AddPass delegates the pass charge to the parent.
-func (w *window) AddPass() {
-	if w.pc != nil {
-		w.pc.AddPass()
-	}
-}
+// AddPass implements Dataset, charging the parent.
+func (w *window) AddPass() { w.src.AddPass() }
 
-// ScanRange implements RangeScanner, re-offset into the parent.
+// ScanRange implements Dataset, re-offset into the parent.
 func (w *window) ScanRange(start, end int, fn func(p geom.Point) error) error {
 	if err := checkRange(start, end, w.end-w.start); err != nil {
 		return err
 	}
-	return w.rs.ScanRange(w.start+start, w.start+end, fn)
+	return w.src.ScanRange(w.start+start, w.start+end, fn)
 }
 
 // GenView returns a frozen view of a at generation g: exactly the points
@@ -302,7 +250,7 @@ func (m *fpMemo) advance(a Appendable, target, parallelism int) error {
 		h := m.sums[len(m.sums)-1]
 		m.sums = m.sums[:len(m.sums)-1]
 		buf := make([]byte, rowSize)
-		err = w.Scan(func(p geom.Point) error {
+		err = Scan(w, func(p geom.Point) error {
 			for j, v := range p {
 				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
 			}
@@ -327,7 +275,7 @@ func (m *fpMemo) advance(a Appendable, target, parallelism int) error {
 	}
 	firstBlock := m.count / blockSize
 	blockSums := make([]uint64, parallel.NumBlocks(target-m.count, blockSize))
-	err = ScanBlocks(w, blockSize, parallelism, func(block, start int, pts []geom.Point) error {
+	err = ScanBlocks(w, ScanConfig{Parallelism: parallelism}, func(block, start int, pts []geom.Point) error {
 		h := uint64(fnvOffset64)
 		buf := make([]byte, rowSize)
 		for _, p := range pts {

@@ -35,7 +35,7 @@ func openBoth(t *testing.T, path string) (mapped, decoded *SegmentFile) {
 func scanAll(t *testing.T, ds Dataset) []geom.Point {
 	t.Helper()
 	var out []geom.Point
-	if err := ds.Scan(func(p geom.Point) error {
+	if err := Scan(ds, func(p geom.Point) error {
 		out = append(out, p.Clone())
 		return nil
 	}); err != nil {
@@ -173,7 +173,7 @@ func TestSegmentCloseSemantics(t *testing.T) {
 	if sf.Points() != nil {
 		t.Fatal("Points non-nil after Close")
 	}
-	if err := sf.Scan(func(geom.Point) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := Scan(sf, func(geom.Point) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Scan after Close: %v, want ErrClosed", err)
 	}
 	if err := sf.ScanRange(0, 10, func(geom.Point) error { return nil }); !errors.Is(err, ErrClosed) {

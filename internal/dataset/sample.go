@@ -21,7 +21,7 @@ func Bernoulli(ds Dataset, b int, rng *stats.RNG) ([]geom.Point, error) {
 	}
 	p := float64(b) / float64(n)
 	out := make([]geom.Point, 0, b+b/4+16)
-	err := ds.Scan(func(pt geom.Point) error {
+	err := Scan(ds, func(pt geom.Point) error {
 		if rng.Bernoulli(p) {
 			out = append(out, pt.Clone())
 		}
@@ -44,7 +44,7 @@ func Reservoir(ds Dataset, k int, rng *stats.RNG) ([]geom.Point, error) {
 	}
 	res := make([]geom.Point, 0, k)
 	seen := 0
-	err := ds.Scan(func(p geom.Point) error {
+	err := Scan(ds, func(p geom.Point) error {
 		seen++
 		if len(res) < k {
 			res = append(res, p.Clone())

@@ -109,7 +109,7 @@ func CreateSegmented(path string, ds Dataset) (*SegmentFile, error) {
 		return nil, err
 	}
 	buf := make([]byte, 8*ds.Dims())
-	err = ds.Scan(func(p geom.Point) error {
+	err = Scan(ds, func(p geom.Point) error {
 		for i, v := range p {
 			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 		}
@@ -400,24 +400,13 @@ func (sf *SegmentFile) Append(pts ...geom.Point) error {
 	return nil
 }
 
-// Scan implements Dataset by streaming every segment once.
-func (sf *SegmentFile) Scan(fn func(p geom.Point) error) error {
-	sf.passes.Add(1)
-	st := sf.state.Load()
-	return sf.scanRange(st, 0, st.total(), fn)
-}
-
-// ScanRange implements RangeScanner with a private handle per call. The
-// range is resolved against the index snapshot at call time.
+// ScanRange implements Dataset with a private handle per call. The range
+// is resolved against the index snapshot at call time.
 func (sf *SegmentFile) ScanRange(start, end int, fn func(p geom.Point) error) error {
 	st := sf.state.Load()
 	if err := checkRange(start, end, st.total()); err != nil {
 		return err
 	}
-	return sf.scanRange(st, start, end, fn)
-}
-
-func (sf *SegmentFile) scanRange(st *segState, start, end int, fn func(p geom.Point) error) error {
 	if start == end {
 		return nil
 	}
@@ -425,15 +414,7 @@ func (sf *SegmentFile) scanRange(st *segState, start, end int, fn func(p geom.Po
 		// Mapped: serve the rows straight from the page cache. Decoded and
 		// mapped reads see the same little-endian float64 bytes, so the two
 		// paths are byte-identical.
-		for _, p := range pts[start:end] {
-			if err := fn(p); err != nil {
-				if errors.Is(err, ErrStopScan) {
-					return nil
-				}
-				return err
-			}
-		}
-		return nil
+		return eachPoint(pts[start:end], fn)
 	}
 	if sf.isClosed() {
 		return ErrClosed
@@ -475,10 +456,7 @@ func (sf *SegmentFile) scanRange(st *segState, start, end int, fn func(p geom.Po
 				p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
 			}
 			if err := fn(p); err != nil {
-				if errors.Is(err, ErrStopScan) {
-					return nil
-				}
-				return err
+				return stopToNil(err)
 			}
 		}
 		seg++
@@ -495,7 +473,7 @@ func (sf *SegmentFile) Dims() int { return sf.dims }
 // Passes implements Dataset.
 func (sf *SegmentFile) Passes() int { return int(sf.passes.Load()) }
 
-// AddPass charges one logical dataset pass.
+// AddPass implements Dataset.
 func (sf *SegmentFile) AddPass() { sf.passes.Add(1) }
 
 // Generation implements Appendable: segment g holds generation g's delta.

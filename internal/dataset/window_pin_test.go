@@ -82,7 +82,7 @@ func windowThenClose(t *testing.T, sf *SegmentFile, pts []geom.Point, start, end
 		t.Fatal(err)
 	}
 	// The parent is closed: direct scans fail loudly...
-	if err := sf.Scan(func(geom.Point) error { return nil }); err == nil {
+	if err := Scan(sf, func(geom.Point) error { return nil }); err == nil {
 		t.Fatal("scan of closed segment file succeeded")
 	}
 	// ...but the pin kept the mapping alive for the window.
@@ -104,7 +104,7 @@ func windowThenClose(t *testing.T, sf *SegmentFile, pts []geom.Point, start, end
 	}
 	// The range path works too, re-offset into the window.
 	var first geom.Point
-	err = w.(RangeScanner).ScanRange(1, 2, func(p geom.Point) error {
+	err = w.ScanRange(1, 2, func(p geom.Point) error {
 		first = p.Clone()
 		return nil
 	})
@@ -178,7 +178,7 @@ func TestWindowCloseRace(t *testing.T) {
 					}
 				} else {
 					n := 0
-					err := w.Scan(func(p geom.Point) error {
+					err := Scan(w, func(p geom.Point) error {
 						if !p.Equal(want[n]) {
 							return errRowMismatch(n)
 						}

@@ -13,20 +13,15 @@ import (
 // always a loud failure, never a quietly short result.
 var errCut = errors.New("faults: partial cut")
 
-// Wrap returns ds with fault injection at every scan entry point. Each
-// Scan or ScanRange call draws one decision from p. If ds implements
-// dataset.RangeScanner the wrapper does too, so the parallel block-scan
-// fast path stays exercised — with per-range injection. Pass bookkeeping
-// is delegated to ds. A nil Point returns ds unchanged.
+// Wrap returns ds with fault injection at its read method: each ScanRange
+// call draws one decision from p, so a full pass draws one and a block
+// scan one per block. Pass bookkeeping is delegated to ds. A nil Point
+// returns ds unchanged.
 func Wrap(ds dataset.Dataset, p *Point) dataset.Dataset {
 	if p == nil {
 		return ds
 	}
-	fd := faultyDataset{ds: ds, p: p}
-	if rs, ok := ds.(dataset.RangeScanner); ok {
-		return &faultyRange{faultyDataset: fd, rs: rs}
-	}
-	return &fd
+	return &faultyDataset{ds: ds, p: p}
 }
 
 type faultyDataset struct {
@@ -37,35 +32,22 @@ type faultyDataset struct {
 func (f *faultyDataset) Len() int    { return f.ds.Len() }
 func (f *faultyDataset) Dims() int   { return f.ds.Dims() }
 func (f *faultyDataset) Passes() int { return f.ds.Passes() }
+func (f *faultyDataset) AddPass()    { f.ds.AddPass() }
 
-// AddPass delegates the logical-pass charge to the wrapped dataset, so
-// ScanBlocks accounting is unchanged by injection.
-func (f *faultyDataset) AddPass() {
-	if pc, ok := f.ds.(dataset.PassCounter); ok {
-		pc.AddPass()
-	}
-}
-
-func (f *faultyDataset) Scan(fn func(p geom.Point) error) error {
-	return f.scanFault(f.ds.Len(), fn, func(inner func(geom.Point) error) error {
-		return f.ds.Scan(inner)
-	})
-}
-
-// scanFault draws one decision and applies it to a scan of n points.
-// run executes the underlying scan with a (possibly cutting) callback.
-func (f *faultyDataset) scanFault(n int, fn func(geom.Point) error, run func(func(geom.Point) error) error) error {
+// ScanRange draws one decision and applies it to the read of
+// [start, end).
+func (f *faultyDataset) ScanRange(start, end int, fn func(p geom.Point) error) error {
 	kind, aux, op := f.p.next()
 	switch kind {
 	case KindError, KindCancel:
 		return f.p.errAt(kind, op)
 	case KindDelay:
 		time.Sleep(f.p.delay(aux))
-		return run(fn)
+		return f.ds.ScanRange(start, end, fn)
 	case KindPartial:
-		cut := int(frac(aux) * float64(n))
+		cut := int(frac(aux) * float64(end-start))
 		seen := 0
-		err := run(func(pt geom.Point) error {
+		err := f.ds.ScanRange(start, end, func(pt geom.Point) error {
 			if seen >= cut {
 				return errCut
 			}
@@ -77,17 +59,6 @@ func (f *faultyDataset) scanFault(n int, fn func(geom.Point) error, run func(fun
 		}
 		return err
 	default:
-		return run(fn)
+		return f.ds.ScanRange(start, end, fn)
 	}
-}
-
-type faultyRange struct {
-	faultyDataset
-	rs dataset.RangeScanner
-}
-
-func (f *faultyRange) ScanRange(start, end int, fn func(p geom.Point) error) error {
-	return f.scanFault(end-start, fn, func(inner func(geom.Point) error) error {
-		return f.rs.ScanRange(start, end, inner)
-	})
 }

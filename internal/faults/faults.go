@@ -113,8 +113,6 @@ type Config struct {
 	// Skip exempts the first Skip operations at every site, e.g. to let
 	// a reference artifact build cleanly before faults begin.
 	Skip int
-	// Rec, when set, receives obs.CtrFaultsInjected.
-	Rec *obs.Recorder
 }
 
 // Injector hands out injection Points. A nil *Injector is valid and
@@ -162,12 +160,7 @@ func (in *Injector) Injected() int64 {
 	return in.injected.Load()
 }
 
-func (in *Injector) note() {
-	in.injected.Add(1)
-	in.cfg.Rec.Counter(obs.CtrFaultsInjected).Inc()
-}
-
-// Point is one named injection site. Each operation (a Scan call, a
+// Point is one named injection site. Each operation (a ScanRange call, a
 // build attempt) draws the next decision in the site's stream.
 type Point struct {
 	in   *Injector
@@ -233,7 +226,7 @@ func (p *Point) next() (Kind, uint64, uint64) {
 	default:
 		return KindNone, 0, op
 	}
-	p.in.note()
+	p.in.injected.Add(1)
 	p.fired.Add(1)
 	if kind != KindDelay {
 		p.firedErr.Add(1)

@@ -126,16 +126,13 @@ func TestInjectedErrorClassification(t *testing.T) {
 func TestWrapKeepsRangeScannerAndPasses(t *testing.T) {
 	ds := testData(t, 100)
 	w := Wrap(ds, New(Config{Seed: 1}).Point("scan"))
-	if _, ok := w.(dataset.RangeScanner); !ok {
-		t.Fatal("wrapped InMemory lost the RangeScanner fast path")
-	}
 	if w.Len() != 100 || w.Dims() != 2 {
 		t.Fatalf("len/dims = %d/%d, want 100/2", w.Len(), w.Dims())
 	}
 	// A fault-free block scan behaves exactly like the unwrapped one,
 	// and the pass charge lands on the wrapped dataset.
 	var n int
-	err := dataset.ScanBlocks(w, 32, 1, func(block, start int, pts []geom.Point) error {
+	err := dataset.ScanBlocks(w, dataset.ScanConfig{BlockSize: 32, Parallelism: 1}, func(block, start int, pts []geom.Point) error {
 		n += len(pts)
 		return nil
 	})
@@ -158,7 +155,7 @@ func TestPartialScanNeverSilent(t *testing.T) {
 	sawPartial := false
 	for i := 0; i < 50; i++ {
 		seen := 0
-		err := w.Scan(func(geom.Point) error { seen++; return nil })
+		err := dataset.Scan(w, func(geom.Point) error { seen++; return nil })
 		switch {
 		case err == nil:
 			if seen != n {
@@ -180,7 +177,7 @@ func TestPartialScanNeverSilent(t *testing.T) {
 
 func TestScanRangeInjection(t *testing.T) {
 	const n = 100
-	w := Wrap(testData(t, n), New(Config{Seed: 3, PError: 0.5}).Point("scan")).(dataset.RangeScanner)
+	w := Wrap(testData(t, n), New(Config{Seed: 3, PError: 0.5}).Point("scan"))
 	failed := 0
 	for i := 0; i < 40; i++ {
 		seen := 0
@@ -218,7 +215,7 @@ func TestCheckDelayHonorsContext(t *testing.T) {
 func TestCallbackErrorsPassThrough(t *testing.T) {
 	w := Wrap(testData(t, 10), New(Config{Seed: 1, PPartial: 1}).Point("scan"))
 	boom := errors.New("boom")
-	err := w.Scan(func(geom.Point) error { return boom })
+	err := dataset.Scan(w, func(geom.Point) error { return boom })
 	// With cut 0 the injected error fires before the callback; with a
 	// later cut the callback's own error must win. Either way the error
 	// is never swallowed.
@@ -254,7 +251,7 @@ func TestWrapOverAppendable(t *testing.T) {
 	sawClean, sawFault := false, false
 	for i := 0; i < 50 && !(sawClean && sawFault); i++ {
 		seen := 0
-		err := w.Scan(func(geom.Point) error { seen++; return nil })
+		err := dataset.Scan(w, func(geom.Point) error { seen++; return nil })
 		switch {
 		case err == nil:
 			if seen != 60 {
@@ -279,7 +276,7 @@ func TestWrapOverAppendable(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		var got []geom.Point
-		err := win.Scan(func(p geom.Point) error { got = append(got, p); return nil })
+		err := dataset.Scan(win, func(p geom.Point) error { got = append(got, p); return nil })
 		if err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("iter %d: unexpected error %v", i, err)
@@ -317,12 +314,9 @@ func TestWrapSegmentFileCloseSafety(t *testing.T) {
 	if _, ok := wrapped.(dataset.Sliceable); ok {
 		t.Fatal("wrapper must not forward Sliceable")
 	}
-	if _, ok := wrapped.(dataset.RangeScanner); !ok {
-		t.Fatal("wrapper lost RangeScanner")
-	}
 
 	got := make([]geom.Point, len(pts))
-	err = dataset.ScanBlocks(wrapped, 32, 1, func(block, start int, bp []geom.Point) error {
+	err = dataset.ScanBlocks(wrapped, dataset.ScanConfig{BlockSize: 32, Parallelism: 1}, func(block, start int, bp []geom.Point) error {
 		for i, p := range bp {
 			got[start+i] = p.Clone()
 		}
@@ -340,11 +334,11 @@ func TestWrapSegmentFileCloseSafety(t *testing.T) {
 	if err := sf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = wrapped.Scan(func(geom.Point) error { return nil })
+	err = dataset.Scan(wrapped, func(geom.Point) error { return nil })
 	if !errors.Is(err, dataset.ErrClosed) {
 		t.Fatalf("scan after Close through wrapper: %v, want ErrClosed", err)
 	}
-	err = wrapped.(dataset.RangeScanner).ScanRange(0, 10, func(geom.Point) error { return nil })
+	err = wrapped.ScanRange(0, 10, func(geom.Point) error { return nil })
 	if !errors.Is(err, dataset.ErrClosed) {
 		t.Fatalf("range scan after Close through wrapper: %v, want ErrClosed", err)
 	}

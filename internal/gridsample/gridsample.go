@@ -97,7 +97,7 @@ func BuildGrid(ds dataset.Dataset, domain geom.Rect, opts Options) (*Grid, error
 	}
 	vol := domain.Volume()
 	gr.cellVol = vol / math.Pow(cellsPerDim, float64(d))
-	err := ds.Scan(func(p geom.Point) error {
+	err := dataset.Scan(ds, func(p geom.Point) error {
 		id := gr.cellID(p)
 		b := &gr.buckets[id&gr.mask]
 		if b.firstID == 0 {
@@ -195,7 +195,7 @@ func Draw(ds dataset.Dataset, domain geom.Rect, opts Options, rng *stats.RNG) (*
 	}
 	b := float64(opts.TargetSize)
 	res := &Result{Collisions: gr.collided, DataPasses: 2, Norm: norm, Bytes: len(gr.buckets) * bucketBytes}
-	err = ds.Scan(func(p geom.Point) error {
+	err = dataset.Scan(ds, func(p geom.Point) error {
 		n := float64(gr.Count(p))
 		prob := b / norm * math.Pow(n, opts.Exponent-1)
 		if prob > 1 {

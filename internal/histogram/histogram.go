@@ -57,7 +57,7 @@ func Build(ds dataset.Dataset, domain geom.Rect) (*Histogram, error) {
 	if h.volume <= 0 {
 		return nil, errors.New("histogram: degenerate domain")
 	}
-	err := ds.Scan(func(p geom.Point) error {
+	err := dataset.Scan(ds, func(p geom.Point) error {
 		h.counts[h.index(p)]++
 		h.n++
 		return nil

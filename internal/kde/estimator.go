@@ -105,11 +105,7 @@ func (e *Estimator) SetRecorder(r *obs.Recorder) {
 // Build constructs an estimator from one pass over ds: a reservoir of
 // NumKernels centers and per-dimension running moments for the Scott's-rule
 // bandwidths are collected in the same scan.
-func Build(ds interface {
-	Scan(func(geom.Point) error) error
-	Len() int
-	Dims() int
-}, opts Options, rng *stats.RNG) (*Estimator, error) {
+func Build(ds dataset.Dataset, opts Options, rng *stats.RNG) (*Estimator, error) {
 	ks := opts.NumKernels
 	if ks == 0 {
 		ks = DefaultNumKernels
@@ -138,7 +134,7 @@ func Build(ds interface {
 	mom := stats.NewMultiMoments(d)
 	total := ds.Len()
 	seen := 0
-	err := ds.Scan(func(p geom.Point) error {
+	err := dataset.Scan(ds, func(p geom.Point) error {
 		mom.Add(p)
 		seen++
 		if seen%4096 == 0 && opts.Ctx != nil {

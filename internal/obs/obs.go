@@ -54,7 +54,6 @@ const (
 	CtrOutlierPruned  = "outlier_points_pruned_total" // points the density estimate ruled out
 	CtrOutlierFound   = "outlier_found_total"         // verified outliers reported
 	CtrRetries        = "stage_retries_total"         // transient-failure retries of pipeline stages
-	CtrFaultsInjected = "faults_injected_total"       // faults the injector fired (tests/chaos only)
 	CtrAppends        = "dataset_appends_total"       // dataset append operations accepted
 	CtrAppendPoints   = "dataset_append_points_total" // points added by appends
 	CtrKDEExtends     = "kde_extends_total"           // estimators built by extending a prior one

@@ -172,7 +172,7 @@ func Approximate(ds dataset.Dataset, est BallIntegrator, prm Params, opts Approx
 	scoreSpan := rec.StartSpan("outlier/score")
 	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(0))
 	blockCands := make([][]geom.Point, numBlocks)
-	err := dataset.ScanBlocksCfg(ds, scanCfg, func(block, start int, pts []geom.Point) error {
+	err := dataset.ScanBlocks(ds, scanCfg, func(block, start int, pts []geom.Point) error {
 		var cands []geom.Point
 		for _, p := range pts {
 			if est.IntegrateBall(p, prm.K) <= threshold {
@@ -208,7 +208,7 @@ func Approximate(ds dataset.Dataset, est BallIntegrator, prm Params, opts Approx
 	tree := kdtree.Build(candidates)
 	counts := make([]int, len(candidates))
 	var mu sync.Mutex
-	err = dataset.ScanBlocksCfg(ds, scanCfg, func(block, start int, pts []geom.Point) error {
+	err = dataset.ScanBlocks(ds, scanCfg, func(block, start int, pts []geom.Point) error {
 		local := make([]int, len(candidates))
 		for _, p := range pts {
 			for _, ci := range tree.Within(p, prm.K) {
@@ -259,7 +259,7 @@ func EstimateCount(ds dataset.Dataset, est BallIntegrator, prm Params) (int, err
 	// reduction, so the estimate matches the serial scan exactly.
 	blockCounts := make([]int, parallel.NumBlocks(ds.Len(), parallel.BlockSize(0)))
 	cfg := dataset.ScanConfig{Parallelism: prm.Parallelism, Ctx: prm.Ctx, Rec: prm.Obs, Progress: prm.Progress}
-	err := dataset.ScanBlocksCfg(ds, cfg, func(block, start int, pts []geom.Point) error {
+	err := dataset.ScanBlocks(ds, cfg, func(block, start int, pts []geom.Point) error {
 		c := 0
 		for _, p := range pts {
 			if est.IntegrateBall(p, prm.K) <= float64(prm.P+1) {

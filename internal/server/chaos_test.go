@@ -329,10 +329,9 @@ func TestChaosTraceRingBounded(t *testing.T) {
 	checkLeaks()
 }
 
-// flakyDataset wraps an in-memory dataset and fails every scan — on both
-// the sequential and the block-range path, so the parallel fast path
-// cannot sneak around it — while armed. The error reports Temporary(),
-// so the retry layer classifies it transient.
+// flakyDataset wraps an in-memory dataset and fails every read while
+// armed: ScanRange is the one read method, so no pass gets around it. The
+// error reports Temporary(), so the retry layer classifies it transient.
 type flakyDataset struct {
 	*dataset.InMemory
 	armed atomic.Bool
@@ -343,13 +342,6 @@ type flakyErr struct{}
 func (flakyErr) Error() string   { return "flaky: transient io failure" }
 func (flakyErr) Temporary() bool { return true }
 
-func (f *flakyDataset) Scan(fn func(p geom.Point) error) error {
-	if f.armed.Load() {
-		return flakyErr{}
-	}
-	return f.InMemory.Scan(fn)
-}
-
 func (f *flakyDataset) ScanRange(start, end int, fn func(p geom.Point) error) error {
 	if f.armed.Load() {
 		return flakyErr{}
@@ -358,7 +350,7 @@ func (f *flakyDataset) ScanRange(start, end int, fn func(p geom.Point) error) er
 }
 
 // Points shadows the promoted Sliceable method with a different signature
-// so block scans take the ScanRange path (the fault site) instead of the
+// so block reads take the ScanRange path (the fault site) instead of the
 // zero-copy slice fast path.
 func (f *flakyDataset) Points(struct{}) {}
 

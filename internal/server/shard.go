@@ -89,7 +89,6 @@ func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Da
 		Alpha:       p.Alpha,
 		TargetSize:  p.Size,
 		Parallelism: s.cfg.Parallelism,
-		BlockSize:   p.BlockSize,
 		Obs:         rec,
 		Ctx:         ctx,
 	}

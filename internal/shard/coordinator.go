@@ -268,7 +268,7 @@ func (c *Coordinator) attempt(ctx context.Context, sh Shard, req *PartialsReques
 		if truncate {
 			resp = &PartialsResponse{Blocks: truncated(resp.Blocks, frac)}
 		}
-		err = validatePartials(resp, req.Blocks, n, parallel.BlockSize(req.Params.BlockSize))
+		err = validatePartials(resp, req.Blocks, n, parallel.DefaultBlockSize)
 	}
 	if err != nil {
 		return nil, &RPCError{Shard: sh.Name(), Op: "partials", Err: err}
@@ -308,7 +308,7 @@ func (c *Coordinator) onLaunch() func(i int, hedge bool) {
 // per-block clip counts.
 func (c *Coordinator) Sample(ctx context.Context, p Params, view dataset.Dataset, base uint64) (*core.Sample, error) {
 	n := view.Len()
-	numBlocks := parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize))
+	numBlocks := parallel.NumBlocks(n, parallel.DefaultBlockSize)
 	groups := c.groups(p.Dataset, numBlocks)
 	cands, err := c.propose(ctx, p, n, base, groups)
 	if err != nil {
@@ -320,7 +320,7 @@ func (c *Coordinator) Sample(ctx context.Context, p Params, view dataset.Dataset
 	}
 	// ResolveBlocks refuses a degenerate merged k_a.
 	norm := core.FoldNorm(partials)
-	opts := core.Options{TargetSize: p.Size, BlockSize: p.BlockSize, Obs: obs.FromContext(ctx)}
+	opts := core.Options{TargetSize: p.Size, Obs: obs.FromContext(ctx)}
 	perBlock, err := core.ResolveBlocks(view, opts, norm, cands)
 	if err != nil {
 		return nil, err
@@ -348,7 +348,7 @@ func (c *Coordinator) propose(ctx context.Context, p Params, n int, base uint64,
 	span := obs.FromContext(ctx).StartSpan("shard/partials")
 	span.AddPoints(int64(n))
 	defer span.End()
-	cands := make([]core.BlockCandidates, parallel.NumBlocks(n, parallel.BlockSize(p.BlockSize)))
+	cands := make([]core.BlockCandidates, parallel.NumBlocks(n, parallel.DefaultBlockSize))
 	err := scatter(ctx, groups, func(g group) error {
 		resp, err := hedged(ctx, g.cands, c.hedge, c.onLaunch(), func(ctx context.Context, sh Shard) (*PartialsResponse, error) {
 			return c.attempt(ctx, sh, &PartialsRequest{Shard: sh.Name(), Params: p, Blocks: g.blocks, Base: base}, n)

@@ -33,7 +33,7 @@ type coreExec struct {
 }
 
 func (e *coreExec) opts(p Params) core.Options {
-	return core.Options{Alpha: p.Alpha, TargetSize: p.Size, BlockSize: p.BlockSize, FloorDensity: e.floor}
+	return core.Options{Alpha: p.Alpha, TargetSize: p.Size, FloorDensity: e.floor}
 }
 
 func (e *coreExec) Partials(ctx context.Context, req *PartialsRequest) (*PartialsResponse, error) {
@@ -77,10 +77,12 @@ type fixture struct {
 	base  uint64
 }
 
+// newFixture lays 18,000 points, a third of them in one dense square, over
+// five default blocks, the last one short.
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	rng := stats.NewRNG(61)
-	pts := make([]geom.Point, 2500)
+	pts := make([]geom.Point, 18000)
 	for i := range pts {
 		if i%3 == 0 {
 			pts[i] = geom.Point{0.2 + 0.05*rng.Float64(), 0.2 + 0.05*rng.Float64()}
@@ -93,14 +95,14 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return finishFixture(t, ds, est, 0, Params{Dataset: "gauss", Alpha: 0.5, Size: 300, Seed: 9, BlockSize: 128})
+	return finishFixture(t, ds, est, 0, Params{Dataset: "gauss", Alpha: 0.5, Size: 300, Seed: 9})
 }
 
 // finishFixture draws the single-node reference for p and the stream
 // base the coordinator ships.
 func finishFixture(t *testing.T, ds *dataset.InMemory, est core.DensityEstimator, floor float64, p Params) *fixture {
 	t.Helper()
-	opts := core.Options{Alpha: p.Alpha, TargetSize: p.Size, BlockSize: p.BlockSize, FloorDensity: floor}
+	opts := core.Options{Alpha: p.Alpha, TargetSize: p.Size, FloorDensity: floor}
 	want, err := core.Draw(ds, est, opts, stats.NewRNG(p.Seed))
 	if err != nil {
 		t.Fatal(err)
@@ -115,21 +117,22 @@ type columnDensity struct{}
 
 func (columnDensity) Density(p geom.Point) float64 { return p[1] }
 
-// newClipFixture lays out a = 1 and b = 300 over 2,500 points of density
-// 1 to 2 in blocks of 128: one point of density 4,000 in block 3 clips at
-// 1, and one of density 5e-324 (the floor) in block 7 has b·w/k_a round
-// to 0. The one round must decide both blocks as core.Draw does.
+// newClipFixture lays out a = 1 and b = 300 over 35,000 points of density
+// 1 to 2 in nine default blocks: one point of density 4,000 in block 3
+// clips at 1, and one of density 5e-324 (the floor) in block 7 has
+// b·w/k_a round to 0. The one round must decide both blocks as core.Draw
+// does.
 func newClipFixture(t *testing.T) *fixture {
 	t.Helper()
-	const blockSize = 128
+	const blockSize = parallel.DefaultBlockSize
 	rng := stats.NewRNG(63)
-	pts := make([]geom.Point, 2500)
+	pts := make([]geom.Point, 35000)
 	for i := range pts {
 		pts[i] = geom.Point{rng.Float64(), 1 + rng.Float64()}
 	}
 	pts[3*blockSize+17][1] = 4000
 	pts[7*blockSize+5][1] = 5e-324
-	p := Params{Dataset: "column", Alpha: 1, Size: 300, Seed: 11, BlockSize: blockSize}
+	p := Params{Dataset: "column", Alpha: 1, Size: 300, Seed: 11}
 	f := finishFixture(t, dataset.MustInMemory(pts), columnDensity{}, 5e-324, p)
 	if f.want.Saturated != 1 {
 		t.Fatalf("fixture clips %d probabilities, want 1", f.want.Saturated)
@@ -181,7 +184,7 @@ func (f *fixture) check(t *testing.T, got *core.Sample) {
 // numGroups is how many block groups c scatters f's blocks into: the RPC
 // count of one round with no failures.
 func (f *fixture) numGroups(c *Coordinator) int {
-	return len(c.groups(f.p.Dataset, parallel.NumBlocks(f.n, f.p.BlockSize)))
+	return len(c.groups(f.p.Dataset, parallel.NumBlocks(f.n, parallel.DefaultBlockSize)))
 }
 
 // TestCoordinatorParity: the scatter-gather result is bit-identical to
@@ -222,7 +225,7 @@ func (r recordingShard) Partials(ctx context.Context, req *PartialsRequest) (*Pa
 // makes one RPC per block group, and the bytes match core.Draw.
 func TestCoordinatorForcedFallback(t *testing.T) {
 	f := newClipFixture(t)
-	numBlocks := parallel.NumBlocks(f.n, f.p.BlockSize)
+	numBlocks := parallel.NumBlocks(f.n, parallel.DefaultBlockSize)
 	for _, shards := range []int{1, 2, 3, 8} {
 		for _, replicas := range []int{1, 2, 3} {
 			var mu sync.Mutex

@@ -24,7 +24,6 @@ type Params struct {
 	Kernels     int     `json:"kernels"`
 	Kernel      string  `json:"kernel"`
 	Seed        uint64  `json:"seed"`
-	BlockSize   int     `json:"block_size,omitempty"`
 }
 
 // PartialsRequest asks a worker for its part of the exact draw over the
