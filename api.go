@@ -137,8 +137,9 @@ func (s *Sample) Points() []Point { return s.inner.PlainPoints() }
 // Len returns the realized sample size.
 func (s *Sample) Len() int { return len(s.inner.Points) }
 
-// DataPasses returns how many dataset passes sampling used (2 exact,
-// 1 one-pass), excluding estimator construction.
+// DataPasses returns how many passes the sampling algorithm has (2
+// exact, 1 one-pass), excluding estimator construction. At a = 0 the
+// exact draw scans once, since its first pass would sum to n.
 func (s *Sample) DataPasses() int { return s.inner.DataPasses }
 
 // Norm returns the normalizer k_a used by the run.

@@ -46,7 +46,9 @@ func TestDrawSteadyStateAllocs(t *testing.T) {
 // TestDrawWeightCacheAllocs is the pooled weight cache's gate: once the
 // pool is warm, a serial exact Draw over n in-memory points allocates
 // fewer than n×8 bytes per run (a runtime.MemStats.TotalAlloc delta) —
-// less than the one weight cache it keeps between its passes.
+// less than the one weight cache it keeps between its passes. It holds
+// too for a Draw over stored densities, which reads them in place and
+// never copies them.
 func TestDrawWeightCacheAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats the scratch pools this gate measures")
@@ -54,24 +56,31 @@ func TestDrawWeightCacheAllocs(t *testing.T) {
 	setup := stats.NewRNG(78)
 	ds, _ := twoBlobs(20000, 20000, setup)
 	est := buildKDE(t, ds, 150, setup)
-	opts := Options{Alpha: 1, TargetSize: 400, Parallelism: 1}
+	evaluated := Options{Alpha: 1, TargetSize: 400, Parallelism: 1}
+	stored := evaluated
+	stored.Densities = storedDensities(t, ds, est)
 
-	draw := func() {
-		if _, err := Draw(ds, est, opts, stats.NewRNG(3)); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"evaluated", evaluated}, {"stored", stored}} {
+		draw := func() {
+			if _, err := Draw(ds, est, c.opts, stats.NewRNG(3)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	draw() // warm the pools
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		draw()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(ds.Len()) * 8; perRun >= limit {
-		t.Fatalf("Draw allocates %d bytes per run over %d points, want < %d: the weight cache is not pooled", perRun, ds.Len(), limit)
+		draw() // warm the pools
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			draw()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(ds.Len()) * 8; perRun >= limit {
+			t.Fatalf("%s: Draw allocates %d bytes per run over %d points, want < %d: the weight cache is not pooled or the densities are copied", c.name, perRun, ds.Len(), limit)
+		}
 	}
 }
 

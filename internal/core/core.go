@@ -181,6 +181,15 @@ type Options struct {
 	// does not expose centers, a tiny absolute floor is used.
 	FloorDensity float64
 
+	// Densities, when non-nil, holds f(x) for every row of the dataset in
+	// row order, as the estimator's DensityBatch returns it: the weigh
+	// step reads each row's density at its offset instead of evaluating
+	// it, and the estimator then only resolves the default floor.
+	// DensityBatch returns the same f for any batching, so the sample is
+	// bit-identical either way. Its length must be the dataset's; the
+	// draw reads it and never copies or writes it.
+	Densities []float64
+
 	// OnePass, when true, skips the exact normalization pass and instead
 	// approximates k_a from the estimator's own centers, integrating
 	// density estimation and sampling into a single data pass, as §2.2
@@ -216,8 +225,9 @@ type Options struct {
 
 	// Progress, when non-nil, is called after each completed scan block
 	// with (points delivered so far this pass, dataset size). The exact
-	// algorithm makes two passes, so the callback sees `done` restart
-	// once. Must be safe for concurrent use when Parallelism is not 1.
+	// algorithm makes two passes (one at a = 0), so the callback sees
+	// `done` restart once. Must be safe for concurrent use when
+	// Parallelism is not 1.
 	Progress func(done, total int)
 
 	// Ctx, when non-nil, cancels the draw: both scan passes check it at
@@ -246,9 +256,12 @@ type Sample struct {
 	// Norm is the normalizer k_a used (exact or approximated).
 	Norm float64
 
-	// DataPasses is the number of dataset passes the sampling itself
-	// consumed (excluding the estimator-construction pass): 2 for the
-	// exact algorithm, 1 for the one-pass variant.
+	// DataPasses is the number of Figure 1 passes of the algorithm that
+	// drew the sample (excluding the estimator-construction pass): 2 for
+	// the exact algorithm, 1 for the one-pass variant. At a = 0 the exact
+	// draw knows the first pass's sum, k_0 = n, and scans the dataset
+	// once, but still reports 2; the dataset's own pass counter records
+	// the scans actually made.
 	DataPasses int
 
 	// Saturated counts points whose inclusion probability was clipped at
@@ -270,7 +283,9 @@ func (s *Sample) PlainPoints() []geom.Point {
 //
 // The exact variant makes two passes: one to compute k_a = Σ f'(x_i) and
 // one to flip the inclusion coin per point. With OnePass set it makes a
-// single pass, approximating k_a from the estimator's centers.
+// single pass, approximating k_a from the estimator's centers. At a = 0
+// every f'(x) is 1, so k_0 = n exactly: the exact draw skips the first
+// pass, needs no density, and accepts a nil est.
 //
 // Both passes are the block engine's chunked scans: one draw of rng
 // (DrawStreamBase) is the base every block's coin stream derives from,
@@ -321,6 +336,11 @@ func Draw(ds dataset.Dataset, est DensityEstimator, opts Options, rng *stats.RNG
 				rec.Gauge(obs.GaugeNormRelError).Set(math.Abs(norm-exact) / exact)
 			}
 		}
+	} else if opts.Alpha == 0 {
+		// The pass would fold one partial of ones per block, an exact
+		// float sum below 2^53: n itself.
+		norm = float64(n)
+		passes++
 	} else {
 		nspan := rec.StartSpan("draw/normalize")
 		norm, err = e.exactNorm(true)
@@ -384,27 +404,18 @@ func coinProb(w, b, norm float64) (prob float64, clipped bool) {
 	return prob, false
 }
 
-// ExactNorm computes k_a = Σ_{x ∈ ds} max(f(x), floor)^a in one pass,
-// serially. It equals ExactNormParallel at any parallelism exactly: the
-// sum is blocked the same way in both, so the float additions happen in
-// the same order.
+// ExactNorm computes k_a = Σ_{x ∈ ds} max(f(x), floor)^a in one serial
+// pass of the block engine's weigh step. Each block accumulates its
+// partial sum over its points in index order, and the partials are
+// reduced in block order (FoldNorm) — an ordered reduction, not atomic
+// adds — so the engine's k_a is bit-for-bit identical for every
+// parallelism, and this serial one equals Draw's. The floor is taken as
+// given: unlike Options.FloorDensity, zero means no floor.
 func ExactNorm(ds dataset.Dataset, est DensityEstimator, alpha, floor float64) (float64, error) {
-	return ExactNormParallel(ds, est, alpha, floor, 1, 0)
-}
-
-// ExactNormParallel computes k_a with a chunked scan on the given worker
-// budget. Each block accumulates its partial sum over its points in index
-// order, and the partials are reduced in block order (FoldNorm) — an
-// ordered reduction, not atomic adds — so the result is bit-for-bit
-// identical for every parallelism (floating-point addition is not
-// associative; a completion-order or atomic reduction would make k_a
-// depend on goroutine scheduling). The floor is taken as given: unlike
-// Options.FloorDensity, zero means no floor.
-func ExactNormParallel(ds dataset.Dataset, est DensityEstimator, alpha, floor float64, parallelism, blockSize int) (float64, error) {
 	if est == nil {
 		return 0, errNilEstimator
 	}
-	e := &engine{ds: ds, est: est, opts: Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor: floor}
+	e := &engine{ds: ds, est: est, opts: Options{Alpha: alpha, Parallelism: 1}, floor: floor}
 	return e.exactNorm(false)
 }
 

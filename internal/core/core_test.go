@@ -58,8 +58,16 @@ func TestDrawValidation(t *testing.T) {
 	ds, _ := twoBlobs(100, 100, rng)
 	est := buildKDE(t, ds, 50, rng)
 
-	if _, err := Draw(ds, nil, Options{TargetSize: 10}, rng); err == nil {
-		t.Error("nil estimator accepted")
+	if _, err := Draw(ds, nil, Options{Alpha: 1, TargetSize: 10}, rng); err == nil {
+		t.Error("nil estimator accepted at a = 1")
+	}
+	// At a = 0 the exact draw reads no density, so it needs no estimator;
+	// the one-pass draw still needs one for its centers.
+	if _, err := Draw(ds, nil, Options{TargetSize: 10}, rng); err != nil {
+		t.Errorf("nil estimator refused at a = 0: %v", err)
+	}
+	if _, err := Draw(ds, nil, Options{TargetSize: 10, OnePass: true}, rng); err == nil {
+		t.Error("nil estimator accepted by the one-pass draw at a = 0")
 	}
 	if _, err := Draw(ds, est, Options{TargetSize: 0}, rng); err == nil {
 		t.Error("zero target size accepted")

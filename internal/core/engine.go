@@ -3,9 +3,10 @@
 // Every sampler in this package is a thin caller of one engine with two
 // steps over the same scan blocks:
 //
-//   - weigh evaluates f'(x) = max(f(x), floor)^a for each visited block
-//     and returns the block's partial sum, accumulated in index order. It
-//     can keep the weights at their dataset offsets for the second step.
+//   - weigh evaluates f'(x) = max(f(x), floor)^a for each visited block,
+//     f evaluated or read from Options.Densities, and returns the block's
+//     partial sum, accumulated in index order. It can keep the weights at
+//     their dataset offsets for the second step.
 //   - flip flips each visited block's inclusion coins against a given
 //     normalizer, block b drawing from stats.StreamAt(base, off+b), and
 //     returns each block's selections, carved from one arena.
@@ -60,18 +61,22 @@ var keptPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
 var errNilEstimator = errors.New("core: nil density estimator")
 
-// newEngine checks what every sampler shares — a non-nil estimator and a
-// non-negative FloorDensity — and resolves a zero floor from the
-// estimator, so identical estimators yield identical floors on every
-// shard. At a = 0 no weight depends on the floor (biasedWeight), so none
-// is resolved. Each step of the returned engine is one counted full pass.
+// newEngine checks what every sampler shares — an estimator wherever a
+// weight depends on f, a non-negative FloorDensity and stored densities
+// covering ds — and resolves a zero floor from the estimator, so
+// identical estimators yield identical floors on every shard. At a = 0
+// every weight is 1 (biasedWeight), so est may be nil and no floor is
+// resolved. Each step of the returned engine is one counted full pass.
 func newEngine(ds dataset.Dataset, est DensityEstimator, opts Options) (*engine, error) {
-	if est == nil {
+	if est == nil && opts.Alpha != 0 {
 		return nil, errNilEstimator
 	}
 	floor := opts.FloorDensity
 	if floor < 0 {
 		return nil, errors.New("core: negative FloorDensity")
+	}
+	if opts.Densities != nil && len(opts.Densities) != ds.Len() {
+		return nil, fmt.Errorf("core: %d stored densities for %d points", len(opts.Densities), ds.Len())
 	}
 	if floor == 0 && opts.Alpha != 0 {
 		floor = defaultFloor(est)
@@ -133,21 +138,28 @@ func (e *engine) visit(fn func(slot, block, start int, pts []geom.Point) error) 
 	})
 }
 
-// weighBlock fills w with the biased weights of pts and returns their sum
-// in index order. It is the only place a density becomes a weight. At
-// a = 0 every weight is 1 whatever f is (biasedWeight), so the uniform
-// rung evaluates no density; the sum of len(w) ones is exact.
-func (e *engine) weighBlock(pts []geom.Point, w []float64) float64 {
+// weighBlock fills w with the biased weights of pts, the rows of ds from
+// offset start, and returns their sum in index order. It is the only
+// place a density becomes a weight: f comes from the stored densities at
+// the rows' offsets when the options carry them, and from the estimator
+// otherwise. At a = 0 every weight is 1 whatever f is (biasedWeight), so
+// the uniform rung reads no density; the sum of len(w) ones is exact.
+func (e *engine) weighBlock(start int, pts []geom.Point, w []float64) float64 {
 	if e.opts.Alpha == 0 {
 		for i := range w {
 			w[i] = 1
 		}
 		return float64(len(w))
 	}
-	evalDensities(e.est, pts, w)
+	f := w
+	if e.opts.Densities != nil {
+		f = e.opts.Densities[start : start+len(w)]
+	} else {
+		evalDensities(e.est, pts, w)
+	}
 	var k float64
-	for i, f := range w {
-		w[i] = biasedWeight(f, e.opts.Alpha, e.floor)
+	for i := range w {
+		w[i] = biasedWeight(f[i], e.opts.Alpha, e.floor)
 		k += w[i]
 	}
 	return k
@@ -165,7 +177,7 @@ func (e *engine) weighBlock(pts []geom.Point, w []float64) float64 {
 // lock. The cache comes from keptPool; the caller hands it back with
 // release once flip has returned.
 func (e *engine) weigh(keep bool) ([]float64, error) {
-	if sl, ok := e.ds.(dataset.Sliceable); keep && ok && len(sl.Points()) >= e.ds.Len() {
+	if keep && dataset.Resident(e.ds) {
 		n := e.ds.Len()
 		e.keptBuf = keptPool.Get().(*[]float64)
 		if cap(*e.keptBuf) < n {
@@ -183,7 +195,7 @@ func (e *engine) weigh(keep bool) ([]float64, error) {
 			defer coinScratchPool.Put(sc)
 			w = sc.dens
 		}
-		partials[slot] = e.weighBlock(pts, w)
+		partials[slot] = e.weighBlock(start, pts, w)
 		return nil
 	})
 	if err != nil {
@@ -236,7 +248,7 @@ func (e *engine) flip(norm float64, base uint64, off int) ([]BlockSample, error)
 		if e.kept != nil {
 			w = e.kept[start : start+len(pts)]
 		} else {
-			e.weighBlock(pts, w)
+			e.weighBlock(start, pts, w)
 		}
 		brng := stats.StreamAt(base, off+block)
 		count, sat := flipCoins(w, b, norm, &brng, sc)

@@ -58,7 +58,9 @@ type NormState struct {
 // ExtendOptions configure one incremental draw. The embedded Options are
 // interpreted as for Draw, except OnePass (unsupported: the incremental
 // path already has the prior normalizer and never needs the one-pass
-// approximation) and Progress/VerifyNorm, which apply to the delta passes.
+// approximation), Densities (unsupported: the delta passes evaluate f
+// over the delta only) and Progress/VerifyNorm, which apply to the delta
+// passes.
 type ExtendOptions struct {
 	Options
 
@@ -99,6 +101,9 @@ func ExtendDraw(ds dataset.Dataset, est DensityEstimator, opts ExtendOptions, rn
 	}
 	if opts.OnePass {
 		return nil, zero, errors.New("core: ExtendDraw does not support OnePass")
+	}
+	if opts.Densities != nil {
+		return nil, zero, errors.New("core: ExtendDraw does not read stored densities")
 	}
 	if opts.Prior == nil {
 		return nil, zero, errors.New("core: ExtendDraw requires a prior sample")

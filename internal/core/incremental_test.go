@@ -213,6 +213,11 @@ func TestExtendDrawValidation(t *testing.T) {
 		t.Error("OnePass accepted on the incremental path")
 	}
 	bad = base
+	bad.Densities = make([]float64, fx.full.Len()-fx.n)
+	if _, _, err := ExtendDraw(fx.full, fx.ext, bad, rng); err == nil {
+		t.Error("stored densities accepted on the incremental path")
+	}
+	bad = base
 	bad.TargetSize = 0
 	if _, _, err := ExtendDraw(fx.full, fx.ext, bad, rng); err == nil {
 		t.Error("zero target size accepted")

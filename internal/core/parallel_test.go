@@ -114,9 +114,16 @@ func TestDrawDeterministicFileBacked(t *testing.T) {
 	sameSample(t, ref, gotMem, "in-memory vs file")
 }
 
-// Parallel ExactNorm must equal serial ExactNorm exactly — the ordered
-// reduction, not an atomic-add race, is what makes this an equality
-// rather than a tolerance check.
+// exactNormAt is ExactNorm's weigh step on an engine built in-package
+// with the given worker budget and block size (0 = the default).
+func exactNormAt(ds dataset.Dataset, est DensityEstimator, alpha, floor float64, parallelism, blockSize int) (float64, error) {
+	e := &engine{ds: ds, est: est, opts: Options{Alpha: alpha, Parallelism: parallelism, BlockSize: blockSize}, floor: floor}
+	return e.exactNorm(false)
+}
+
+// The engine's k_a at any worker count must equal serial ExactNorm
+// exactly — the ordered reduction, not an atomic-add race, is what makes
+// this an equality rather than a tolerance check.
 func TestExactNormDeterministicAcrossWorkers(t *testing.T) {
 	setup := stats.NewRNG(102)
 	ds, _ := twoBlobs(5000, 5000, setup)
@@ -128,7 +135,7 @@ func TestExactNormDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := ExactNormParallel(ds, est, alpha, 1e-6, workers, 0)
+			got, err := exactNormAt(ds, est, alpha, 1e-6, workers, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,9 +168,9 @@ func ProposeBlocks(ds dataset.Dataset, est DensityEstimator, opts Options, base 
 
 	out := make([]BlockCandidates, len(blocks))
 	partials := make([]float64, len(blocks))
-	err = e.visit(func(slot, block, _ int, pts []geom.Point) error {
+	err = e.visit(func(slot, block, start int, pts []geom.Point) error {
 		w := kept[offs[slot]:offs[slot+1]]
-		partials[slot] = e.weighBlock(pts, w)
+		partials[slot] = e.weighBlock(start, pts, w)
 		out[slot] = BlockCandidates{Block: block, Partial: partials[slot]}
 		return nil
 	})

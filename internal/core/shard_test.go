@@ -72,7 +72,7 @@ func TestNormPartialsMergeExact(t *testing.T) {
 	for _, tc := range shardCases(t) {
 		for _, alpha := range []float64{0, 0.5, 1, -0.5} {
 			floor := defaultFloor(tc.est)
-			want, err := ExactNormParallel(tc.ds, tc.est, alpha, floor, 0, blockSize)
+			want, err := exactNormAt(tc.ds, tc.est, alpha, floor, 0, blockSize)
 			if err != nil {
 				t.Fatalf("%s alpha=%v: exact norm: %v", tc.name, alpha, err)
 			}
@@ -128,7 +128,7 @@ func TestDrawBlocksMatchesDraw(t *testing.T) {
 
 		rng2 := stats.NewRNG(seed)
 		floor := defaultFloor(tc.est)
-		norm, err := ExactNormParallel(tc.ds, tc.est, opts.Alpha, floor, 0, blockSize)
+		norm, err := exactNormAt(tc.ds, tc.est, opts.Alpha, floor, 0, blockSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,6 +61,15 @@ type Sliceable interface {
 	Points() []geom.Point
 }
 
+// Resident reports whether every row of ds is in memory: ds is Sliceable
+// and its snapshot covers its length. Only then does the exact sampler
+// keep 8 bytes a row beside the rows (its weights, or a server's stored
+// densities), which is small next to the resident points themselves.
+func Resident(ds Dataset) bool {
+	sl, ok := ds.(Sliceable)
+	return ok && len(sl.Points()) >= ds.Len()
+}
+
 // PinnedSliceable is implemented by Sliceable datasets whose backing
 // storage can be released out from under a snapshot (memory-mapped files:
 // Close unmaps). PinPoints returns the current snapshot with a pin held —

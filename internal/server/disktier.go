@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,9 @@ import (
 // cache key the memory tier uses. A restarted server — or a fresh
 // replica pointed at a shared directory — finds the artifact on disk
 // and skips the dataset passes entirely (`X-DBS-Cache: disk`). The tier
-// is the only code that knows the artifact file format.
+// is the only code that knows the artifact file format. Stored densities
+// (densPrefix keys) stay in memory: load never looks for them, and store
+// writes no other kind than the two above.
 //
 // Each artifact is one file named sha256(key) + ".dbsa":
 //
@@ -85,7 +88,7 @@ func (d *DiskTier) path(key string) string {
 // attached. Any miss or failure returns ok=false, and a corrupt or
 // undecodable file is deleted so the slot heals on the next store.
 func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bool) {
-	if d == nil {
+	if d == nil || strings.HasPrefix(key, densPrefix) {
 		return nil, 0, false
 	}
 	path := d.path(key)

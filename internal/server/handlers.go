@@ -641,6 +641,42 @@ func estimatorBytes(est *kde.Estimator) int64 {
 	return ks*d*8 + ks*48 + d*16 + 512
 }
 
+// densPrefix opens the cache key of an estimator's stored densities; the
+// estimator's own key, lineage suffix included, follows it.
+const densPrefix = "dens|"
+
+// densitiesAt returns f at every row of view, generation g's rows, as est
+// evaluates it: the artifact cached under densPrefix plus estKey and
+// charged 8 bytes a row. A miss fills it with one block-ordered
+// DensityBatch pass under its own stage. It returns nil, and builds
+// nothing, when the rows are not memory-resident or 8 bytes a row exceed
+// the cache budget; the draw then evaluates f itself. The artifact stays
+// in memory: the disk tier holds only estimators and samples.
+func (s *Server) densitiesAt(ctx context.Context, rec *obs.Recorder, view dataset.Dataset, est *kde.Estimator, estKey string, g, seed uint64) ([]float64, error) {
+	n := view.Len()
+	size := int64(n) * 8
+	if !dataset.Resident(view) || size > s.cfg.CacheBytes {
+		return nil, nil
+	}
+	v, _, err := s.artifact(rec, "cache/dens", densPrefix+estKey, g, func() (any, int64, error) {
+		dens := make([]float64, n)
+		err := s.runStage(ctx, rec, "server/build/dens", seed, func(sctx context.Context) error {
+			return dataset.ScanBlocks(view, dataset.ScanConfig{Parallelism: s.cfg.Parallelism, Ctx: sctx, Rec: rec}, func(_, start int, pts []geom.Point) error {
+				est.DensityBatch(pts, dens[start:start+len(pts)])
+				return nil
+			})
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return dens, size, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]float64), nil
+}
+
 // sampleBytes is a sample artifact's accounted size: its points (the
 // coordinates and a WeightedPoint header each) and the bound on the body
 // tail it stores (sampleTailBound), charged whether or not the tail has
@@ -738,6 +774,16 @@ func (s *Server) sampleLineage(h *Handle, q sampleRequest, g uint64) (lin string
 // which thins generation g-1's artifact (obtained recursively) and
 // coin-flips the delta against the updated normalizer: passes over the
 // delta only, O(|delta|) regardless of the dataset size.
+//
+// The paper sweeps the exponent over one estimator, and f does not
+// depend on it. So a core.Draw whose estimator was already cached reads
+// f from the estimator's stored densities (densitiesAt), built by the
+// first such draw. A draw whose estimator was just built keeps none:
+// every cold request would pay 8 bytes a row for densities no later
+// request reads. An exact draw at a = 0 needs neither: every weight is
+// 1 and k_0 = n, so it looks up no estimator and records the kernel
+// count one would hold, kde.Build's min(kernels, n), as the sharded
+// build does.
 func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q sampleRequest, p estParams, g uint64) (*sampleArtifact, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
@@ -757,22 +803,35 @@ func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q s
 				return nil, 0, err
 			}
 		}
-		est, _, err := s.estimatorAt(ctx, rec, h, p, g, lin)
-		if err != nil {
-			return nil, 0, err
-		}
 		view, err := h.ViewAt(g)
 		if err != nil {
 			return nil, 0, err
 		}
-		// The estimator stage retries internally, so only the draw runs
-		// under this stage's retry budget — no multiplicative retries.
+		var est core.DensityEstimator
+		var dens []float64
+		kernels := min(p.Kernels, view.Len())
+		if q.Alpha != 0 || q.OnePass || prior != nil {
+			kest, estOut, err := s.estimatorAt(ctx, rec, h, p, g, lin)
+			if err != nil {
+				return nil, 0, err
+			}
+			est, kernels = kest, kest.NumKernels()
+			if q.Alpha != 0 && prior == nil && estOut != OutcomeMiss {
+				if dens, err = s.densitiesAt(ctx, rec, view, kest, p.key(fp)+lin, g, p.Seed); err != nil {
+					return nil, 0, err
+				}
+			}
+		}
+		// The estimator and density stages retry internally, so only the
+		// draw runs under this stage's retry budget — no multiplicative
+		// retries.
 		var sm *core.Sample
 		var ns core.NormState
 		err = s.runStage(ctx, rec, stage, p.Seed, func(sctx context.Context) error {
 			opts := core.Options{
 				Alpha:       q.Alpha,
 				TargetSize:  q.Size,
+				Densities:   dens,
 				OnePass:     q.OnePass,
 				Parallelism: s.cfg.Parallelism,
 				Ctx:         sctx,
@@ -790,7 +849,7 @@ func (s *Server) sampleAt(ctx context.Context, rec *obs.Recorder, h *Handle, q s
 			}
 			_, drawRNG := seedStreams(p.Seed)
 			if sm, err = core.Draw(view, est, opts, drawRNG); err == nil {
-				ns = core.NormState{K: sm.Norm, N: view.Len(), Kernels: est.NumKernels()}
+				ns = core.NormState{K: sm.Norm, N: view.Len(), Kernels: kernels}
 			}
 			return err
 		})

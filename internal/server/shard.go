@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/kde"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -25,16 +24,17 @@ import (
 // rests on four locally-checkable facts: (1) workers build the estimator
 // from (fingerprint-verified view, params, seed) exactly as estimatorAt's
 // exact build does, so every worker holds the identical estimator and
-// derives the identical density floor; (2) the per-block partial k_a sums
-// come from core's block engine (core.ProposeBlocks weighs with its weigh
-// step) and are folded in global block order by core.FoldNorm, the fold
-// the single-node draw uses; (3) each block's coins come from the stream
-// derived from (base, block index), one variate per point, and
-// core.ResolveBlocks decides every block from the worker's candidates by
-// flipCoins's rule; (4) selections are concatenated in global block
-// order. Sharded builds are always exact — DriftTol's incremental extends
-// never run here, because an extended artifact depends on append lineage
-// a stateless worker does not share.
+// derives the identical density floor (at a = 0, where no weight reads
+// f, none builds one, as the local build does not); (2) the per-block
+// partial k_a sums come from core's block engine (core.ProposeBlocks
+// weighs with its weigh step) and are folded in global block order by
+// core.FoldNorm, the fold the single-node draw uses; (3) each block's
+// coins come from the stream derived from (base, block index), one
+// variate per point, and core.ResolveBlocks decides every block from the
+// worker's candidates by flipCoins's rule; (4) selections are
+// concatenated in global block order. Sharded builds are always exact —
+// DriftTol's incremental extends never run here, because an extended
+// artifact depends on append lineage a stateless worker does not share.
 
 // shardExecutor implements shard.Executor over the server's registry and
 // artifact cache — the compute surface behind both the in-process worker
@@ -47,13 +47,15 @@ type shardExecutor struct {
 // generation-pinned view whose content fingerprint matches the request
 // (the guard that turns dataset divergence between replicas into a loud
 // error instead of a silently wrong merge), the exactly-built estimator
-// for the params, and the draw options mirroring the local build's. The
-// work records into the Recorder ctx carries: the coordinator request's
-// for an in-process worker, the RPC's own behind /internal/shard.
-func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Dataset, *kde.Estimator, core.Options, func(), error) {
+// for the params, and the draw options mirroring the local build's. At
+// a = 0 no weight reads f, so, as in the local build, no estimator is
+// looked up and the returned one is nil. The work records into the
+// Recorder ctx carries: the coordinator request's for an in-process
+// worker, the RPC's own behind /internal/shard.
+func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Dataset, core.DensityEstimator, core.Options, func(), error) {
 	s := e.s
 	rec := obs.FromContext(ctx)
-	fail := func(err error) (dataset.Dataset, *kde.Estimator, core.Options, func(), error) {
+	fail := func(err error) (dataset.Dataset, core.DensityEstimator, core.Options, func(), error) {
 		return nil, nil, core.Options{}, nil, err
 	}
 	h, err := s.reg.Acquire(p.Dataset)
@@ -80,10 +82,14 @@ func (e *shardExecutor) resolve(ctx context.Context, p shard.Params) (dataset.Da
 		h.Release()
 		return fail(err)
 	}
-	est, _, err := s.estimatorAt(ctx, rec, h, ep, p.Generation, "")
-	if err != nil {
-		h.Release()
-		return fail(err)
+	var est core.DensityEstimator
+	if p.Alpha != 0 {
+		kest, _, err := s.estimatorAt(ctx, rec, h, ep, p.Generation, "")
+		if err != nil {
+			h.Release()
+			return fail(err)
+		}
+		est = kest
 	}
 	opts := core.Options{
 		Alpha:       p.Alpha,

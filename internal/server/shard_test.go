@@ -182,18 +182,17 @@ func TestShardHealthz(t *testing.T) {
 
 // TestShardMissCounts: a sharded miss on in-process workers evaluates
 // each density once and flips each coin once, so it adds exactly what
-// the same single-node miss adds to the kernel-evaluation, coin, sampled
-// and saturated counters, and it makes one RPC per block group. It holds
-// for sampleBody and for the same estimator at a = -2 and b = 1,000,
-// where probabilities clip.
+// the same single-node miss adds to the kernel-evaluation, estimator
+// build, coin, sampled and saturated counters, returns the same bytes,
+// and makes one RPC per block group. It holds for sampleBody, for the
+// same estimator at a = -2 and b = 1,000, where probabilities clip, and
+// at a = 0, where neither path builds an estimator or evaluates a
+// kernel.
 func TestShardMissCounts(t *testing.T) {
-	ctrs := []string{obs.CtrKernelEvals, obs.CtrCoinFlips, obs.CtrSampled, obs.CtrSaturated}
-	clip := map[string]any{}
-	for k, v := range sampleBody {
-		clip[k] = v
-	}
-	clip["alpha"], clip["size"] = -2.0, 1000
-	for _, body := range []map[string]any{sampleBody, clip} {
+	ctrs := []string{obs.CtrKernelEvals, CtrKDEBuilds, obs.CtrCoinFlips, obs.CtrSampled, obs.CtrSaturated}
+	clip := withAlpha(-2)
+	clip["size"] = 1000
+	for _, body := range []map[string]any{sampleBody, clip, withAlpha(0)} {
 		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -215,14 +214,20 @@ func TestShardMissCounts(t *testing.T) {
 			return out, srv, w.Body.Bytes()
 		}
 		local, _, resp := miss(Config{Parallelism: 2})
-		sharded, srv, _ := miss(Config{Parallelism: 2, ShardWorkers: 2})
+		sharded, srv, sresp := miss(Config{Parallelism: 2, ShardWorkers: 2})
 		for _, name := range ctrs {
 			if sharded[name] != local[name] {
 				t.Errorf("alpha=%v %s: sharded miss adds %d, single-node %d", body["alpha"], name, sharded[name], local[name])
 			}
 		}
-		if local[obs.CtrKernelEvals] == 0 || local[obs.CtrCoinFlips] != shardedN {
-			t.Errorf("alpha=%v: single-node miss counted %d kernel evaluations and %d coins", body["alpha"], local[obs.CtrKernelEvals], local[obs.CtrCoinFlips])
+		if !bytes.Equal(sresp, resp) {
+			t.Errorf("alpha=%v: sharded body differs from the single-node body", body["alpha"])
+		}
+		// f^0 = 1: an a = 0 miss builds no estimator and evaluates no
+		// kernel; any other builds one and evaluates.
+		evals, builds := local[obs.CtrKernelEvals], local[CtrKDEBuilds]
+		if zero := body["alpha"] == 0.0; zero != (evals == 0) || zero != (builds == 0) || local[obs.CtrCoinFlips] != shardedN {
+			t.Errorf("alpha=%v: single-node miss counted %d kernel evaluations, %d estimator builds and %d coins", body["alpha"], evals, builds, local[obs.CtrCoinFlips])
 		}
 		if got, want := srv.rec.Counter(shard.CtrRPCs).Value(), int64(blockGroups(t, 2, "pts", shardedN)); got != want {
 			t.Errorf("alpha=%v: sharded miss made %d RPCs, want one per block group (%d)", body["alpha"], got, want)
