@@ -26,9 +26,12 @@ var ErrCanceled = dataset.ErrCanceled
 // Recorder collects counters, gauges, and span timings from a pipeline
 // run; see the internal/obs package for the reports it can write. Pass
 // one through SampleOptions.Obs, ClusterOptions.Obs, EstimatorOptions.Obs,
-// or OutlierParams.Obs. A nil Recorder disables all recording at
-// near-zero cost, and recording never changes any result: samples and
-// clusterings are bit-identical with observability on or off.
+// or OutlierParams.Obs. Each call counts its own work into the Recorder
+// it is given: EstimatorOptions.Obs records the estimator's build, and a
+// draw's kernel evaluations go to SampleOptions.Obs. An estimator keeps
+// no Recorder. A nil Recorder disables all recording at near-zero cost,
+// and recording never changes any result: samples and clusterings are
+// bit-identical with observability on or off.
 type Recorder = obs.Recorder
 
 // NewRecorder returns an empty Recorder ready to be threaded through the

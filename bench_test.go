@@ -163,8 +163,9 @@ func BenchmarkDrawParallel(b *testing.B) {
 // paths) and enabled (atomic flushes per block/batch). The disabled
 // variant is the one the 2% budget applies to — it must stay within noise
 // of the pre-observability numbers in BENCH_parallel.json; BENCH_obs.json
-// records both. The enabled estimator recorder also receives the kde
-// traversal counters, so this measures the full instrumented path.
+// records both. The enabled draw's density batches count the kde
+// traversal into the same Recorder, so this measures the full
+// instrumented path.
 func BenchmarkDrawObs(b *testing.B) {
 	rng := stats.NewRNG(99)
 	l := synth.EqualClusters(10, 4, 100000, 0.10, rng)
@@ -184,13 +185,11 @@ func BenchmarkDrawObs(b *testing.B) {
 				if enabled {
 					rec = obs.New()
 				}
-				est.SetRecorder(rec)
 				opts := core.Options{Alpha: 1, TargetSize: 1000, Parallelism: 1, Obs: rec}
 				if _, err := core.Draw(ds, est, opts, stats.NewRNG(uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
-			est.SetRecorder(nil)
 		})
 	}
 }
@@ -209,7 +208,7 @@ func BenchmarkDensityBatch(b *testing.B) {
 	out := make([]float64, len(pts))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.DensityBatch(pts, out)
+		est.DensityBatch(pts, out, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }

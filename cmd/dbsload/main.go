@@ -1,13 +1,6 @@
-// Command dbsload is the sustained-load generator for the serving
-// layer. With no target it self-hosts the "load" experiment — the
-// three-tenant WFQ/degrade/chaos proof — and emits the BENCH_load.json
-// document:
-//
-//	dbsload -json > BENCH_load.json
-//	dbsload -quick
-//
-// With -addr it drives an already-running server (e.g. dbsserve) with a
-// configurable tenant mix and prints the per-tenant report as JSON:
+// Command dbsload is the load generator for the serving layer. It drives
+// an already-running server (e.g. dbsserve) at -addr with a configurable
+// tenant mix and prints the per-tenant report as JSON:
 //
 //	dbsload -addr http://localhost:8080 -dataset pts \
 //	        -tenants gold:closed:4,bronze:open:200 -duration 10s
@@ -15,7 +8,9 @@
 // Each tenant entry is name:mode:rate — closed-loop rate is the worker
 // count, open-loop rate is arrivals per second. Requests rotate -seeds
 // distinct seeds; 1 keeps the artifact cache hot, large values force
-// cold builds.
+// cold builds. The in-process sustained-load proof, the three-tenant
+// WFQ/degrade/chaos experiment behind BENCH_load.json, is
+// `dbsbench -exp load`.
 package main
 
 import (
@@ -23,93 +18,43 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/loadgen"
-	"repro/internal/parallel"
 )
-
-// benchDoc mirrors dbsbench's BENCH_*.json schema.
-type benchDoc struct {
-	Environment benchEnv             `json:"environment"`
-	Results     []*experiments.Table `json:"results"`
-}
-
-type benchEnv struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	BlockSize  int    `json:"block_size"`
-	Quick      bool   `json:"quick,omitempty"`
-}
 
 func main() {
 	var (
-		addr     = flag.String("addr", "", "target server base URL; empty self-hosts the load experiment")
-		duration = flag.Duration("duration", 5*time.Second, "measurement window (-addr mode)")
-		tenants  = flag.String("tenants", "gold:closed:2,bronze:open:100", "tenant mix as name:mode:rate[,...] (-addr mode)")
-		dsName   = flag.String("dataset", "pts", "dataset name on the target (-addr mode)")
-		alpha    = flag.Float64("alpha", 1, "sample alpha (-addr mode)")
-		size     = flag.Int("size", 400, "sample size b (-addr mode)")
-		kernels  = flag.Int("kernels", 128, "kernel count (-addr mode)")
-		seeds    = flag.Int("seeds", 4, "distinct seeds rotated per tenant (-addr mode)")
-		quick    = flag.Bool("quick", false, "reduced workload (self-hosted mode)")
-		par      = flag.Int("p", 0, "worker parallelism: 0 = all CPUs")
-		seed     = flag.Uint64("seed", 1, "random seed (self-hosted mode)")
-		jsonOut  = flag.Bool("json", false, "emit JSON instead of a table")
+		addr     = flag.String("addr", "", "target server base URL (required)")
+		duration = flag.Duration("duration", 5*time.Second, "measurement window")
+		tenants  = flag.String("tenants", "gold:closed:2,bronze:open:100", "tenant mix as name:mode:rate[,...]")
+		dsName   = flag.String("dataset", "pts", "dataset name on the target")
+		alpha    = flag.Float64("alpha", 1, "sample alpha")
+		size     = flag.Int("size", 400, "sample size b")
+		kernels  = flag.Int("kernels", 128, "kernel count")
+		seeds    = flag.Int("seeds", 4, "distinct seeds rotated per tenant")
 	)
 	flag.Parse()
 
-	if *addr != "" {
-		specs, err := parseMix(*tenants, *dsName, *alpha, *size, *kernels, *seeds)
-		if err != nil {
-			fatal("%v", err)
-		}
-		rep, err := loadgen.Run(loadgen.Options{BaseURL: strings.TrimRight(*addr, "/"), Duration: *duration, Specs: specs})
-		if err != nil {
-			fatal("%v", err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal("encoding JSON: %v", err)
-		}
-		return
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "dbsload: need -addr <server URL>; the in-process load experiment is dbsbench -exp load")
+		os.Exit(2)
 	}
-
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Parallelism: *par}
-	start := time.Now()
-	tb, err := experiments.Run("load", cfg)
+	specs, err := parseMix(*tenants, *dsName, *alpha, *size, *kernels, *seeds)
 	if err != nil {
 		fatal("%v", err)
 	}
-	tb.ID = "load"
-	tb.Title = experiments.Title("load")
-	if *jsonOut {
-		doc := benchDoc{
-			Environment: benchEnv{
-				GoVersion:  runtime.Version(),
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-				NumCPU:     runtime.NumCPU(),
-				BlockSize:  parallel.DefaultBlockSize,
-				Quick:      *quick,
-			},
-			Results: []*experiments.Table{tb},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fatal("encoding JSON: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "(load completed in %.1fs)\n", time.Since(start).Seconds())
-		return
+	rep, err := loadgen.Run(loadgen.Options{BaseURL: strings.TrimRight(*addr, "/"), Duration: *duration, Specs: specs})
+	if err != nil {
+		fatal("%v", err)
 	}
-	fmt.Println(tb.String())
-	fmt.Printf("(load completed in %.1fs)\n", time.Since(start).Seconds())
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fatal("encoding JSON: %v", err)
+	}
 }
 
 // parseMix parses name:mode:rate tenant entries into loadgen specs.

@@ -54,16 +54,17 @@ type DensityEstimator interface {
 // DensityBatcher is optionally implemented by estimators that can evaluate
 // a whole block of points at once (kde.Estimator does), amortizing
 // traversal state across the block. The chunked scans prefer it over
-// per-point Density calls.
+// per-point Density calls. A batch counts its evaluation work into rec,
+// the Recorder of the call it serves (nil records nothing).
 type DensityBatcher interface {
-	DensityBatch(pts []geom.Point, out []float64)
+	DensityBatch(pts []geom.Point, out []float64, rec *obs.Recorder)
 }
 
 // evalDensities fills out[:len(pts)] with est's density at each point,
-// through the batch interface when available.
-func evalDensities(est DensityEstimator, pts []geom.Point, out []float64) {
+// through the batch interface when available, which counts into rec.
+func evalDensities(est DensityEstimator, pts []geom.Point, out []float64, rec *obs.Recorder) {
 	if b, ok := est.(DensityBatcher); ok {
-		b.DensityBatch(pts, out)
+		b.DensityBatch(pts, out, rec)
 		return
 	}
 	for i, p := range pts {
@@ -217,7 +218,8 @@ type Options struct {
 	// Obs, when non-nil, records the run: span timings for the
 	// normalization and coin-flip passes, the counter catalogue (points
 	// scanned, data passes, coin flips, saturated probabilities, sampled
-	// points, kernel-evaluation stats via the estimator), and the
+	// points, and the kernel evaluations and kd-tree traversal of every
+	// density batch the run evaluates), and the
 	// sample_norm / sample_data_passes gauges. Recording is per-block and
 	// per-stage, never per-point, and consults no randomness: the drawn
 	// sample is bit-identical with Obs nil or set, at every Parallelism.

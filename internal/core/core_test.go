@@ -137,62 +137,67 @@ func (c *densityCounter) Density(p geom.Point) float64 {
 	return c.Estimator.Density(p)
 }
 
-func (c *densityCounter) DensityBatch(pts []geom.Point, out []float64) {
+func (c *densityCounter) DensityBatch(pts []geom.Point, out []float64, rec *obs.Recorder) {
 	c.evals.Add(int64(len(pts)))
-	c.Estimator.DensityBatch(pts, out)
+	c.Estimator.DensityBatch(pts, out, rec)
 }
 
 // f^0 = 1 whatever f is, so an a = 0 draw evaluates no density on any
 // path: not at a data point, not at a center for the default floor or
 // the one-pass normalizer. It adds nothing to kde_kernel_evals_total.
-// Each path's a = 1 run shows both counters do see evaluations.
+// Each path's a = 1 run shows both counters do see evaluations, and the
+// kernel evaluations reach the Recorder of the call's Options.Obs alone:
+// the estimator carries none.
 func TestAlphaZeroEvaluatesNoDensity(t *testing.T) {
 	fx := newIncrementalFixture(t, 3000, 600, 120, 200, 0, 21)
 	n := fx.full.Len()
-	opts := func(alpha float64) Options {
-		return Options{Alpha: alpha, TargetSize: 200, BlockSize: 512, Parallelism: 2}
+	opts := func(alpha float64, rec *obs.Recorder) Options {
+		return Options{Alpha: alpha, TargetSize: 200, BlockSize: 512, Parallelism: 2, Obs: rec}
+	}
+	allBlocks := func(o Options) []int {
+		blocks := make([]int, parallel.NumBlocks(n, o.BlockSize))
+		for i := range blocks {
+			blocks[i] = i
+		}
+		return blocks
 	}
 	paths := []struct {
 		name string
-		run  func(est DensityEstimator, alpha float64) error
+		run  func(est DensityEstimator, o Options) error
 	}{
-		{"exact", func(est DensityEstimator, alpha float64) error {
-			_, err := Draw(fx.full, est, opts(alpha), stats.NewRNG(1))
+		{"exact", func(est DensityEstimator, o Options) error {
+			_, err := Draw(fx.full, est, o, stats.NewRNG(1))
 			return err
 		}},
-		{"onepass", func(est DensityEstimator, alpha float64) error {
-			o := opts(alpha)
+		{"onepass", func(est DensityEstimator, o Options) error {
 			o.OnePass = true
 			_, err := Draw(fx.full, est, o, stats.NewRNG(1))
 			return err
 		}},
-		{"extend", func(est DensityEstimator, alpha float64) error {
+		{"extend", func(est DensityEstimator, o Options) error {
 			_, _, err := ExtendDraw(fx.full, est, ExtendOptions{
-				Options: opts(alpha), DeltaStart: fx.n, Prior: fx.prior, PriorNorm: fx.priorNS,
+				Options: o, DeltaStart: fx.n, Prior: fx.prior, PriorNorm: fx.priorNS,
 			}, stats.NewRNG(1))
 			return err
 		}},
-		{"sharded", func(est DensityEstimator, alpha float64) error {
-			o := opts(alpha)
-			blocks := make([]int, parallel.NumBlocks(n, o.BlockSize))
-			for i := range blocks {
-				blocks[i] = i
-			}
+		{"sharded", func(est DensityEstimator, o Options) error {
+			blocks := allBlocks(o)
 			parts, err := NormPartials(fx.full, est, o, blocks)
 			if err == nil {
 				_, err = DrawBlocks(fx.full, est, o, FoldNorm(parts), 1, blocks)
 			}
 			return err
 		}},
+		{"propose", func(est DensityEstimator, o Options) error {
+			_, err := ProposeBlocks(fx.full, est, o, 1, allBlocks(o))
+			return err
+		}},
 	}
 	for _, p := range paths {
 		for _, alpha := range []float64{0, 1} {
 			rec := obs.New()
-			fx.ext.SetRecorder(rec)
 			c := &densityCounter{Estimator: fx.ext}
-			err := p.run(c, alpha)
-			fx.ext.SetRecorder(nil)
-			if err != nil {
+			if err := p.run(c, opts(alpha, rec)); err != nil {
 				t.Fatalf("%s a=%v: %v", p.name, alpha, err)
 			}
 			kernels, points := rec.Counter(obs.CtrKernelEvals).Value(), c.evals.Load()

@@ -18,7 +18,7 @@ func storedDensities(t *testing.T, ds dataset.Dataset, est *kde.Estimator) []flo
 	t.Helper()
 	dens := make([]float64, ds.Len())
 	err := dataset.ScanBlocks(ds, dataset.ScanConfig{BlockSize: 1000, Parallelism: 1}, func(_, start int, pts []geom.Point) error {
-		est.DensityBatch(pts, dens[start:start+len(pts)])
+		est.DensityBatch(pts, dens[start:start+len(pts)], nil)
 		return nil
 	})
 	if err != nil {

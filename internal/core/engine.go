@@ -155,7 +155,7 @@ func (e *engine) weighBlock(start int, pts []geom.Point, w []float64) float64 {
 	if e.opts.Densities != nil {
 		f = e.opts.Densities[start : start+len(w)]
 	} else {
-		evalDensities(e.est, pts, w)
+		evalDensities(e.est, pts, w, e.opts.Obs)
 	}
 	var k float64
 	for i := range w {

@@ -10,8 +10,8 @@ import (
 // Attaching a Recorder must not perturb the draw: for a fixed seed the
 // sample is byte-identical with observability off (nil Recorder) and on,
 // at the serial and the parallel worker counts — the acceptance criterion
-// of the observability layer. The estimator recorder is attached too, so
-// the kde traversal counters flush into it for the enabled runs.
+// of the observability layer. The draw's density batches count their kde
+// traversal into the same Recorder for the enabled runs.
 func TestDrawDeterministicWithRecorder(t *testing.T) {
 	setup := stats.NewRNG(100)
 	ds, _ := twoBlobs(4000, 4000, setup)
@@ -20,18 +20,15 @@ func TestDrawDeterministicWithRecorder(t *testing.T) {
 	for _, onePass := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
 			opts := Options{Alpha: 1, TargetSize: 800, BlockSize: 512, Parallelism: workers, OnePass: onePass}
-			est.SetRecorder(nil)
 			ref, err := Draw(ds, est, opts, stats.NewRNG(7))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			rec := obs.New()
-			est.SetRecorder(rec)
 			opts.Obs = rec
 			opts.VerifyNorm = true // the diagnostic pass must not change the sample either
 			got, err := Draw(ds, est, opts, stats.NewRNG(7))
-			est.SetRecorder(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func refDraw(pts []geom.Point, est *kde.Estimator, alpha, floor float64, b, bloc
 	var norm float64
 	for i, blk := range blocks {
 		weights[i] = make([]float64, len(blk))
-		est.DensityBatch(blk, weights[i])
+		est.DensityBatch(blk, weights[i], nil)
 		var partial float64
 		for j, f := range weights[i] {
 			weights[i][j] = weight(f)
@@ -122,7 +122,7 @@ func refExtend(pts []geom.Point, deltaStart int, est *kde.Estimator, prior *Samp
 	var d float64
 	for i, blk := range blocks {
 		weights[i] = make([]float64, len(blk))
-		est.DensityBatch(blk, weights[i])
+		est.DensityBatch(blk, weights[i], nil)
 		var partial float64
 		for j, f := range weights[i] {
 			weights[i][j] = weight(f)

@@ -248,11 +248,13 @@ func (c *BlockCandidates) Check(n, blockSize int) error {
 // by flipCoins's rule on the u each worker drew from the block's stream:
 // a candidate is kept when u < coinProb(w), with weight 1/prob and its
 // row copied from ds, and each probability that clips at 1 counts into
-// the block's Saturated. A point outside the candidates has u ≥ b·w/L ≥
-// b·w/norm, so it neither clips nor is kept. The selections come back in
-// the order of cands, and coins, saturations and selections are counted
-// into opts.Obs as flip counts them.
-func ResolveBlocks(ds dataset.Dataset, opts Options, norm float64, cands []BlockCandidates) ([]BlockSample, error) {
+// Saturated. A point outside the candidates has u ≥ b·w/L ≥ b·w/norm, so
+// it neither clips nor is kept. The selections are gathered in the order
+// of cands, as Draw gathers its blocks, into a Sample with Norm norm and
+// the exact algorithm's 2 DataPasses; with cands in global block order it
+// is Draw's sample. Coins, saturations and selections are counted into
+// opts.Obs as flip counts them.
+func ResolveBlocks(ds dataset.Dataset, opts Options, norm float64, cands []BlockCandidates) (*Sample, error) {
 	if opts.TargetSize <= 0 {
 		return nil, errors.New("core: TargetSize must be positive")
 	}
@@ -304,5 +306,7 @@ func ResolveBlocks(ds dataset.Dataset, opts Options, norm float64, cands []Block
 		cSat.Add(int64(sat))
 		cSampled.Add(int64(count))
 	}
-	return out, nil
+	s := &Sample{Norm: norm, DataPasses: 2}
+	s.gather(out)
+	return s, nil
 }

@@ -218,7 +218,7 @@ func TestShardDrawValidation(t *testing.T) {
 // oneRound runs the one-round sharded draw the way the shard coordinator
 // does, over a round-robin partition of the blocks: each shard proposes
 // its blocks, the partials fold in global block order and ResolveBlocks
-// decides every block. It returns the gathered sample.
+// decides every block and gathers the sample.
 func oneRound(t *testing.T, ds dataset.Dataset, est DensityEstimator, opts Options, base uint64, shards int) *Sample {
 	t.Helper()
 	numBlocks := parallel.NumBlocks(ds.Len(), opts.BlockSize)
@@ -239,18 +239,10 @@ func oneRound(t *testing.T, ds dataset.Dataset, est DensityEstimator, opts Optio
 	for b := range cands {
 		partials[b] = cands[b].Partial
 	}
-	norm := FoldNorm(partials)
-	perBlock, err := ResolveBlocks(ds, opts, norm, cands)
+	out, err := ResolveBlocks(ds, opts, FoldNorm(partials), cands)
 	if err != nil {
 		t.Fatalf("ResolveBlocks: %v", err)
 	}
-	for i := range perBlock {
-		if perBlock[i].Block != i {
-			t.Fatalf("resolved block %d is block %d", i, perBlock[i].Block)
-		}
-	}
-	out := &Sample{Norm: norm, DataPasses: 2}
-	out.gather(perBlock)
 	return out
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/parallel"
 )
 
 // FNV-1a 64-bit parameters (hash/fnv's constants, inlined so the per-block
@@ -34,43 +33,42 @@ func fnv1a(h uint64, b []byte) uint64 {
 //
 // The serving layer keys its artifact cache on this value, so two
 // registrations of byte-identical data share cached estimators and
-// samples. One dataset pass is consumed.
+// samples. It is a fresh fpMemo advanced over every row and finalized, so
+// an appendable dataset's per-generation fingerprints agree with it by
+// construction. One dataset pass is consumed.
 func Fingerprint(ds Dataset, parallelism int) (uint64, error) {
-	dims := ds.Dims()
 	n := ds.Len()
+	var m fpMemo
+	if err := m.advance(ds, n, parallelism); err != nil {
+		return 0, err
+	}
+	return finalizeFingerprint(ds.Dims(), n, m.sums), nil
+}
+
+// digestRows folds pts into the FNV-1a digest h, each row as its packed
+// little-endian float64 bytes; buf holds one row.
+func digestRows(h uint64, pts []geom.Point, buf []byte) uint64 {
+	for _, p := range pts {
+		for j, v := range p {
+			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
+		}
+		h = fnv1a(h, buf)
+	}
+	return h
+}
+
+// finalizeFingerprint chains the codec header (magic, dims, count) and the
+// per-block digests in block order into the fingerprint.
+func finalizeFingerprint(dims, count int, sums []uint64) uint64 {
 	hdr := make([]byte, 16)
 	copy(hdr, binaryMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(dims))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
-
-	// Each block digests its own rows and writes only its own slot; the
-	// per-block digests are chained in block order afterwards. FNV-1a
-	// cannot resume mid-stream across concurrent blocks, so this blocked
-	// construction — not a straight hash of the file bytes — is what makes
-	// the parallel scan exact.
-	rowSize := 8 * dims
-	blockSums := make([]uint64, parallel.NumBlocks(n, parallel.BlockSize(0)))
-	err := ScanBlocks(ds, ScanConfig{Parallelism: parallelism}, func(block, start int, pts []geom.Point) error {
-		h := uint64(fnvOffset64)
-		buf := make([]byte, rowSize)
-		for _, p := range pts {
-			for j, v := range p {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-			}
-			h = fnv1a(h, buf)
-		}
-		blockSums[block] = h
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(count))
 	h := fnv1a(fnvOffset64, hdr)
-	var sum [8]byte
-	for _, bh := range blockSums {
-		binary.LittleEndian.PutUint64(sum[:], bh)
-		h = fnv1a(h, sum[:])
+	var b [8]byte
+	for _, bh := range sums {
+		binary.LittleEndian.PutUint64(b[:], bh)
+		h = fnv1a(h, b[:])
 	}
-	return h, nil
+	return h
 }

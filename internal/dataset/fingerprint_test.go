@@ -17,12 +17,16 @@ func TestFingerprintStableAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
+		before := mem.Passes()
 		got, err := Fingerprint(mem, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Errorf("parallelism=%d: fingerprint %#x, serial %#x", workers, got, want)
+		}
+		if n := mem.Passes() - before; n != 1 {
+			t.Errorf("parallelism=%d: fingerprint charged %d passes, want 1", workers, n)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -200,13 +198,14 @@ func DeltaView(a Appendable, g uint64) (Dataset, error) {
 
 // fpMemo incrementally maintains the blocked-FNV digest state behind
 // Fingerprint so each generation's fingerprint is computed from the prior
-// state plus the delta rows alone. The per-block digests use the same
-// global block layout Fingerprint uses; the last digest may cover a
+// state plus the delta rows alone. The per-block digests use the global
+// block layout (parallel.DefaultBlockSize); the last digest may cover a
 // partial block, and because FNV-1a is resumable within a block, the next
 // advance continues it where it stopped instead of re-reading the tail.
-// The finalized value is therefore bit-identical to Fingerprint over the
-// same prefix — content-addressed, so a dataset re-registered whole and
-// one grown to the same contents by appends share cache keys.
+// Fingerprint is one advance of a fresh fpMemo over the whole dataset, so
+// the finalized value is bit-identical to Fingerprint over the same
+// prefix — content-addressed, so a dataset re-registered whole and one
+// grown to the same contents by appends share cache keys.
 type fpMemo struct {
 	mu    sync.Mutex
 	fps   []uint64 // finalized fingerprint per generation
@@ -234,93 +233,44 @@ func (m *fpMemo) at(a Appendable, g uint64, parallelism int) (uint64, error) {
 	return m.fps[g], nil
 }
 
-// advance folds rows [m.count, target) into the digest state. The head of
-// the range resumes the current partial block sequentially; the remainder
-// starts on a block boundary, so its window blocks coincide with global
-// blocks and can be digested in parallel.
-func (m *fpMemo) advance(a Appendable, target, parallelism int) error {
-	if m.count >= target {
-		return nil
-	}
-	dims := a.Dims()
-	rowSize := 8 * dims
+// advance folds rows [m.count, target) of ds into the digest state, one
+// pass per window it digests. FNV-1a cannot resume mid-stream across
+// concurrent blocks, so each block digests its own rows into its own
+// slot and the slots chain in block order: this blocked construction is
+// what makes the parallel scan exact. A window starts where the digest
+// stopped and runs to target, or, when that is inside a block, only to
+// the block's boundary: that window's one block resumes the partial
+// digest. A window starting on a boundary has the global blocks as its
+// own, so they are digested in parallel. The state changes only once a
+// window's scan has succeeded.
+func (m *fpMemo) advance(ds Dataset, target, parallelism int) error {
+	rowSize := 8 * ds.Dims()
 	blockSize := parallel.BlockSize(0)
-
-	if m.count%blockSize != 0 {
-		// Resume the partial tail block in sequence, up to its boundary.
-		headEnd := (m.count/blockSize + 1) * blockSize
-		if headEnd > target {
-			headEnd = target
+	for m.count < target {
+		first := m.count / blockSize
+		end := target
+		if m.count%blockSize != 0 {
+			end = min(target, (first+1)*blockSize)
 		}
-		w, err := Window(a, m.count, headEnd)
+		w, err := Window(ds, m.count, end)
 		if err != nil {
 			return err
 		}
-		h := m.sums[len(m.sums)-1]
-		m.sums = m.sums[:len(m.sums)-1]
-		buf := make([]byte, rowSize)
-		err = Scan(w, func(p geom.Point) error {
-			for j, v := range p {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
+		resumed := m.sums[first:] // the partial block's digest, if any
+		sums := make([]uint64, parallel.NumBlocks(end-m.count, blockSize))
+		err = ScanBlocks(w, ScanConfig{Parallelism: parallelism}, func(block, _ int, pts []geom.Point) error {
+			h := uint64(fnvOffset64)
+			if block < len(resumed) {
+				h = resumed[block]
 			}
-			h = fnv1a(h, buf)
+			sums[block] = digestRows(h, pts, make([]byte, rowSize))
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		m.sums = append(m.sums, h)
-		m.count = headEnd
-		if m.count == target {
-			return nil
-		}
+		m.sums = append(m.sums[:first], sums...)
+		m.count = end
 	}
-
-	// m.count is now block-aligned: the window's blocks are the global
-	// blocks, so the parallel blocked digest applies unchanged.
-	w, err := Window(a, m.count, target)
-	if err != nil {
-		return err
-	}
-	firstBlock := m.count / blockSize
-	blockSums := make([]uint64, parallel.NumBlocks(target-m.count, blockSize))
-	err = ScanBlocks(w, ScanConfig{Parallelism: parallelism}, func(block, start int, pts []geom.Point) error {
-		h := uint64(fnvOffset64)
-		buf := make([]byte, rowSize)
-		for _, p := range pts {
-			for j, v := range p {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-			}
-			h = fnv1a(h, buf)
-		}
-		blockSums[block] = h
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if need := firstBlock + len(blockSums); cap(m.sums) < need {
-		grown := make([]uint64, len(m.sums), need)
-		copy(grown, m.sums)
-		m.sums = grown
-	}
-	m.sums = append(m.sums[:firstBlock], blockSums...)
-	m.count = target
 	return nil
-}
-
-// finalizeFingerprint chains the header and per-block digests exactly the
-// way Fingerprint does.
-func finalizeFingerprint(dims, count int, sums []uint64) uint64 {
-	hdr := make([]byte, 16)
-	copy(hdr, binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(dims))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(count))
-	h := fnv1a(fnvOffset64, hdr)
-	var b [8]byte
-	for _, bh := range sums {
-		binary.LittleEndian.PutUint64(b[:], bh)
-		h = fnv1a(h, b[:])
-	}
-	return h
 }

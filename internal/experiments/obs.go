@@ -89,7 +89,10 @@ func obsPoints(cfg Config) int {
 // the configurations in an order rotated by it, so a drift in machine
 // load lands on every configuration alike and each iteration pairs the
 // three under the same conditions. Every draw must be bit-identical to
-// the first disabled one; a divergent draw is an error.
+// the first disabled one; a divergent draw is an error. So is an enabled
+// or traced draw that records no kernel evaluation: the draw's density
+// batches count into its Options.Obs, and a configuration that left them
+// uncounted would time less than the instrumented path.
 func ObsTimes(cfg Config, iters int) ([][3]int64, error) {
 	setup := stats.NewRNG(cfg.Seed)
 	l := synth.EqualClusters(10, 4, obsPoints(cfg), 0.10, setup)
@@ -109,9 +112,6 @@ func ObsTimes(cfg Config, iters int) ([][3]int64, error) {
 		for k := range recorders {
 			ci := (it + k) % len(recorders)
 			rec := recorders[ci]()
-			// SetRecorder attaches or detaches the estimator's counter
-			// handles, so one estimator serves every configuration.
-			est.SetRecorder(rec)
 			var cur *core.Sample
 			d, err := timed(func() error {
 				var derr error
@@ -122,6 +122,9 @@ func ObsTimes(cfg Config, iters int) ([][3]int64, error) {
 				return nil, err
 			}
 			times[it][ci] = d.Nanoseconds()
+			if rec != nil && rec.Counter(obs.CtrKernelEvals).Value() == 0 {
+				return nil, fmt.Errorf("obs: the %s draw recorded no kernel evaluation", ObsConfigs[ci])
+			}
 			if ref == nil {
 				ref = cur
 			} else if _, err := drawParity("obs", ObsConfigs[ci], ref, cur); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/kdtree"
+	"repro/internal/obs"
 )
 
 // evalScratch is the reusable per-batch evaluation state: the staged
@@ -44,9 +45,9 @@ func getEvalScratch(d int) *evalScratch {
 // truncation ball for Gaussian).
 //
 // Traversal work (candidate kernel evaluations, kd-tree nodes visited and
-// pruned) is always tallied into batch-local counts and flushed once per
-// batch through the Recorder's counter handles, which are no-ops when no
-// Recorder is attached. Counting never touches density values.
+// pruned) is always tallied into batch-local counts and added once per
+// batch to rec's counters: three lookups per batch, none per point, and
+// none at all when rec is nil. Counting never touches density values.
 //
 // All scratch is pooled, so concurrent calls on the same Estimator (one
 // per scan block) are safe and allocation-free in steady state. Results
@@ -54,7 +55,7 @@ func getEvalScratch(d int) *evalScratch {
 // concurrency. Floating-point visit order differs from Density's recursive
 // traversal, so the per-point and batch paths agree to rounding, not
 // bit-for-bit.
-func (e *Estimator) DensityBatch(pts []geom.Point, out []float64) {
+func (e *Estimator) DensityBatch(pts []geom.Point, out []float64, rec *obs.Recorder) {
 	if len(out) < len(pts) {
 		panic("kde: DensityBatch output shorter than input")
 	}
@@ -83,9 +84,9 @@ func (e *Estimator) DensityBatch(pts []geom.Point, out []float64) {
 	for i := range pts {
 		out[i] = e.evalPoint(geom.Point(rows[i*d:(i+1)*d:(i+1)*d]), sc, &st, &evals)
 	}
-	e.cKernelEvals.Add(evals)
-	e.cKDVisited.Add(st.Visited)
-	e.cKDPruned.Add(st.Pruned)
+	rec.Counter(obs.CtrKernelEvals).Add(evals)
+	rec.Counter(obs.CtrKDNodesVisited).Add(st.Visited)
+	rec.Counter(obs.CtrKDNodesPruned).Add(st.Pruned)
 }
 
 // evalPoint returns the density at p using the batch evaluation layout,

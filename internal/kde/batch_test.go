@@ -46,7 +46,7 @@ func TestDensityBatchMatchesDensity(t *testing.T) {
 		}
 		pts := ds.Points()[:500]
 		out := make([]float64, len(pts))
-		est.DensityBatch(pts, out)
+		est.DensityBatch(pts, out, nil)
 		for i, p := range pts {
 			want := est.Density(p)
 			diff := math.Abs(out[i] - want)
@@ -67,7 +67,7 @@ func TestDensityBatchConcurrent(t *testing.T) {
 	}
 	pts := ds.Points()
 	want := make([]float64, len(pts))
-	est.DensityBatch(pts, want)
+	est.DensityBatch(pts, want, nil)
 
 	const workers = 8
 	block := (len(pts) + workers - 1) / workers
@@ -85,7 +85,7 @@ func TestDensityBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			est.DensityBatch(pts[s:e], got[s:e])
+			est.DensityBatch(pts[s:e], got[s:e], nil)
 		}(start, end)
 	}
 	wg.Wait()

@@ -67,8 +67,7 @@ func (e *Estimator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalEstimator reconstructs an estimator serialized with
-// MarshalBinary. The returned estimator has no recorder attached; the
-// caller re-attaches one with SetRecorder.
+// MarshalBinary.
 func UnmarshalEstimator(data []byte) (*Estimator, error) {
 	r := data
 	take := func(n int) ([]byte, error) {

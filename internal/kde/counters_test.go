@@ -13,7 +13,7 @@ import (
 // the per-center box path, and the Gaussian ball path.
 // The bench reads these counters (kernel evaluations per point, prune
 // ratio), so they are part of the observable contract. Densities must be
-// identical with the Recorder attached or detached.
+// identical with a Recorder passed or nil.
 func TestDensityBatchCounterGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name                   string
@@ -34,14 +34,13 @@ func TestDensityBatchCounterGolden(t *testing.T) {
 			}
 			pts := ds.Points()
 			plain := make([]float64, len(pts))
-			est.DensityBatch(pts, plain)
+			est.DensityBatch(pts, plain, nil)
 
 			rec := obs.New()
-			est.SetRecorder(rec)
 			counted := make([]float64, len(pts))
 			for start := 0; start < len(pts); start += 256 {
 				end := min(start+256, len(pts))
-				est.DensityBatch(pts[start:end], counted[start:end])
+				est.DensityBatch(pts[start:end], counted[start:end], rec)
 			}
 			for i := range plain {
 				if plain[i] != counted[i] {

@@ -33,10 +33,10 @@ type Options struct {
 	// dataset.ErrCanceled wrapping the context's error.
 	Ctx context.Context
 
-	// Obs, when non-nil, receives the build span plus, from the finished
-	// estimator's DensityBatch calls, the kernel-evaluation and kd-tree
-	// traversal counters. The estimator itself is identical with or
-	// without it.
+	// Obs, when non-nil, receives the build's span and pass counters.
+	// The estimator is identical with or without it and keeps no
+	// reference to it: a DensityBatch call counts into the Recorder it is
+	// given.
 	Obs *obs.Recorder
 
 	// Progress, when non-nil, is called periodically during the
@@ -81,25 +81,6 @@ type Estimator struct {
 	// into coeffAll.
 	flat     []float64
 	coeffAll float64 // Π 0.75·invH
-	// Observability counter handles (nil when no Recorder is attached;
-	// DensityBatch flushes its per-batch tallies through them, and a nil
-	// handle's Add is a no-op).
-	cKernelEvals *obs.Counter
-	cKDVisited   *obs.Counter
-	cKDPruned    *obs.Counter
-}
-
-// SetRecorder attaches (or, with nil, detaches) a Recorder: subsequent
-// DensityBatch calls count candidate kernel evaluations and kd-tree nodes
-// visited versus pruned. Density values are identical either way.
-func (e *Estimator) SetRecorder(r *obs.Recorder) {
-	if r == nil {
-		e.cKernelEvals, e.cKDVisited, e.cKDPruned = nil, nil, nil
-		return
-	}
-	e.cKernelEvals = r.Counter(obs.CtrKernelEvals)
-	e.cKDVisited = r.Counter(obs.CtrKDNodesVisited)
-	e.cKDPruned = r.Counter(obs.CtrKDNodesPruned)
 }
 
 // Build constructs an estimator from one pass over ds: a reservoir of
@@ -180,9 +161,7 @@ func Build(ds dataset.Dataset, opts Options, rng *stats.RNG) (*Estimator, error)
 		h[j] = sigma * factor
 	}
 
-	est := newEstimator(kern, centers, h, seen)
-	est.SetRecorder(opts.Obs)
-	return est, nil
+	return newEstimator(kern, centers, h, seen), nil
 }
 
 // FromCenters builds an estimator directly from explicit centers and
@@ -278,8 +257,7 @@ func (e *Estimator) buildFlat() {
 //
 // e itself is unchanged — estimators are immutable once built, which is
 // what lets the serving layer extend a cached artifact that concurrent
-// requests are still reading. deltaCenters are cloned; observability
-// counter handles are carried over.
+// requests are still reading. deltaCenters are cloned.
 func (e *Estimator) Extend(deltaCenters []geom.Point, n int) (*Estimator, error) {
 	if n <= 0 {
 		return nil, errors.New("kde: non-positive dataset size")
@@ -295,9 +273,7 @@ func (e *Estimator) Extend(deltaCenters []geom.Point, n int) (*Estimator, error)
 		}
 		merged = append(merged, c.Clone())
 	}
-	ne := newEstimator(e.kernel, merged, append([]float64(nil), e.h...), n)
-	ne.cKernelEvals, ne.cKDVisited, ne.cKDPruned = e.cKernelEvals, e.cKDVisited, e.cKDPruned
-	return ne, nil
+	return newEstimator(e.kernel, merged, append([]float64(nil), e.h...), n), nil
 }
 
 // ExtendDelta extends e over delta, the m points its dataset of N() points

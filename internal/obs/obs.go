@@ -102,11 +102,11 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Gauge is a named last-written-wins float value.
+// Gauge is a named float value: last-written-wins through Set, or a
+// level moved through Add.
 type Gauge struct {
 	name string
 	bits atomic.Uint64
-	set  atomic.Bool
 }
 
 // Set stores v. No-op on a nil handle.
@@ -115,7 +115,21 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-	g.set.Store(true)
+}
+
+// Add adds delta to the stored value atomically, so concurrent writers
+// keep a level such as the number of requests in flight exact. No-op on
+// a nil handle.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
 }
 
 // Value returns the stored value (0 on a nil or never-set handle).

@@ -27,6 +27,7 @@ func TestNilRecorder(t *testing.T) {
 	}
 	g := r.Gauge("y")
 	g.Set(1.5)
+	g.Add(2)
 	if g != nil || g.Value() != 0 {
 		t.Fatalf("nil gauge not inert")
 	}
@@ -65,6 +66,11 @@ func TestCounterGaugeSharedHandles(t *testing.T) {
 	g.Set(7.25)
 	if got := r.Gauge("level").Value(); got != 7.25 {
 		t.Fatalf("gauge = %v, want 7.25", got)
+	}
+	g.Add(-0.25)
+	r.Gauge("level").Add(3)
+	if got := g.Value(); got != 10 {
+		t.Fatalf("gauge after adds = %v, want 10", got)
 	}
 }
 
@@ -126,6 +132,7 @@ func TestRecorderConcurrent(t *testing.T) {
 				shared.Add(1)
 				r.Counter("per_iter_total").Inc()
 				r.Gauge("level").Set(float64(id))
+				r.Gauge("depth").Add(1)
 				sp := r.StartSpan("work/stage")
 				sp.AddPoints(2)
 				sp.End()
@@ -151,6 +158,9 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if got := r.Counter("per_iter_total").Value(); got != workers*iters {
 		t.Fatalf("per-iter counter = %d, want %d", got, workers*iters)
+	}
+	if got := r.Gauge("depth").Value(); got != workers*iters {
+		t.Fatalf("added gauge = %v, want %d", got, workers*iters)
 	}
 	if got := r.spans["work/stage"].Points(); got != 2*workers*iters {
 		t.Fatalf("span points = %d, want %d", got, 2*workers*iters)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // ErrSaturated is returned when the in-flight limit and the wait queue are
@@ -59,6 +61,10 @@ var ErrDraining = errors.New("server: draining")
 // an arriving request may preempt a queued one of strictly lower
 // priority (the least-entitled such waiter is shed with ErrPreempted) —
 // low-priority tenants shed first under overload.
+//
+// The controller writes its own /metrics series as each event happens —
+// the four server_requests_shed* counters and the server_in_flight gauge
+// — and the accessors /healthz calls read them back.
 type Admission struct {
 	maxInFlight int
 	maxQueue    int
@@ -71,12 +77,14 @@ type Admission struct {
 	queuedTotal int
 	tenants     map[string]*tenantState
 
-	draining    atomic.Bool
-	inFlight    atomic.Int64
-	queued      atomic.Int64
-	shedFull    atomic.Int64
-	shedExpired atomic.Int64
-	shedPreempt atomic.Int64
+	draining atomic.Bool
+	queued   atomic.Int64
+
+	inFlight    *obs.Gauge // admitted, unfinished requests
+	shed        *obs.Counter
+	shedFull    *obs.Counter
+	shedExpired *obs.Counter
+	shedPreempt *obs.Counter
 }
 
 // tenantState is one tenant's live accounting. States are created on
@@ -115,11 +123,12 @@ type waiter struct {
 	grant  chan grantKind // buffered 1; at most one send ever happens
 }
 
-// NewTenantAdmission returns a controller with per-tenant policies. The
-// "*" entry, when present, is the policy for tenants not named
-// explicitly; absent tenants otherwise get the zero policy (weight 1,
-// normal priority, global bounds only).
-func NewTenantAdmission(maxInFlight, maxQueue int, policies map[string]TenantPolicy) *Admission {
+// NewTenantAdmission returns a controller with per-tenant policies,
+// counting into rec (a private Recorder when nil). The "*" entry, when
+// present, is the policy for tenants not named explicitly; absent
+// tenants otherwise get the zero policy (weight 1, normal priority,
+// global bounds only).
+func NewTenantAdmission(maxInFlight, maxQueue int, policies map[string]TenantPolicy, rec *obs.Recorder) *Admission {
 	if maxInFlight < 1 {
 		maxInFlight = 1
 	}
@@ -130,11 +139,19 @@ func NewTenantAdmission(maxInFlight, maxQueue int, policies map[string]TenantPol
 	for name, p := range policies {
 		pol[name] = p.withDefaults()
 	}
+	if rec == nil {
+		rec = obs.New()
+	}
 	return &Admission{
 		maxInFlight: maxInFlight,
 		maxQueue:    maxQueue,
 		policies:    pol,
 		tenants:     make(map[string]*tenantState),
+		inFlight:    rec.Gauge(GaugeInFlight),
+		shed:        rec.Counter(CtrShed),
+		shedFull:    rec.Counter(CtrShedFull),
+		shedExpired: rec.Counter(CtrShedExpired),
+		shedPreempt: rec.Counter(CtrShedPreempted),
 	}
 }
 
@@ -195,8 +212,7 @@ func (a *Admission) EnterTenant(ctx context.Context, tenant string) (release fun
 		a.dropWaiterLocked(el)
 		ts.lastFinish = prevFinish
 		a.mu.Unlock()
-		a.shedFull.Add(1)
-		ts.shedFull.Add(1)
+		a.countShed(a.shedFull, &ts.shedFull)
 		return nil, false, fmt.Errorf("%w: tenant %q queue full", ErrSaturated, ts.name)
 	}
 	if a.queuedTotal > a.maxQueue {
@@ -204,8 +220,7 @@ func (a *Admission) EnterTenant(ctx context.Context, tenant string) (release fun
 			a.dropWaiterLocked(el)
 			ts.lastFinish = prevFinish
 			a.mu.Unlock()
-			a.shedFull.Add(1)
-			ts.shedFull.Add(1)
+			a.countShed(a.shedFull, &ts.shedFull)
 			return nil, false, ErrSaturated
 		}
 	}
@@ -216,8 +231,7 @@ func (a *Admission) EnterTenant(ctx context.Context, tenant string) (release fun
 	case g := <-w.grant:
 		a.queued.Add(-1)
 		if g == grantPreempted {
-			a.shedPreempt.Add(1)
-			ts.shedPreempt.Add(1)
+			a.countShed(a.shedPreempt, &ts.shedPreempt)
 			return nil, true, fmt.Errorf("%w: tenant %q", ErrPreempted, ts.name)
 		}
 		a.inFlight.Add(1)
@@ -240,14 +254,20 @@ func (a *Admission) EnterTenant(ctx context.Context, tenant string) (release fun
 		a.mu.Unlock()
 		a.queued.Add(-1)
 		if g == grantPreempted {
-			a.shedPreempt.Add(1)
-			ts.shedPreempt.Add(1)
+			a.countShed(a.shedPreempt, &ts.shedPreempt)
 			return nil, true, fmt.Errorf("%w: tenant %q", ErrPreempted, ts.name)
 		}
-		a.shedExpired.Add(1)
-		ts.shedExpired.Add(1)
+		a.countShed(a.shedExpired, &ts.shedExpired)
 		return nil, true, fmt.Errorf("%w: %w", ErrQueueExpired, ctx.Err())
 	}
+}
+
+// countShed records one shed request: the total, its reason's series and
+// the tenant's own tally of that reason.
+func (a *Admission) countShed(reason *obs.Counter, tenant *atomic.Int64) {
+	a.shed.Inc()
+	reason.Inc()
+	tenant.Add(1)
 }
 
 // dropWaiterLocked removes a still-queued waiter from its tenant queue.
@@ -352,28 +372,26 @@ func (a *Admission) StartDraining() { a.draining.Store(true) }
 func (a *Admission) Draining() bool { return a.draining.Load() }
 
 // InFlight returns the number of admitted, unfinished requests.
-func (a *Admission) InFlight() int64 { return a.inFlight.Load() }
+func (a *Admission) InFlight() int64 { return int64(a.inFlight.Value()) }
 
 // Queued returns the number of requests waiting for a slot.
 func (a *Admission) Queued() int64 { return a.queued.Load() }
 
 // Shed returns the total number of rejected requests: queue-full,
 // queued-deadline-expired, and priority-preempted combined.
-func (a *Admission) Shed() int64 {
-	return a.shedFull.Load() + a.shedExpired.Load() + a.shedPreempt.Load()
-}
+func (a *Admission) Shed() int64 { return a.shed.Value() }
 
 // ShedQueueFull returns the number of requests rejected with ErrSaturated
 // because slots and queue were full on arrival.
-func (a *Admission) ShedQueueFull() int64 { return a.shedFull.Load() }
+func (a *Admission) ShedQueueFull() int64 { return a.shedFull.Value() }
 
 // ShedExpired returns the number of requests rejected with
 // ErrQueueExpired because their deadline passed while queued.
-func (a *Admission) ShedExpired() int64 { return a.shedExpired.Load() }
+func (a *Admission) ShedExpired() int64 { return a.shedExpired.Value() }
 
 // ShedPreempted returns the number of queued requests shed with
 // ErrPreempted to make room for higher-priority arrivals.
-func (a *Admission) ShedPreempted() int64 { return a.shedPreempt.Load() }
+func (a *Admission) ShedPreempted() int64 { return a.shedPreempt.Value() }
 
 // TenantStats snapshots every tenant's admission accounting, sorted by
 // tenant name.

@@ -201,7 +201,7 @@ func TestAdmissionDraining(t *testing.T) {
 // ≥ 0). Every tenant gets weight 1 and normal priority — pure fair
 // sharing with FIFO inside each tenant.
 func NewAdmission(maxInFlight, maxQueue int) *Admission {
-	return NewTenantAdmission(maxInFlight, maxQueue, nil)
+	return NewTenantAdmission(maxInFlight, maxQueue, nil, nil)
 }
 
 // Enter admits the request under the default tenant. On success the

@@ -47,23 +47,29 @@ func (o Outcome) String() string {
 // first runs the disk load or build, the rest block on its completion and
 // share the result. Failed builds are not cached; every waiter receives
 // the error and the next request retries the build.
+//
+// The cache writes its own /metrics series as each event happens — the
+// server_cache_{hits,misses,disk_hits,evictions}_total counters and the
+// server_cache_bytes gauge — and Stats reads them back, so /metrics and
+// /healthz report one store.
 type Cache struct {
 	maxBytes int64
-	disk     *DiskTier     // nil: memory only
-	rec      *obs.Recorder // attached to estimators loaded from disk
+	disk     *DiskTier // nil: memory only
 
 	mu    sync.Mutex
 	used  int64
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	lookups   atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	diskHits  atomic.Int64
-	evictions atomic.Int64
-	peeks     atomic.Int64
-	peekHits  atomic.Int64
+	hits      *obs.Counter
+	misses    *obs.Counter
+	diskHits  *obs.Counter // nil without a disk tier
+	evictions *obs.Counter
+	bytes     *obs.Gauge // used, set under mu
+
+	lookups  atomic.Int64
+	peeks    atomic.Int64
+	peekHits atomic.Int64
 }
 
 type centry struct {
@@ -76,18 +82,28 @@ type centry struct {
 }
 
 // NewCache returns a cache bounded to maxBytes of accounted artifact
-// size over the optional disk tier; rec is attached to estimators the
-// tier loads, as builds attach it to the ones they create. maxBytes ≤ 0
-// disables memory storage: every lookup goes to the disk tier or builds
-// (still single-flighted for concurrent identical requests).
+// size over the optional disk tier, counting into rec (a private
+// Recorder when nil). maxBytes ≤ 0 disables memory storage: every lookup
+// goes to the disk tier or builds (still single-flighted for concurrent
+// identical requests).
 func NewCache(maxBytes int64, disk *DiskTier, rec *obs.Recorder) *Cache {
-	return &Cache{
-		maxBytes: maxBytes,
-		disk:     disk,
-		rec:      rec,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+	if rec == nil {
+		rec = obs.New()
 	}
+	c := &Cache{
+		maxBytes:  maxBytes,
+		disk:      disk,
+		ll:        list.New(),
+		items:     make(map[string]*list.Element),
+		hits:      rec.Counter(CtrCacheHit),
+		misses:    rec.Counter(CtrCacheMiss),
+		evictions: rec.Counter(CtrCacheEvict),
+		bytes:     rec.Gauge(GaugeCacheBytes),
+	}
+	if disk != nil {
+		c.diskHits = rec.Counter(CtrCacheDisk)
+	}
+	return c
 }
 
 // GetOrBuild returns the artifact cached under key in memory or on disk,
@@ -102,10 +118,10 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
-			c.misses.Add(1)
+			c.misses.Inc()
 			return nil, OutcomeMiss, e.err
 		}
-		c.hits.Add(1)
+		c.hits.Inc()
 		return e.val, OutcomeHit, nil
 	}
 	e := &centry{key: key, ready: make(chan struct{})}
@@ -114,7 +130,7 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 	c.mu.Unlock()
 
 	out := OutcomeDisk
-	v, size, ok := c.disk.load(key, c.rec)
+	v, size, ok := c.disk.load(key)
 	var err error
 	if !ok {
 		out = OutcomeMiss
@@ -138,15 +154,16 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (any, O
 		} else {
 			c.used += size
 			c.evictLocked()
+			c.bytes.Set(float64(c.used))
 		}
 	}
 	c.mu.Unlock()
 	close(e.ready)
 
 	if out == OutcomeDisk {
-		c.diskHits.Add(1)
+		c.diskHits.Inc()
 	} else {
-		c.misses.Add(1)
+		c.misses.Inc()
 	}
 	return v, out, err
 }
@@ -169,7 +186,7 @@ func (c *Cache) Peek(key string) (any, Outcome, bool) {
 		}
 	}
 	c.mu.Unlock()
-	v, _, ok := c.disk.load(key, c.rec)
+	v, _, ok := c.disk.load(key)
 	if !ok {
 		return nil, OutcomeMiss, false
 	}
@@ -201,13 +218,14 @@ func (c *Cache) evictLocked() {
 			delete(c.items, e.key)
 			c.ll.Remove(el)
 			c.used -= e.size
-			c.evictions.Add(1)
+			c.evictions.Inc()
 		}
 		el = prev
 	}
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters.
+// CacheStats is a point-in-time snapshot of the cache counters, the
+// /healthz view of the series the cache writes.
 type CacheStats struct {
 	Bytes     int64 `json:"bytes"`
 	Items     int   `json:"items"`
@@ -223,16 +241,16 @@ type CacheStats struct {
 // Stats returns the current counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	bytes, items := c.used, len(c.items)
+	bytes, items := int64(c.bytes.Value()), len(c.items)
 	c.mu.Unlock()
 	return CacheStats{
 		Bytes:     bytes,
 		Items:     items,
 		Lookups:   c.lookups.Load(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		DiskHits:  c.diskHits.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		DiskHits:  c.diskHits.Value(),
+		Evictions: c.evictions.Value(),
 		Peeks:     c.peeks.Load(),
 		PeekHits:  c.peekHits.Load(),
 	}

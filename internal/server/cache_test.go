@@ -370,7 +370,7 @@ func (c *Cache) invariants() error {
 	if c.maxBytes > 0 && c.used > c.maxBytes {
 		return fmt.Errorf("cache: %d bytes used over budget %d", c.used, c.maxBytes)
 	}
-	lk, h, m, d := c.lookups.Load(), c.hits.Load(), c.misses.Load(), c.diskHits.Load()
+	lk, h, m, d := c.lookups.Load(), c.hits.Value(), c.misses.Value(), c.diskHits.Value()
 	if lk != h+m+d {
 		return fmt.Errorf("cache: %d lookups != %d hits + %d misses + %d disk", lk, h, m, d)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kde"
-	"repro/internal/obs"
 )
 
 // DiskTier is the persistent artifact tier under the in-memory LRU:
@@ -84,10 +83,10 @@ func (d *DiskTier) path(key string) string {
 }
 
 // load returns the artifact stored under key, decoded by the codec its
-// payload names, with its accounted size; loaded estimators get rec
-// attached. Any miss or failure returns ok=false, and a corrupt or
-// undecodable file is deleted so the slot heals on the next store.
-func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bool) {
+// payload names, with its accounted size. Any miss or failure returns
+// ok=false, and a corrupt or undecodable file is deleted so the slot
+// heals on the next store.
+func (d *DiskTier) load(key string) (v any, size int64, ok bool) {
 	if d == nil || strings.HasPrefix(key, densPrefix) {
 		return nil, 0, false
 	}
@@ -115,7 +114,7 @@ func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bo
 		d.misses.Add(1)
 		return nil, 0, false
 	}
-	if v, size, err = decodeArtifact(data[hdr+keyLen:], rec); err != nil {
+	if v, size, err = decodeArtifact(data[hdr+keyLen:]); err != nil {
 		d.dropCorrupt(path)
 		return nil, 0, false
 	}
@@ -132,13 +131,12 @@ func (d *DiskTier) load(key string, rec *obs.Recorder) (v any, size int64, ok bo
 // estimator, anything else must be a DBSS1 sample. A loaded sample is
 // charged its tail bound like a built one (sampleBytes) and encodes its
 // tail on its first write.
-func decodeArtifact(payload []byte, rec *obs.Recorder) (any, int64, error) {
+func decodeArtifact(payload []byte) (any, int64, error) {
 	if bytes.HasPrefix(payload, []byte("DBSK1")) {
 		est, err := kde.UnmarshalEstimator(payload)
 		if err != nil {
 			return nil, 0, err
 		}
-		est.SetRecorder(rec)
 		return est, estimatorBytes(est), nil
 	}
 	sm, ns, err := core.UnmarshalSample(payload)

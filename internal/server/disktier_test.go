@@ -36,7 +36,7 @@ func TestDiskTierPrunesLeastRecentlyUsed(t *testing.T) {
 	setMtime("a", 2*time.Hour)
 	d.store("b", testArtifact(2))
 	setMtime("b", time.Hour)
-	if _, _, ok := d.load("a", nil); !ok {
+	if _, _, ok := d.load("a"); !ok {
 		t.Fatal("load of a missed")
 	}
 	d.store("c", testArtifact(3))
@@ -97,7 +97,7 @@ func FuzzDiskTierLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		v, _, ok := d.load(fuzzKey, nil)
+		v, _, ok := d.load(fuzzKey)
 		if !ok {
 			return
 		}

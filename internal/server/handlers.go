@@ -87,7 +87,6 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 		}
 		rec.Region("admission/wait", admStart, 0, "")
 		if err != nil {
-			s.syncShedCounters()
 			switch {
 			case errors.Is(err, ErrDraining):
 				sw.Header().Set("Retry-After", s.retryAfterHint(0.99, 5))
@@ -114,7 +113,6 @@ func (s *Server) compute(route string, fn computeHandler) http.HandlerFunc {
 			return
 		}
 		defer release()
-		s.syncGauges()
 		fn(ctx, rec, sw, r)
 	}
 }
@@ -190,8 +188,8 @@ type healthResponse struct {
 	Tenants       []TenantStats             `json:"tenants,omitempty"`
 	QueueWait     *LatencySummary           `json:"queue_wait,omitempty"`
 	Latency       map[string]LatencySummary `json:"latency,omitempty"`
-	// ShardLatency is the coordinator's downstream fan-out wait per
-	// phase (partials, draw) — separate from Latency, whose route
+	// ShardLatency is the coordinator's downstream fan-out wait, keyed
+	// by its one phase, "partials" — separate from Latency, whose route
 	// digests fold everything a request did into one number, and from
 	// the build-stage histogram, which sharded builds deliberately skip.
 	ShardLatency map[string]LatencySummary `json:"shard_latency,omitempty"`
@@ -549,8 +547,8 @@ func genSeed(seed, g uint64, stage string) uint64 {
 // (memory or disk, never a build; nothing found returns a nil value). It
 // logs the lookup as one region of the request's trace, spanning any
 // singleflight wait or the build itself and noting the outcome — a hit's
-// trace shows this region and no scan spans at all — and mirrors the
-// cache counters into the recorder.
+// trace shows this region and no scan spans at all. The cache counts the
+// lookup into the server's Recorder itself.
 func (s *Server) artifact(rec *obs.Recorder, event, key string, g uint64, build func() (any, int64, error)) (any, Outcome, error) {
 	t0 := time.Now()
 	var v any
@@ -561,7 +559,6 @@ func (s *Server) artifact(rec *obs.Recorder, event, key string, g uint64, build 
 	} else {
 		v, out, err = s.cache.GetOrBuild(key, build)
 	}
-	s.syncCacheCounters()
 	rec.Region(event, t0, 0, "%s gen=%d", out, g)
 	return v, out, err
 }
@@ -578,10 +575,9 @@ func (s *Server) artifact(rec *obs.Recorder, event, key string, g uint64, build 
 // content alone, not from the coordinator's append lineage. Otherwise it
 // extends generation g-1's estimator (obtained recursively) over the
 // delta alone: kde.Estimator.ExtendDelta, one pass over the delta and
-// none over the prior prefix. Cached estimators hold the server-level
-// recorder (attached once — a shared artifact must not point at one
-// request's recorder), so their kernel-evaluation counters aggregate
-// across requests.
+// none over the prior prefix. The estimator holds no Recorder: a build
+// counts into rec, the building request's, and every later density
+// evaluation into the Recorder of the call that makes it.
 func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, p estParams, g uint64, lin string) (*kde.Estimator, Outcome, error) {
 	fp, err := h.FingerprintAt(g)
 	if err != nil {
@@ -603,7 +599,7 @@ func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, 
 		}
 		var est *kde.Estimator
 		err = s.runStage(ctx, rec, stage, p.Seed, func(sctx context.Context) error {
-			s.rec.Counter(CtrKDEBuilds).Inc()
+			rec.Counter(CtrKDEBuilds).Inc()
 			// The RNG stream is re-derived per attempt, so a retried
 			// build produces the identical estimator.
 			var err error
@@ -625,7 +621,6 @@ func (s *Server) estimatorAt(ctx context.Context, rec *obs.Recorder, h *Handle, 
 		if err != nil {
 			return nil, 0, err
 		}
-		est.SetRecorder(s.rec)
 		return est, estimatorBytes(est), nil
 	})
 	if err != nil {
@@ -662,7 +657,7 @@ func (s *Server) densitiesAt(ctx context.Context, rec *obs.Recorder, view datase
 		dens := make([]float64, n)
 		err := s.runStage(ctx, rec, "server/build/dens", seed, func(sctx context.Context) error {
 			return dataset.ScanBlocks(view, dataset.ScanConfig{Parallelism: s.cfg.Parallelism, Ctx: sctx, Rec: rec}, func(_, start int, pts []geom.Point) error {
-				est.DensityBatch(pts, dens[start:start+len(pts)])
+				est.DensityBatch(pts, dens[start:start+len(pts)], rec)
 				return nil
 			})
 		})

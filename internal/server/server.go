@@ -294,7 +294,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       NewRegistry(cfg.Parallelism),
 		cache:     NewCache(cfg.CacheBytes, cfg.Disk, cfg.Rec),
-		adm:       NewTenantAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
+		adm:       NewTenantAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants, cfg.Rec),
 		disk:      cfg.Disk,
 		rec:       cfg.Rec,
 		mux:       http.NewServeMux(),
@@ -413,40 +413,12 @@ func (s *Server) histSummaries(name, labelKey string) map[string]LatencySummary 
 }
 
 // observe records a finished request into the route's latency
-// histogram and the server gauges. It runs for every outcome — success,
-// pipeline failure, and shed — so 429/503/504 responses appear in the
-// route's digest instead of vanishing from it.
+// histogram. It runs for every outcome — success, pipeline failure, and
+// shed — so 429/503/504 responses appear in the route's digest instead
+// of vanishing from it.
 func (s *Server) observe(route string, start time.Time) {
 	s.rec.Histogram(HistRequestSeconds, obs.Label{Key: "route", Value: route}).
 		Observe(time.Since(start).Seconds())
-	s.syncGauges()
-}
-
-func (s *Server) syncGauges() {
-	s.rec.Gauge(GaugeInFlight).Set(float64(s.adm.InFlight()))
-	s.rec.Gauge(GaugeCacheBytes).Set(float64(s.cache.Stats().Bytes))
-}
-
-// syncCacheCounters mirrors the cache's internal tallies into the
-// recorder so /metrics carries them; called after each cache interaction.
-func (s *Server) syncCacheCounters() {
-	st := s.cache.Stats()
-	setCounter(s.rec.Counter(CtrCacheHit), st.Hits)
-	setCounter(s.rec.Counter(CtrCacheMiss), st.Misses)
-	setCounter(s.rec.Counter(CtrCacheEvict), st.Evictions)
-	if s.disk != nil {
-		setCounter(s.rec.Counter(CtrCacheDisk), st.DiskHits)
-	}
-	s.rec.Gauge(GaugeCacheBytes).Set(float64(st.Bytes))
-}
-
-// syncShedCounters mirrors the admission controller's shed tallies:
-// total plus the queue-full / deadline-expired / preempted split.
-func (s *Server) syncShedCounters() {
-	setCounter(s.rec.Counter(CtrShed), s.adm.Shed())
-	setCounter(s.rec.Counter(CtrShedFull), s.adm.ShedQueueFull())
-	setCounter(s.rec.Counter(CtrShedExpired), s.adm.ShedExpired())
-	setCounter(s.rec.Counter(CtrShedPreempted), s.adm.ShedPreempted())
 }
 
 // retryAfterHint derives a client back-off from the observed queue-wait
@@ -482,12 +454,4 @@ func (s *Server) observeQueueWait(tenant string, wait time.Duration) {
 	secs := wait.Seconds()
 	s.rec.Histogram(HistQueueSeconds).Observe(secs)
 	s.rec.Histogram(HistTenantQueueSeconds, obs.Label{Key: "tenant", Value: tenant}).Observe(secs)
-}
-
-// setCounter raises c to total (counters are monotonic; the cache is the
-// source of truth, the recorder the exposition).
-func setCounter(c *obs.Counter, total int64) {
-	if d := total - c.Value(); d > 0 {
-		c.Add(d)
-	}
 }

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,6 +417,93 @@ func TestMetricsExposesServerCounters(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+}
+
+// scrapeMetrics reads the server's /metrics exposition, served in
+// process, keyed by series name.
+func scrapeMetrics(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := map[string]float64{}
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[strings.TrimPrefix(name, obs.PromPrefix)] = v
+	}
+	return out
+}
+
+// TestMetricsMatchHealthz drives concurrent misses, hits, disk loads,
+// evictions (a cache budget of a few artifacts over a disk tier) and
+// sheds (one in-flight slot, one queue place) and then requires every
+// cache and admission series on /metrics to equal its /healthz field
+// exactly, with nothing left in flight.
+func TestMetricsMatchHealthz(t *testing.T) {
+	disk, err := NewDiskTier(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, _ := newTestServer(t, Config{Parallelism: 1, CacheBytes: 48 << 10, Disk: disk, MaxInFlight: 1, MaxQueue: 1}, 2000)
+	var health healthResponse
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 6; i++ {
+					raw, _ := json.Marshal(map[string]any{
+						"dataset": "pts", "alpha": []float64{1, 0.5}[i%2], "size": 100, "kernels": 32,
+						"seed": 1 + (round+w+i)%4,
+					})
+					srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/sample", bytes.NewReader(raw)))
+				}
+			}(w)
+		}
+		wg.Wait()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		health = healthResponse{}
+		if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil {
+			t.Fatal(err)
+		}
+		st := health.Cache
+		if round >= 4 && st.Hits > 0 && st.Misses > 0 && st.DiskHits > 0 && st.Evictions > 0 && health.Shed > 0 {
+			break
+		}
+	}
+	st := health.Cache
+	if st.Hits == 0 || st.Misses == 0 || st.DiskHits == 0 || st.Evictions == 0 || health.Shed == 0 {
+		t.Fatalf("traffic missed an event kind: cache %+v, shed %d", st, health.Shed)
+	}
+	m := scrapeMetrics(t, srv)
+	for name, want := range map[string]int64{
+		CtrCacheHit:      st.Hits,
+		CtrCacheMiss:     st.Misses,
+		CtrCacheDisk:     st.DiskHits,
+		CtrCacheEvict:    st.Evictions,
+		GaugeCacheBytes:  st.Bytes,
+		CtrShed:          health.Shed,
+		CtrShedFull:      health.ShedQueueFull,
+		CtrShedExpired:   health.ShedExpired,
+		CtrShedPreempted: health.ShedPreempted,
+		GaugeInFlight:    health.InFlight,
+	} {
+		got, ok := m[name]
+		if !ok || got != float64(want) {
+			t.Errorf("/metrics %s = %v (present %t), /healthz %d", name, got, ok, want)
+		}
+	}
+	if m[GaugeInFlight] != 0 {
+		t.Errorf("%s = %v after every request finished, want 0", GaugeInFlight, m[GaugeInFlight])
 	}
 }
 

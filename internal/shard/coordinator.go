@@ -319,23 +319,8 @@ func (c *Coordinator) Sample(ctx context.Context, p Params, view dataset.Dataset
 		partials[b] = cands[b].Partial
 	}
 	// ResolveBlocks refuses a degenerate merged k_a.
-	norm := core.FoldNorm(partials)
 	opts := core.Options{TargetSize: p.Size, Obs: obs.FromContext(ctx)}
-	perBlock, err := core.ResolveBlocks(view, opts, norm, cands)
-	if err != nil {
-		return nil, err
-	}
-	out := &core.Sample{Norm: norm, DataPasses: 2}
-	total := 0
-	for i := range perBlock {
-		total += len(perBlock[i].Points)
-	}
-	out.Points = make([]dataset.WeightedPoint, 0, total)
-	for i := range perBlock {
-		out.Points = append(out.Points, perBlock[i].Points...)
-		out.Saturated += perBlock[i].Saturated
-	}
-	return out, nil
+	return core.ResolveBlocks(view, opts, core.FoldNorm(partials), cands)
 }
 
 // propose runs the round: scatter the block groups with the stream base

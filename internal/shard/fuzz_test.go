@@ -68,13 +68,24 @@ func FuzzShardReply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a validated reply failed to resolve: %v", err)
 		}
-		for _, bs := range resolved {
-			start, end := parallel.BlockRange(bs.Block, fuzzN, fuzzBlockSize)
-			for _, wp := range bs.Points {
-				if i := int(wp.P[0]); i < start || i >= end || !wp.P.Equal(ds.Points()[i]) {
-					t.Fatalf("block %d resolved to row %v outside [%d,%d)", bs.Block, wp.P, start, end)
-				}
+		// The sample is gathered block by block in reply order, each
+		// block's rows increasing, so every kept row must be a candidate
+		// of the reply, inside its own block, after the row before it.
+		owner := map[int]int{}
+		for _, c := range cands {
+			for _, i := range c.Index {
+				owner[i] = c.Block
 			}
+		}
+		prev := -1
+		for _, wp := range resolved.Points {
+			i := int(wp.P[0])
+			b, ok := owner[i]
+			start, end := parallel.BlockRange(b, fuzzN, fuzzBlockSize)
+			if !ok || i <= prev || i < start || i >= end || !wp.P.Equal(ds.Points()[i]) {
+				t.Fatalf("resolved to row %v, not the next candidate row of its own block", wp.P)
+			}
+			prev = i
 		}
 	})
 }

@@ -90,11 +90,11 @@ go test -run '^$' -fuzz '^FuzzUnmarshalEstimator$' -fuzztime 10s -parallel 2 ./i
 # error, never a panic, or to a sample that re-marshals to the same bytes
 # (internal/core/testdata/fuzz/FuzzUnmarshalSample).
 go test -run '^$' -fuzz '^FuzzUnmarshalSample$' -fuzztime 10s -parallel 2 ./internal/core/
-# Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof in
-# quick mode. Fails loudly if any tenant sees a non-shed failure (a 5xx
-# surprise or transport error); the committed BENCH_load.json holds the
-# full-size numbers.
-go run ./cmd/dbsload -quick > /dev/null
+# Sustained-load smoke: the three-tenant WFQ/degrade/chaos proof (the
+# "load" experiment) in quick mode. Fails loudly if any tenant sees a
+# non-shed failure (a 5xx surprise or transport error); the committed
+# BENCH_load.json holds the full-size numbers.
+go run ./cmd/dbsbench -exp load -quick > /dev/null
 # Observability-overhead guard: an enabled Recorder, and a traced one
 # logging every span occurrence, must each stay within budget of the
 # untraced draw, judged by the median of 31 interleaved paired ratios.
