@@ -64,10 +64,10 @@ func FromPoints(pts []Point) (Dataset, error) { return dataset.NewInMemory(pts) 
 // '#' comments skipped) into an in-memory Dataset.
 func LoadCSV(r io.Reader) (Dataset, error) { return dataset.ReadCSV(r) }
 
-// OpenBinary opens a binary dataset file (written by SaveBinary or
-// cmd/dbsgen) as a streaming, file-backed Dataset that holds one point in
-// memory at a time.
-func OpenBinary(path string) (Dataset, error) { return dataset.OpenFile(path) }
+// OpenBinary opens a binary dataset file of either format (DBS1, written
+// by SaveBinary or cmd/dbsgen; DBS2, by dbsgen -segmented) as a file-backed
+// Dataset. A DBS1 file is streamed from disk a block at a time.
+func OpenBinary(path string) (Dataset, error) { return dataset.Open(path) }
 
 // SaveBinary writes any Dataset to the binary file format.
 func SaveBinary(path string, ds Dataset) error { return dataset.SaveBinary(path, ds) }

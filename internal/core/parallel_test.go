@@ -86,9 +86,12 @@ func TestDrawDeterministicFileBacked(t *testing.T) {
 	if err := dataset.SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := dataset.OpenFile(path)
+	fb, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dataset.Resident(fb) {
+		t.Fatal("the DBS1 fixture is resident; it must take the non-resident draw path")
 	}
 	est := buildKDE(t, mem, 200, setup)
 

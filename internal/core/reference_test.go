@@ -75,9 +75,12 @@ func TestDrawMatchesReference(t *testing.T) {
 	if err := dataset.SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	file, err := dataset.OpenFile(path)
+	file, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dataset.Resident(file) {
+		t.Fatal("the DBS1 fixture is resident; it must take the non-resident draw path")
 	}
 	// The floor binds for roughly the sparsest tenth of the points. At
 	// a = -2 and b = 2000 their probabilities clip.
@@ -200,9 +203,12 @@ func TestExtendDrawMatchesReference(t *testing.T) {
 	if err := dataset.SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	file, err := dataset.OpenFile(path)
+	file, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dataset.Resident(file) {
+		t.Fatal("the DBS1 fixture is resident; it must take the non-resident draw path")
 	}
 	// The floor binds for the isolated points and their neighbours.
 	const floor, b, blockSize = 2e3, 2000, 256

@@ -321,9 +321,12 @@ func TestOneRoundMatchesDraw(t *testing.T) {
 	if err := dataset.SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	file, err := dataset.OpenFile(path)
+	file, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dataset.Resident(file) {
+		t.Fatal("the DBS1 fixture is resident; it must take the non-resident draw path")
 	}
 	for _, ds := range []dataset.Dataset{mem, file} {
 		for _, alpha := range []float64{-1.5, -0.5, 0, 0.5, 1} {

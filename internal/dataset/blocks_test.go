@@ -72,7 +72,7 @@ func TestScanBlocksFileBacked(t *testing.T) {
 	if err := SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestScanRangeFileBacked(t *testing.T) {
 	if err := SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestScanBlocksCountsOnePass(t *testing.T) {
 	if err := SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

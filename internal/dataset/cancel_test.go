@@ -19,7 +19,7 @@ func TestScanBlocksCtxCanceled(t *testing.T) {
 	if err := SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -18,37 +17,88 @@ import (
 // Binary file format: a fixed little-endian header followed by packed
 // float64 coordinates. The format exists so the cmd/ tools can hand large
 // generated datasets between processes without re-generating them, and so
-// the file-backed Dataset can stream passes at disk speed the way the
+// a file-backed Dataset can stream passes at disk speed the way the
 // paper's sequential scans do.
 //
 //	offset 0: magic "DBS1" (4 bytes)
 //	offset 4: uint32 dims
 //	offset 8: uint64 count
 //	offset 16: count*dims float64s, row major
-const binaryMagic = "DBS1"
+//
+// Bytes after the declared rows are ignored. DBS2 (segment.go) is this
+// layout under its own magic, with more segments allowed after the first.
+const (
+	binaryMagic  = "DBS1"
+	segmentMagic = "DBS2"
 
-// maxReserveRows caps the point slice ReadBinary reserves before reading
-// any row (4096 slice headers, 96 KiB).
-const maxReserveRows = 4096
+	// maxDims bounds the dims a binary header may declare.
+	maxDims = 1 << 16
 
-// WriteBinary streams ds into w in the binary format (one pass).
-func WriteBinary(w io.Writer, ds Dataset) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
+	// maxReserveRows caps the point slice ReadBinary reserves before
+	// reading any row (4096 slice headers, 96 KiB).
+	maxReserveRows = 4096
+)
+
+// head is the 8 bytes both formats open with: the magic and the dims.
+func head(magic string, dims int) []byte {
+	return binary.LittleEndian.AppendUint32([]byte(magic), uint32(dims))
+}
+
+// readHead is the header check every binary reader shares, over a file's
+// first 16 bytes: a DBS1 or DBS2 magic, 1 ≤ dims ≤ maxDims, and a first
+// row count that readCount accepts. Whether every declared row is present
+// is the caller's to check: ReadBinary reads them, Open sizes the file.
+func readHead(hdr []byte) (magic string, dims, count int, err error) {
+	magic = string(hdr[:4])
+	if magic != binaryMagic && magic != segmentMagic {
+		return "", 0, 0, fmt.Errorf("dataset: bad magic %q", hdr[:4])
 	}
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ds.Dims()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(ds.Len()))
-	if _, err := bw.Write(hdr); err != nil {
+	dims = int(binary.LittleEndian.Uint32(hdr[4:8]))
+	if dims <= 0 || dims > maxDims {
+		return "", 0, 0, fmt.Errorf("dataset: implausible dims %d", dims)
+	}
+	count, err = readCount(hdr[8:16], dims)
+	return magic, dims, count, err
+}
+
+// readCount checks one row count, DBS1's or a DBS2 segment prefix: it
+// must be positive and its rows addressable in bytes.
+func readCount(b []byte, dims int) (int, error) {
+	count := binary.LittleEndian.Uint64(b)
+	if count == 0 || count > uint64(math.MaxInt64/(8*dims)) {
+		return 0, fmt.Errorf("dataset: implausible segment count %d", count)
+	}
+	return int(count), nil
+}
+
+// putRow encodes p into buf as packed little-endian float64s.
+func putRow(buf []byte, p geom.Point) []byte {
+	for i, v := range p {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	}
+	return buf
+}
+
+// getRow decodes one packed row into p.
+func getRow(p geom.Point, row []byte) {
+	for j := range p {
+		p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
+	}
+}
+
+// writeSegment writes head, then ds as one segment: its row count and its
+// rows (one pass).
+func writeSegment(w io.Writer, head []byte, ds Dataset) error {
+	if ds.Len() == 0 {
+		return errors.New("dataset: empty dataset")
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.Write(binary.LittleEndian.AppendUint64(head, uint64(ds.Len()))); err != nil {
 		return err
 	}
 	buf := make([]byte, 8*ds.Dims())
 	err := Scan(ds, func(p geom.Point) error {
-		for i, v := range p {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		_, werr := bw.Write(buf)
+		_, werr := bw.Write(putRow(buf, p))
 		return werr
 	})
 	if err != nil {
@@ -57,40 +107,46 @@ func WriteBinary(w io.Writer, ds Dataset) error {
 	return bw.Flush()
 }
 
-// SaveBinary writes ds to the named file.
-func SaveBinary(path string, ds Dataset) error {
+// WriteBinary streams ds into w in the DBS1 format (one pass).
+func WriteBinary(w io.Writer, ds Dataset) error {
+	return writeSegment(w, head(binaryMagic, ds.Dims()), ds)
+}
+
+// SaveBinary writes ds to the named file in the DBS1 format.
+func SaveBinary(path string, ds Dataset) error { return saveFile(path, binaryMagic, ds) }
+
+// saveFile writes ds to a new file at path behind the given magic, as one
+// segment; on error the file is removed.
+func saveFile(path, magic string, ds Dataset) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteBinary(f, ds); err != nil {
-		f.Close()
-		return err
+	err = writeSegment(f, head(magic, ds.Dims()), ds)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
-// ReadBinary loads a binary-format dataset fully into memory.
+// ReadBinary loads a DBS1 stream fully into memory. It applies Open's
+// header check, refuses a DBS2 stream, reads exactly the declared rows
+// and ignores any bytes after them.
 func ReadBinary(r io.Reader) (*InMemory, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("dataset: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("dataset: bad magic %q", magic)
-	}
-	hdr := make([]byte, 12)
+	hdr := make([]byte, 16)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("dataset: reading header: %w", err)
 	}
-	dims := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	count := binary.LittleEndian.Uint64(hdr[4:12])
-	if dims <= 0 || dims > 1<<16 {
-		return nil, fmt.Errorf("dataset: implausible dims %d", dims)
+	magic, dims, count, err := readHead(hdr)
+	if err == nil && magic != binaryMagic {
+		err = fmt.Errorf("dataset: bad magic %q", magic)
 	}
-	if count == 0 {
-		return nil, errors.New("dataset: empty binary dataset")
+	if err != nil {
+		return nil, err
 	}
 	// The header's count is untrusted: reserve no more rows up front than
 	// a small body could fill, and let append grow the slice as rows
@@ -98,105 +154,16 @@ func ReadBinary(r io.Reader) (*InMemory, error) {
 	// first missing row instead of asking for terabytes.
 	pts := make([]geom.Point, 0, min(count, maxReserveRows))
 	row := make([]byte, 8*dims)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		if _, err := io.ReadFull(br, row); err != nil {
 			return nil, fmt.Errorf("dataset: reading point %d: %w", i, err)
 		}
 		p := make(geom.Point, dims)
-		for j := range p {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
-		}
+		getRow(p, row)
 		pts = append(pts, p)
 	}
 	return NewInMemory(pts)
 }
-
-// FileBacked is a Dataset that streams passes directly from a binary file,
-// holding only one point in memory at a time. It models the paper's setting
-// of datasets too large to materialize. Each scan opens its own handle and
-// the pass counter is atomic, so one FileBacked may serve concurrent scans.
-type FileBacked struct {
-	path   string
-	dims   int
-	count  int
-	passes atomic.Int64
-}
-
-// OpenFile validates the header of a binary dataset file and returns a
-// FileBacked view over it.
-func OpenFile(path string) (*FileBacked, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("dataset: reading header of %s: %w", path, err)
-	}
-	if string(hdr[:4]) != binaryMagic {
-		return nil, fmt.Errorf("dataset: %s: bad magic %q", path, hdr[:4])
-	}
-	dims := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	count := int(binary.LittleEndian.Uint64(hdr[8:16]))
-	if dims <= 0 || count <= 0 {
-		return nil, fmt.Errorf("dataset: %s: empty or malformed", path)
-	}
-	return &FileBacked{path: path, dims: dims, count: count}, nil
-}
-
-// ScanRange implements Dataset by opening a private handle, seeking to
-// the range start, and streaming the rows through a buffered reader, so
-// concurrent block scans each read ahead within their own region of the
-// file instead of interleaving one-point reads.
-func (fb *FileBacked) ScanRange(start, end int, fn func(p geom.Point) error) error {
-	if err := checkRange(start, end, fb.count); err != nil {
-		return err
-	}
-	if start == end {
-		return nil
-	}
-	f, err := os.Open(fb.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rowSize := 8 * fb.dims
-	if _, err := f.Seek(int64(16+start*rowSize), io.SeekStart); err != nil {
-		return err
-	}
-	bufSize := (end - start) * rowSize
-	if bufSize > 1<<20 {
-		bufSize = 1 << 20
-	}
-	br := bufio.NewReaderSize(f, bufSize)
-	row := make([]byte, rowSize)
-	p := make(geom.Point, fb.dims)
-	for i := start; i < end; i++ {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return fmt.Errorf("dataset: %s: point %d: %w", fb.path, i, err)
-		}
-		for j := range p {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
-		}
-		if err := fn(p); err != nil {
-			return stopToNil(err)
-		}
-	}
-	return nil
-}
-
-// Len implements Dataset.
-func (fb *FileBacked) Len() int { return fb.count }
-
-// Dims implements Dataset.
-func (fb *FileBacked) Dims() int { return fb.dims }
-
-// Passes implements Dataset.
-func (fb *FileBacked) Passes() int { return int(fb.passes.Load()) }
-
-// AddPass implements Dataset.
-func (fb *FileBacked) AddPass() { fb.passes.Add(1) }
 
 // WriteCSV streams ds as comma-separated rows, one point per line, for
 // interoperability with plotting tools.

@@ -24,7 +24,7 @@ func writeFile(t *testing.T, b []byte) string {
 
 func TestOpenFileTruncatedHeader(t *testing.T) {
 	path := writeFile(t, []byte("DBS1\x02\x00"))
-	if _, err := OpenFile(path); err == nil {
+	if _, err := Open(path); err == nil {
 		t.Error("truncated header accepted")
 	}
 }
@@ -34,11 +34,14 @@ func TestOpenFileBadMagic(t *testing.T) {
 	copy(hdr, "NOPE")
 	binary.LittleEndian.PutUint32(hdr[4:8], 2)
 	binary.LittleEndian.PutUint64(hdr[8:16], 1)
-	if _, err := OpenFile(writeFile(t, hdr)); err == nil {
+	if _, err := Open(writeFile(t, hdr)); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
 
+// A malformed header fails at Open, and a 16-byte file claiming 2^40 rows
+// or 2^28 dims fails without allocating for the claim (TestReadBinary-
+// HugeCountHeader is the same rule for uploads).
 func TestOpenFileMalformedShape(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -46,13 +49,23 @@ func TestOpenFileMalformedShape(t *testing.T) {
 	}{
 		{"zero dims", 0, 10},
 		{"zero count", 2, 0},
+		{"2^40 rows", 1, 1 << 40},
+		{"2^28 dims", 1 << 28, 1},
 	} {
 		hdr := make([]byte, 16)
 		copy(hdr, binaryMagic)
 		binary.LittleEndian.PutUint32(hdr[4:8], uint32(tc.dims))
 		binary.LittleEndian.PutUint64(hdr[8:16], tc.count)
-		if _, err := OpenFile(writeFile(t, hdr)); err == nil {
+		path := writeFile(t, hdr)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Open(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+			t.Errorf("%s: opening a 16-byte file allocated %d bytes, want < 8 MiB", tc.name, grew)
 		}
 	}
 }
@@ -88,28 +101,43 @@ func TestReadBinaryHugeCountHeader(t *testing.T) {
 	}
 }
 
-// A header that promises more rows than the file holds must fail the pass,
-// not silently deliver a short dataset — on the streaming scan and on the
-// concurrent range scan alike.
+// A header that promises more rows than the file holds must fail at Open,
+// the way a DBS2 file cut mid-segment does, not open and then fail (or
+// silently deliver a short dataset) on the first pass that reaches the
+// missing rows.
 func TestFileBackedTruncatedRows(t *testing.T) {
 	mem := MustInMemory([]geom.Point{{1, 2}, {3, 4}, {5, 6}})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, mem); err != nil {
 		t.Fatal(err)
 	}
-	path := writeFile(t, buf.Bytes()[:buf.Len()-8])
-	fb, err := OpenFile(path)
+	for _, cut := range []int{8, 1} {
+		path := writeFile(t, buf.Bytes()[:buf.Len()-cut])
+		if ds, err := Open(path); err == nil {
+			t.Errorf("DBS1 file cut %d bytes short of its 3 rows opened with %d rows", cut, ds.Len())
+		}
+	}
+}
+
+// OpenSegmented refuses a DBS1 file: Open reads a DBS1 file's declared
+// rows only, so a segment appended behind its header would be dropped.
+func TestOpenSegmentedRefusesDBS1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pts.dbs")
+	if err := SaveBinary(path, MustInMemory([]geom.Point{{1, 2}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegmented(path); err == nil {
+		t.Error("OpenSegmented opened a DBS1 file")
+	}
+	ds, err := Open(path)
 	if err != nil {
-		t.Fatalf("header itself is intact, open should succeed: %v", err)
+		t.Fatal(err)
 	}
-	if err := Scan(fb, func(geom.Point) error { return nil }); err == nil {
-		t.Error("Scan completed over truncated rows")
+	if _, ok := ds.(Appendable); ok {
+		t.Error("a DBS1 file opened Appendable")
 	}
-	if err := fb.ScanRange(0, fb.Len(), func(geom.Point) error { return nil }); err == nil {
-		t.Error("ScanRange completed over truncated rows")
-	}
-	if err := ScanBlocks(fb, ScanConfig{BlockSize: 2, Parallelism: 4}, func(int, int, []geom.Point) error { return nil }); err == nil {
-		t.Error("ScanBlocks completed over truncated rows")
+	if _, ok := ds.(Sliceable); ok {
+		t.Error("a DBS1 file opened Sliceable")
 	}
 }
 

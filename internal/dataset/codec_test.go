@@ -55,7 +55,7 @@ func TestFileBackedScan(t *testing.T) {
 	if err := SaveBinary(path, src); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFileBackedEarlyStop(t *testing.T) {
 	if err := SaveBinary(path, MustInMemory([]geom.Point{{1}, {2}, {3}})); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFileBackedEarlyStop(t *testing.T) {
 }
 
 func TestOpenFileMissing(t *testing.T) {
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing.dbs")); err == nil {
+	if _, err := Open(filepath.Join(t.TempDir(), "missing.dbs")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

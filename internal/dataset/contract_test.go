@@ -38,7 +38,7 @@ func contractDatasets(t *testing.T) []contractCase {
 	if err := dataset.SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := dataset.OpenFile(path)
+	fb, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/binary"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -49,10 +48,7 @@ func Fingerprint(ds Dataset, parallelism int) (uint64, error) {
 // little-endian float64 bytes; buf holds one row.
 func digestRows(h uint64, pts []geom.Point, buf []byte) uint64 {
 	for _, p := range pts {
-		for j, v := range p {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		h = fnv1a(h, buf)
+		h = fnv1a(h, putRow(buf, p))
 	}
 	return h
 }
@@ -60,11 +56,7 @@ func digestRows(h uint64, pts []geom.Point, buf []byte) uint64 {
 // finalizeFingerprint chains the codec header (magic, dims, count) and the
 // per-block digests in block order into the fingerprint.
 func finalizeFingerprint(dims, count int, sums []uint64) uint64 {
-	hdr := make([]byte, 16)
-	copy(hdr, binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(dims))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(count))
-	h := fnv1a(fnvOffset64, hdr)
+	h := fnv1a(fnvOffset64, binary.LittleEndian.AppendUint64(head(binaryMagic, dims), uint64(count)))
 	var b [8]byte
 	for _, bh := range sums {
 		binary.LittleEndian.PutUint64(b[:], bh)

@@ -38,7 +38,7 @@ func TestFingerprintSameAcrossImplementations(t *testing.T) {
 	if err := SaveBinary(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := OpenFile(path)
+	fb, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,11 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,14 +27,16 @@ import (
 //	    uint64 count (> 0)
 //	    count*dims float64s, row major
 //
-// Readers scan all segments; a file ending mid-segment (a torn append, a
-// truncated copy) fails to open rather than silently dropping rows.
-const segmentMagic = "DBS2"
+// A DBS1 file is the same layout with one segment, so one index parser
+// (openFile) reads both. Readers scan all segments; a file ending
+// mid-segment (a torn append, a truncated copy) fails to open rather than
+// silently dropping rows.
 
-// SegmentFile is an Appendable Dataset streaming from a segmented binary
-// file. Like FileBacked, every scan opens a private handle; the segment
-// index is held behind an atomic snapshot, so appends never disturb
-// in-flight scans and a scan started before an append keeps its prefix.
+// SegmentFile is an Appendable Dataset streaming from a binary file; Open
+// hides Append, and never maps, when the file is DBS1. Every unmapped scan
+// opens a private handle; the segment index is held behind an atomic
+// snapshot, so appends never disturb in-flight scans and a scan started
+// before an append keeps its prefix.
 //
 // On platforms with mmap support the file is memory-mapped read-only and
 // SegmentFile additionally implements Sliceable: Points returns row views
@@ -89,105 +90,106 @@ type segState struct {
 
 func (st *segState) total() int { return st.counts[len(st.counts)-1] }
 
+// first is the index of segment g's first row.
+func (st *segState) first(g int) int {
+	if g == 0 {
+		return 0
+	}
+	return st.counts[g-1]
+}
+
 // CreateSegmented writes ds into a new segmented file at path (one pass,
 // one segment) and returns it opened.
 func CreateSegmented(path string, ds Dataset) (*SegmentFile, error) {
-	if ds.Len() == 0 {
-		return nil, errors.New("dataset: empty dataset")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	hdr := make([]byte, 16)
-	copy(hdr, segmentMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(ds.Dims()))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(ds.Len()))
-	if _, err := bw.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	buf := make([]byte, 8*ds.Dims())
-	err = Scan(ds, func(p geom.Point) error {
-		for i, v := range p {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		_, werr := bw.Write(buf)
-		return werr
-	})
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
+	if err := saveFile(path, segmentMagic, ds); err != nil {
 		return nil, err
 	}
 	return OpenSegmented(path)
 }
 
-// OpenSegmented validates a segmented dataset file — magic, dims, and
-// that every segment's count prefix and rows are fully present — and
-// returns it as a SegmentFile. A file truncated mid-segment (or
-// mid-prefix) is an error; no reader may ever silently drop a segment.
-func OpenSegmented(path string) (*SegmentFile, error) {
+// openFile is the one index parser of both file formats. It applies
+// readHead's check, then checks that every declared row is present: a
+// DBS1 file is one segment, and the bytes after its declared rows are
+// ignored as ReadBinary ignores them; a DBS2 file is segments up to its
+// last byte, and one cut mid-prefix or mid-segment is an error. What it
+// allocates grows with the file's segments, never with a count it
+// declares. A DBS2 file is memory-mapped where the platform allows; a
+// DBS1 file never is.
+func openFile(path string) (sf *SegmentFile, dbs1 bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer f.Close()
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	hdr := make([]byte, 8)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("dataset: reading header of %s: %w", path, err)
+	b := make([]byte, 16)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return nil, false, fmt.Errorf("dataset: %s: reading header: %w", path, err)
 	}
-	if string(hdr[:4]) != segmentMagic {
-		return nil, fmt.Errorf("dataset: %s: bad magic %q", path, hdr[:4])
-	}
-	dims := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if dims <= 0 || dims > 1<<16 {
-		return nil, fmt.Errorf("dataset: %s: implausible dims %d", path, dims)
+	magic, dims, count, err := readHead(b)
+	if err != nil {
+		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	rowSize := int64(8 * dims)
-
 	st := &segState{}
-	total := 0
-	off := int64(8)
-	prefix := make([]byte, 8)
-	for off < size {
-		if off+8 > size {
-			return nil, fmt.Errorf("dataset: %s: truncated segment prefix at offset %d", path, off)
-		}
-		if _, err := f.ReadAt(prefix, off); err != nil {
-			return nil, fmt.Errorf("dataset: %s: segment prefix at offset %d: %w", path, off, err)
-		}
-		count := binary.LittleEndian.Uint64(prefix)
-		if count == 0 || count > uint64(math.MaxInt64/rowSize) {
-			return nil, fmt.Errorf("dataset: %s: implausible segment count %d at offset %d", path, count, off)
-		}
+	for off := int64(8); ; {
 		rows := int64(count) * rowSize
-		if off+8+rows > size {
-			return nil, fmt.Errorf("dataset: %s: truncated mid-segment: segment at offset %d declares %d rows but the file ends %d bytes short",
-				path, off, count, off+8+rows-size)
+		if rows > size-off-8 {
+			return nil, false, fmt.Errorf("dataset: %s: truncated mid-segment: segment at offset %d declares %d rows but only %d bytes follow",
+				path, off, count, size-off-8)
 		}
-		total += int(count)
-		st.counts = append(st.counts, total)
+		st.counts = append(st.counts, st.first(len(st.counts))+count)
 		st.offs = append(st.offs, off+8)
 		off += 8 + rows
+		if magic == binaryMagic || off == size {
+			break
+		}
+		if _, err := f.ReadAt(b[:8], off); err != nil {
+			return nil, false, fmt.Errorf("dataset: %s: truncated segment prefix at offset %d: %w", path, off, err)
+		}
+		if count, err = readCount(b[:8], dims); err != nil {
+			return nil, false, fmt.Errorf("%s: %w at offset %d", path, err, off)
+		}
 	}
-	if len(st.counts) == 0 {
-		return nil, fmt.Errorf("dataset: %s: no segments", path)
+	sf = &SegmentFile{path: path, dims: dims}
+	if magic == segmentMagic {
+		sf.mapSegments(st)
 	}
-	sf := &SegmentFile{path: path, dims: dims}
-	sf.mapSegments(st)
 	sf.state.Store(st)
+	return sf, magic == binaryMagic, nil
+}
+
+// Open opens a binary dataset file of either format through openFile. A
+// DBS2 file opens as an appendable *SegmentFile. A DBS1 file opens as its
+// one unmapped segment behind a view exposing only the Dataset methods,
+// so it is neither Appendable nor Sliceable: it never grows and is never
+// resident.
+func Open(path string) (Dataset, error) {
+	sf, dbs1, err := openFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if dbs1 {
+		return readOnly{sf}, nil
+	}
 	return sf, nil
+}
+
+// readOnly exposes only the Dataset methods of the dataset it wraps.
+type readOnly struct{ Dataset }
+
+// OpenSegmented opens a DBS2 file as an appendable SegmentFile. It
+// refuses a DBS1 file: Open reads a DBS1 file's declared rows only, so a
+// segment appended behind its header would be silently dropped.
+func OpenSegmented(path string) (*SegmentFile, error) {
+	sf, dbs1, err := openFile(path)
+	if err == nil && dbs1 {
+		return nil, fmt.Errorf("dataset: %s: a DBS1 file cannot be opened for appending", path)
+	}
+	return sf, err
 }
 
 // mapSegments memory-maps the file's validated extent and fills st.pts
@@ -196,7 +198,7 @@ func OpenSegmented(path string) (*SegmentFile, error) {
 // the caller. On any failure — platform, alignment, a file shorter than
 // the index promises — st.pts stays nil and readers use the decode path.
 func (sf *SegmentFile) mapSegments(st *segState) {
-	if mmapDisabled || !mmapSupported || len(st.counts) == 0 {
+	if mmapDisabled || !mmapSupported {
 		return
 	}
 	for _, off := range st.offs {
@@ -207,13 +209,8 @@ func (sf *SegmentFile) mapSegments(st *segState) {
 			return
 		}
 	}
-	rowSize := int64(8 * sf.dims)
 	last := len(st.counts) - 1
-	lastRows := st.counts[last]
-	if last > 0 {
-		lastRows -= st.counts[last-1]
-	}
-	need := st.offs[last] + int64(lastRows)*rowSize
+	need := st.offs[last] + int64(st.counts[last]-st.first(last))*int64(8*sf.dims)
 
 	f, err := os.Open(sf.path)
 	if err != nil {
@@ -238,16 +235,13 @@ func (sf *SegmentFile) mapSegments(st *segState) {
 	sf.maps = append(sf.maps, data)
 	sf.mapMu.Unlock()
 
-	pts := make([]geom.Point, st.total())
-	i, segStart := 0, 0
+	pts := make([]geom.Point, 0, st.total())
 	for g, off := range st.offs {
-		rows := st.counts[g] - segStart
+		rows := st.counts[g] - len(pts)
 		floats := unsafe.Slice((*float64)(unsafe.Pointer(&data[off])), rows*sf.dims)
 		for r := 0; r < rows; r++ {
-			pts[i] = geom.Point(floats[r*sf.dims : (r+1)*sf.dims : (r+1)*sf.dims])
-			i++
+			pts = append(pts, floats[r*sf.dims:(r+1)*sf.dims:(r+1)*sf.dims])
 		}
-		segStart = st.counts[g]
 	}
 	st.pts = pts
 }
@@ -359,25 +353,7 @@ func (sf *SegmentFile) Append(pts ...geom.Point) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	prefix := make([]byte, 8)
-	binary.LittleEndian.PutUint64(prefix, uint64(len(pts)))
-	_, err = bw.Write(prefix)
-	if err == nil {
-		buf := make([]byte, 8*sf.dims)
-		for _, p := range pts {
-			for i, v := range p {
-				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-			}
-			if _, err = bw.Write(buf); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
+	if err := writeSegment(f, nil, MustInMemory(pts)); err != nil {
 		// Roll the file back so a torn segment never becomes persistent.
 		f.Truncate(oldSize)
 		return err
@@ -385,13 +361,9 @@ func (sf *SegmentFile) Append(pts ...geom.Point) error {
 
 	old := sf.state.Load()
 	st := &segState{
-		counts: make([]int, len(old.counts)+1),
-		offs:   make([]int64, len(old.offs)+1),
+		counts: append(slices.Clip(old.counts), old.total()+len(pts)),
+		offs:   append(slices.Clip(old.offs), oldSize+8),
 	}
-	copy(st.counts, old.counts)
-	copy(st.offs, old.offs)
-	st.counts[len(old.counts)] = old.total() + len(pts)
-	st.offs[len(old.offs)] = oldSize + 8
 	// Remap the grown file before publishing. The previous mapping stays
 	// alive (sf.maps) until Close, so row views handed out from the old
 	// snapshot remain valid for readers that pinned it.
@@ -431,30 +403,16 @@ func (sf *SegmentFile) ScanRange(start, end int, fn func(p geom.Point) error) er
 	// First segment whose cumulative count exceeds start.
 	seg := sort.SearchInts(st.counts, start+1)
 	for i := start; i < end; {
-		segStart := 0
-		if seg > 0 {
-			segStart = st.counts[seg-1]
-		}
-		segEnd := st.counts[seg]
-		stop := end
-		if segEnd < stop {
-			stop = segEnd
-		}
-		if _, err := f.Seek(st.offs[seg]+int64(i-segStart)*int64(rowSize), io.SeekStart); err != nil {
+		stop := min(end, st.counts[seg])
+		if _, err := f.Seek(st.offs[seg]+int64((i-st.first(seg))*rowSize), io.SeekStart); err != nil {
 			return err
 		}
-		bufSize := (stop - i) * rowSize
-		if bufSize > 1<<20 {
-			bufSize = 1 << 20
-		}
-		br := bufio.NewReaderSize(f, bufSize)
+		br := bufio.NewReaderSize(f, min((stop-i)*rowSize, 1<<20))
 		for ; i < stop; i++ {
 			if _, err := io.ReadFull(br, row); err != nil {
 				return fmt.Errorf("dataset: %s: point %d: %w", sf.path, i, err)
 			}
-			for j := range p {
-				p[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
-			}
+			getRow(p, row)
 			if err := fn(p); err != nil {
 				return stopToNil(err)
 			}
@@ -494,27 +452,4 @@ func (sf *SegmentFile) GenLen(g uint64) int {
 // GenFingerprint implements Appendable; see InMemory.GenFingerprint.
 func (sf *SegmentFile) GenFingerprint(g uint64, parallelism int) (uint64, error) {
 	return sf.fp.at(sf, g, parallelism)
-}
-
-// Open opens a binary dataset file of either format, sniffing the magic:
-// DBS1 yields an immutable FileBacked, DBS2 an appendable SegmentFile.
-func Open(path string) (Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	magic := make([]byte, 4)
-	_, rerr := io.ReadFull(f, magic)
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("dataset: reading magic of %s: %w", path, rerr)
-	}
-	switch string(magic) {
-	case binaryMagic:
-		return OpenFile(path)
-	case segmentMagic:
-		return OpenSegmented(path)
-	default:
-		return nil, fmt.Errorf("dataset: %s: bad magic %q", path, magic)
-	}
 }

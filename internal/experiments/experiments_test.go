@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -238,6 +239,24 @@ func TestExpStreamShape(t *testing.T) {
 		if found := cell(t, tb, i, 3); found < 6 {
 			t.Errorf("%s found %v clusters, want ≥6", tb.Rows[i][0], found)
 		}
+	}
+}
+
+// TestExpChaosReproducible: the chaos table is a function of the seed
+// alone. Its servers scan serially, so a run at -p 1 and one at -p 2
+// print the same rows; with parallel block scans the seeded fault
+// schedule was taken in goroutine order and the heavy row moved.
+func TestExpChaosReproducible(t *testing.T) {
+	var rows [2][][]string
+	for i, p := range []int{1, 2} {
+		tb, err := Run("chaos", Config{Seed: 1, Quick: true, Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = tb.Rows
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("chaos -seed 1 rows differ:\n-p 1: %v\n-p 2: %v", rows[0], rows[1])
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -159,6 +161,47 @@ func TestAppendImmutableDatasetConflict(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/datasets/f/append", appendBody(testPoints(5, 2, 1)))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("append to immutable file: %d: %s, want 409", resp.StatusCode, body)
+	}
+}
+
+// TestTruncatedFileSampleIs422: a path-registered file cut mid-row is a
+// malformed dataset, not an unlucky read. Open refuses it, DBS1 and DBS2
+// alike, so /v1/sample answers 422 with no Retry-After, where a DBS1 file
+// used to open and then fail its first pass as a transient 503.
+func TestTruncatedFileSampleIs422(t *testing.T) {
+	pts := dataset.MustInMemory(testPoints(200, 2, 7))
+	dir := t.TempDir()
+	dbs1 := filepath.Join(dir, "pts.dbs")
+	if err := dataset.SaveBinary(dbs1, pts); err != nil {
+		t.Fatal(err)
+	}
+	dbs2 := filepath.Join(dir, "pts.seg")
+	sf, err := dataset.CreateSegmented(dbs2, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.Close()
+	for _, path := range []string{dbs1, dbs2} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-5); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Parallelism: 1})
+		if err := srv.Registry().RegisterPath("pts", path); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		resp, body := postJSON(t, ts.URL+"/v1/sample", sampleBody)
+		ts.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s cut mid-row: %d: %s, want 422", filepath.Base(path), resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s cut mid-row: Retry-After %q on a malformed file", filepath.Base(path), ra)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,7 +31,8 @@ const (
 type TenantPolicy struct {
 	// Weight is the tenant's WFQ share (default 1). A weight-4 tenant
 	// is granted four slots for every one a weight-1 tenant gets while
-	// both have work queued; an idle tenant accrues no credit.
+	// both have work queued; an idle tenant accrues no credit. A weight
+	// that is not positive and finite with a finite reciprocal is unset.
 	Weight float64
 	// MaxInFlight caps the tenant's concurrently executing requests
 	// (0 = bounded only by the global in-flight limit). A tenant at its
@@ -48,7 +50,7 @@ type TenantPolicy struct {
 }
 
 func (p TenantPolicy) withDefaults() TenantPolicy {
-	if p.Weight <= 0 {
+	if !usableWeight(p.Weight) {
 		p.Weight = 1
 	}
 	if p.MaxInFlight < 0 {
@@ -58,6 +60,14 @@ func (p TenantPolicy) withDefaults() TenantPolicy {
 		p.MaxQueue = 0
 	}
 	return p
+}
+
+// usableWeight reports whether w and its tag step 1/w are both positive
+// and finite. Any other weight (NaN, infinite, or so small that 1/w
+// overflows) issues tags of NaN, 0 or +Inf, out of fair order.
+func usableWeight(w float64) bool {
+	inv := 1 / w
+	return w > 0 && inv > 0 && !math.IsInf(w, 0) && !math.IsInf(inv, 0)
 }
 
 func priorityName(p int) string {
@@ -106,8 +116,8 @@ func ParseTenantPolicies(spec string) (map[string]TenantPolicy, error) {
 			if !hasEq {
 				// Bare-value shorthand: "gold:4" means weight=4.
 				w, err := strconv.ParseFloat(kv, 64)
-				if err != nil || w <= 0 {
-					return nil, fmt.Errorf("server: -tenants %s: %q is neither key=value nor a positive weight", name, kv)
+				if err != nil || !usableWeight(w) {
+					return nil, fmt.Errorf("server: -tenants %s: %q is neither key=value nor a positive finite weight", name, kv)
 				}
 				pol.Weight = w
 				continue
@@ -115,8 +125,8 @@ func ParseTenantPolicies(spec string) (map[string]TenantPolicy, error) {
 			switch key {
 			case "weight":
 				w, err := strconv.ParseFloat(val, 64)
-				if err != nil || w <= 0 {
-					return nil, fmt.Errorf("server: -tenants %s: weight %q must be a positive number", name, val)
+				if err != nil || !usableWeight(w) {
+					return nil, fmt.Errorf("server: -tenants %s: weight %q must be a positive finite number with a finite reciprocal", name, val)
 				}
 				pol.Weight = w
 			case "inflight":

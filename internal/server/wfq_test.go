@@ -3,6 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -37,38 +41,47 @@ func enqueueTenant(t *testing.T, a *Admission, tenant string, done chan string, 
 // the PR 4 starvation regression: a light tenant's queued waiter must be
 // granted the next slot even while a heavy tenant keeps arriving. Under
 // SCFQ the heavy tenant's tags strictly increase past the light waiter's
-// fixed tag, so the arrival stream can never push it back.
+// fixed tag, so the arrival stream can never push it back. A NaN or
+// infinite heavy weight from Config.Tenants counts as unset: with NaN tags
+// the grant order followed map order, and at +Inf the tag step 1/w was 0
+// and the light waiter was granted last.
 func TestWFQHeavyTenantCannotStarveLightWaiter(t *testing.T) {
-	a := NewTenantAdmission(1, 16, nil, nil)
-	hold, _, err := a.EnterTenant(context.Background(), "heavy")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	order := make(chan string, 16)
-	var released sync.WaitGroup
-	enqueueTenant(t, a, "light", order, &released)
-
-	// A burst of heavy arrivals lands behind the light waiter.
-	for i := 0; i < 6; i++ {
-		enqueueTenant(t, a, "heavy", order, &released)
-	}
-	if got := a.Queued(); got != 7 {
-		t.Fatalf("queued = %d, want 7", got)
-	}
-
-	hold()
-	if first := <-order; first != "light" {
-		t.Fatalf("first grant went to %q, want the queued light waiter", first)
-	}
-	for i := 0; i < 6; i++ {
-		if got := <-order; got != "heavy" {
-			t.Fatalf("grant %d = %q, want heavy", i+2, got)
+	for _, pol := range []map[string]TenantPolicy{
+		nil,
+		{"heavy": {Weight: math.NaN()}},
+		{"heavy": {Weight: math.Inf(1)}},
+	} {
+		a := NewTenantAdmission(1, 16, pol, nil)
+		hold, _, err := a.EnterTenant(context.Background(), "heavy")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	released.Wait() // each waiter names itself on order before its rel()
-	if a.InFlight() != 0 || a.Queued() != 0 {
-		t.Errorf("in flight %d queued %d after drain, want 0, 0", a.InFlight(), a.Queued())
+
+		order := make(chan string, 16)
+		var released sync.WaitGroup
+		enqueueTenant(t, a, "light", order, &released)
+
+		// A burst of heavy arrivals lands behind the light waiter.
+		for i := 0; i < 6; i++ {
+			enqueueTenant(t, a, "heavy", order, &released)
+		}
+		if got := a.Queued(); got != 7 {
+			t.Fatalf("queued = %d, want 7", got)
+		}
+
+		hold()
+		if first := <-order; first != "light" {
+			t.Fatalf("policies %v: first grant went to %q, want the queued light waiter", pol, first)
+		}
+		for i := 0; i < 6; i++ {
+			if got := <-order; got != "heavy" {
+				t.Fatalf("grant %d = %q, want heavy", i+2, got)
+			}
+		}
+		released.Wait() // each waiter names itself on order before its rel()
+		if a.InFlight() != 0 || a.Queued() != 0 {
+			t.Errorf("in flight %d queued %d after drain, want 0, 0", a.InFlight(), a.Queued())
+		}
 	}
 }
 
@@ -359,11 +372,72 @@ func TestParseTenantPolicies(t *testing.T) {
 		"a:bogus=1",
 		"a:1;a:2",
 		"a:inflight=-1",
+		"a:weight=NaN",
+		"a:NaN",
+		"a:weight=Inf",
+		"a:weight=+Inf",
+		"a:Inf",
+		"a:weight=1e-320",
 	} {
 		if _, err := ParseTenantPolicies(bad); err == nil {
 			t.Errorf("ParseTenantPolicies(%q) accepted invalid spec", bad)
 		}
 	}
+}
+
+// FuzzParseTenantPolicies feeds arbitrary -tenants specs to the parser.
+// It must never panic, and what it accepts must be usable and round-trip:
+// every weight unset or positive and finite with a finite reciprocal,
+// quotas ≥ 0, priority low, normal or high; and the map rendered back to
+// the grammar parses to the same map.
+func FuzzParseTenantPolicies(f *testing.F) {
+	for _, seed := range []string{
+		"gold:weight=4,priority=high,inflight=8;bronze:1,priority=low,queue=2;*:weight=2",
+		"a:NaN", "a:weight=+Inf", "a:weight=1e-320", "a:0x1p-3", "a:", " ; ;", "a,b=c:inflight=+3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := ParseTenantPolicies(spec)
+		if err != nil {
+			return
+		}
+		names := make([]string, 0, len(got))
+		for name, p := range got {
+			if p.Weight != 0 && !usableWeight(p.Weight) {
+				t.Fatalf("tenant %q: accepted weight %v (1/w = %v)", name, p.Weight, 1/p.Weight)
+			}
+			if p.MaxInFlight < 0 || p.MaxQueue < 0 {
+				t.Fatalf("tenant %q: negative quota %+v", name, p)
+			}
+			if p.Priority != PriorityLow && p.Priority != PriorityNormal && p.Priority != PriorityHigh {
+				t.Fatalf("tenant %q: priority %d", name, p.Priority)
+			}
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var spec2 strings.Builder
+		for _, name := range names {
+			p := got[name]
+			fmt.Fprintf(&spec2, "%s:inflight=%d,queue=%d,priority=%s", name, p.MaxInFlight, p.MaxQueue, priorityName(p.Priority))
+			if p.Weight != 0 {
+				fmt.Fprintf(&spec2, ",weight=%s", strconv.FormatFloat(p.Weight, 'g', -1, 64))
+			}
+			spec2.WriteByte(';')
+		}
+		back, err := ParseTenantPolicies(spec2.String())
+		if err != nil {
+			t.Fatalf("rendered spec %q: %v", spec2.String(), err)
+		}
+		if len(back) != len(got) {
+			t.Fatalf("rendered spec %q parsed to %d tenants, want %d", spec2.String(), len(back), len(got))
+		}
+		for name, p := range got {
+			if q, ok := back[name]; !ok || q != p {
+				t.Fatalf("tenant %q: %+v, then %+v from %q", name, p, q, spec2.String())
+			}
+		}
+	})
 }
 
 // TestWFQWildcardPolicy: unnamed tenants inherit the "*" policy.

@@ -38,7 +38,6 @@ var reachAllowed = map[string]string{
 
 	// Pass counters: the tests of dataset, core, kde, server, faults and
 	// the baselines assert how many passes each algorithm makes.
-	"repro/internal/dataset.(*FileBacked).Passes":   "pass-count assertions across packages' tests",
 	"repro/internal/dataset.(*InMemory).Passes":     "pass-count assertions across packages' tests",
 	"repro/internal/dataset.(*SegmentFile).Passes":  "pass-count assertions across packages' tests",
 	"repro/internal/dataset.(*window).Passes":       "pass-count assertions across packages' tests",

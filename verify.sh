@@ -6,7 +6,8 @@
 # concurrent code (the parallel execution layer, its two biggest consumers,
 # and the observability layer's shared Recorder, plus the serving layer's
 # registry/cache/admission), 10 s fuzz smokes over the disk-tier
-# artifact decoder, the dataset upload decoders, the assembled
+# artifact decoder, the dataset upload decoders, the one dataset file
+# reader, the -tenants grammar, the assembled
 # /v1/sample body, the shard replies the coordinator decodes and the
 # DBSK1 estimator and DBSS1 sample payload decoders, the
 # observability overhead guard over the enabled and
@@ -68,6 +69,18 @@ go test -run '^$' -fuzz '^FuzzDiskTierLoad$' -fuzztime 10s -parallel 2 ./interna
 # that round-trip: DBS1 re-encodes to a prefix of the input, CSV re-reads
 # bit for bit (internal/dataset/testdata/fuzz/FuzzReadUpload).
 go test -run '^$' -fuzz '^FuzzReadUpload$' -fuzztime 10s -parallel 2 ./internal/dataset/
+# Fuzz smoke: arbitrary bytes as a dataset file, through Open, the one
+# reader of the DBS1 and DBS2 formats, must fail to open (allocating with
+# the file, never with a header's claim) or open to a dataset whose Scan
+# and ScanBlocks deliver exactly Len() identical rows; a DBS1 file that
+# ReadBinary accepts opens with its rows bit for bit
+# (internal/dataset/testdata/fuzz/FuzzOpenDataset).
+go test -run '^$' -fuzz '^FuzzOpenDataset$' -fuzztime 10s -parallel 2 ./internal/dataset/
+# Fuzz smoke: arbitrary -tenants specs must fail to parse or give usable
+# policies (every weight unset, or positive and finite with a finite
+# reciprocal; quotas >= 0; a known priority) that render back to the
+# grammar and parse to the same map.
+go test -run '^$' -fuzz '^FuzzParseTenantPolicies$' -fuzztime 10s -parallel 2 ./internal/server/
 # Fuzz smoke: the /v1/sample body assembled from a stored tail —
 # `{"dataset":`, the quoted name, the tail — must equal encoding/json's
 # bytes for the same response (status, headers, body) for any dataset
